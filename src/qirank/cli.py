@@ -46,13 +46,19 @@ def _gauss(text: str) -> GaussInt:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _default_shards() -> int:
-    value = os.environ.get(SHARDS_ENV, "1")
-    try:
-        shards = int(value)
-    except ValueError:
-        return 1
-    return max(1, shards)
+def _shard_count(args) -> int:
+    """--shards, else QIRANK_SHARDS, else 1; ValueError unless an integer >= 1."""
+    if args.shards is not None:
+        shards = args.shards
+    else:
+        value = os.environ.get(SHARDS_ENV, "1")
+        try:
+            shards = int(value)
+        except ValueError:
+            raise ValueError(f"{SHARDS_ENV} must be an integer, got {value!r}") from None
+    if shards < 1:
+        raise ValueError("shard count must be >= 1")
+    return shards
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    f"lets interrupted runs resume from a checkpoint")
     p_search.add_argument("--kmax", type=int, default=None,
                           help="search |k| <= KMAX (default: BOX)")
-    p_search.add_argument("--shards", type=int, default=_default_shards())
+    p_search.add_argument("--shards", type=int, default=None,
+                          help=f"worker shards (default: ${SHARDS_ENV}, else 1)")
     p_search.add_argument("--expand", action="store_true",
                           help="expand the region until a first hit is found")
     p_search.add_argument("--max-radius", type=int, default=4096,
@@ -181,8 +188,10 @@ def _search_box(args) -> Box:
 
 
 def _cmd_search(args) -> int:
-    if args.shards < 1:
-        _emit({"error": "shard count must be >= 1"})
+    try:
+        shards = _shard_count(args)
+    except ValueError as exc:
+        _emit({"error": str(exc)})
         return 2
     if args.expand:
         if args.box is None:
@@ -192,7 +201,7 @@ def _cmd_search(args) -> int:
             hit = find_first_hit(
                 initial_radius=max(1, args.box),
                 max_radius=args.max_radius,
-                shards=args.shards,
+                shards=shards,
                 progress=_emit_stderr,
             )
         except RuntimeError as exc:
@@ -209,7 +218,7 @@ def _cmd_search(args) -> int:
     if kmax is None:
         _emit({"error": "search needs --kmax when --box is not given"})
         return 2
-    hits = search_region(box, (-kmax, kmax), shards=args.shards,
+    hits = search_region(box, (-kmax, kmax), shards=shards,
                          progress=_emit_stderr)
     for hit in hits:
         _emit(_hit_json(hit))

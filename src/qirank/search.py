@@ -1,23 +1,29 @@
 """Search for (beta, k) making beta + i^j k(1+i), j = 1..4, simultaneously
 prime and congruent to -1-6i mod 16.
 
-The residue pre-filter (k a multiple of 8, beta in one of two classes mod 16
-depending on k mod 16) is exhaustively proven equivalent to the direct
-four-congruence test in the test suite, but remains an optimization only:
-every candidate that passes it still gets the direct congruence and
-primality tests.  Sharded searches merge deterministically, so output never
-depends on the shard count.
+The region scan uses two pre-filters.  The residue pre-filter (k a multiple
+of 8, beta in one of two classes mod 16 depending on k mod 16) is
+exhaustively proven equivalent to the direct four-congruence test in the
+test suite; the scan steps beta through those classes directly.  The norm
+pre-filter then asks that the four norms be rational primes.  It is exact:
+a value congruent to -1-6i mod 16 has real part 15 and imaginary part 10
+mod 16, both nonzero, so it is a Gaussian prime iff its norm is a rational
+prime.  Both remain optimizations only: every pair that passes them still
+gets the full ``constellation_at`` check (direct congruences and primality).
+Sharded searches merge deterministically, so output never depends on the
+shard count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .gaussian import GaussInt, GaussLike, I_POWERS, ONE_PLUS_I, _coerce
-from .primes import is_gaussian_prime, rational_prime_sieve
+from .primes import is_gaussian_prime, is_rational_prime, rational_prime_sieve
 
 TARGET_CLASS = GaussInt(-1, -6)
 # beta residues mod 16 compatible with the target class, by k mod 16
@@ -102,11 +108,10 @@ def constellation_at(beta: GaussLike, k: int) -> Union[ConstellationHit, Rejecti
     for j, p in enumerate(values, start=1):
         if not is_gaussian_prime(p):
             return Rejection(f"p_{j} = {p} is not a Gaussian prime")
-    hit = ConstellationHit(beta=b, k=k, primes=values)
     # algebraic identity; cheap cross-check that the offsets are right
-    product = values[0] * values[1] * values[2] * values[3]
-    assert product == b ** 4 + GaussInt(4 * k ** 4, 0)
-    return hit
+    if values[0] * values[1] * values[2] * values[3] != b ** 4 + GaussInt(4 * k ** 4, 0):
+        raise AssertionError(f"product identity fails at beta = {b}, k = {k}")
+    return ConstellationHit(beta=b, k=k, primes=values)
 
 
 def residue_prefilter(beta: GaussLike, k: int) -> bool:
@@ -127,28 +132,40 @@ def _k_values(k_range: tuple[int, int]) -> list[int]:
 def _scan_shard(
     args: tuple[int, int, int, int, int, int]
 ) -> tuple[list[tuple[int, int, int]], int, int]:
-    """Worker: scan one sub-box; returns (hits, candidates, filter passes)."""
+    """Worker: scan one sub-box; returns (hits, candidates, filter passes).
+
+    Only residue-passing pairs are visited: for each beta class, re and im
+    step through the class by 16.  A pair then needs the norms of its four
+    values, (a -+ k)^2 + (b +- k)^2 in j-order, to be rational primes (exact
+    for values in the target class, see the module docstring), tested on
+    plain ints with the first failure ending the pair.  Only the pairs that
+    pass get the full ``constellation_at`` check.
+    """
     re_lo, re_hi, im_lo, im_hi, k_lo, k_hi = args
     ks = _k_values((k_lo, k_hi))
-    ks_by_class = {
-        _BETA_CLASS_K0: [k for k in ks if k % 16 == 0],
-        _BETA_CLASS_K8: [k for k in ks if k % 16 != 0],
-    }
+    candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * len(ks)
     hits: list[tuple[int, int, int]] = []
-    candidates = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * len(ks) \
-        if re_hi >= re_lo and im_hi >= im_lo else 0
     passes = 0
-    for a in range(re_lo, re_hi + 1):
-        for b in range(im_lo, im_hi + 1):
-            matching = ks_by_class.get((a % 16, b % 16))
-            if not matching:
-                continue
-            beta = GaussInt(a, b)
-            for k in matching:
-                passes += 1
-                result = constellation_at(beta, k)
-                if isinstance(result, ConstellationHit):
-                    hits.append((a, b, k))
+    prime = is_rational_prime
+    for (cre, cim), class_ks in (
+        (_BETA_CLASS_K0, [k for k in ks if k % 16 == 0]),
+        (_BETA_CLASS_K8, [k for k in ks if k % 16 != 0]),
+    ):
+        res = range(re_lo + (cre - re_lo) % 16, re_hi + 1, 16)
+        ims = range(im_lo + (cim - im_lo) % 16, im_hi + 1, 16)
+        passes += len(res) * len(ims) * len(class_ks)
+        for a in res:
+            for k in class_ks:
+                am2 = (a - k) * (a - k)
+                ap2 = (a + k) * (a + k)
+                for b in ims:
+                    bp2 = (b + k) * (b + k)
+                    bm2 = (b - k) * (b - k)
+                    if (prime(am2 + bp2) and prime(am2 + bm2)
+                            and prime(ap2 + bm2) and prime(ap2 + bp2)):
+                        result = constellation_at(GaussInt(a, b), k)
+                        if isinstance(result, ConstellationHit):
+                            hits.append((a, b, k))
     return hits, candidates, passes
 
 
@@ -177,7 +194,9 @@ def search_region(
     if len(shard_args) <= 1:
         results = [_scan_shard(a) for a in shard_args]
     else:
-        with ProcessPoolExecutor(max_workers=len(shard_args)) as pool:
+        # shards are work units; the pool never outgrows the machine
+        workers = min(len(shard_args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_shard, shard_args))
     for args, (shard_hits, candidates, passes) in zip(shard_args, results):
         raw.extend(shard_hits)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qirank.cli import run
 
 
@@ -104,6 +106,30 @@ class TestSearch:
         code, lines = run_json(capsys, "search", "--re-min", "0", "--re-max", "5")
         assert code == 2
         assert "error" in lines[0]
+
+
+class TestShardsEnv:
+    @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
+    def test_bad_value_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QIRANK_SHARDS", value)
+        code, lines = run_json(capsys, "search", "--box", "16")
+        assert code == 2
+        assert "error" in lines[0]
+
+    def test_valid_value_and_flag_override(self, capsys, monkeypatch):
+        _, expected = run_json(capsys, "search", "--box", "32")
+        monkeypatch.setenv("QIRANK_SHARDS", "2")
+        code, lines = run_json(capsys, "search", "--box", "32")
+        assert (code, lines) == (0, expected)
+        monkeypatch.setenv("QIRANK_SHARDS", "bad")
+        code, lines = run_json(capsys, "search", "--box", "32", "--shards", "1")
+        assert (code, lines) == (0, expected)
+
+    def test_certify_ignores_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIRANK_SHARDS", "bad")
+        code, lines = run_json(capsys, "certify", "15+10i", "16")
+        assert code == 0
+        assert lines[0]["rank_upper"] == "2"
 
 
 class TestCertifyVerify:

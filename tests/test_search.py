@@ -1,14 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import qirank.search
 from qirank.gaussian import GaussInt
 from qirank.search import (
     Box,
     ConstellationHit,
     Rejection,
     TARGET_CLASS,
+    _BETA_CLASS_K0,
+    _BETA_CLASS_K8,
+    _scan_shard,
     constellation_at,
     constellation_primes,
     find_first_hit,
@@ -143,6 +152,102 @@ class TestSearchRegion:
         for rec in records:
             assert rec["event"] == "shard_done"
             assert rec["candidates"] >= rec["filter_pass"] >= rec["hits"]
+
+
+def brute_force_region(box, k_range):
+    """Oracle: constellation_at on every residue-passing pair, canonical order."""
+    hits = [
+        result
+        for a in range(box.re_min, box.re_max + 1)
+        for b in range(box.im_min, box.im_max + 1)
+        for k in range(k_range[0], k_range[1] + 1)
+        if residue_prefilter(GaussInt(a, b), k)
+        for result in [constellation_at(GaussInt(a, b), k)]
+        if isinstance(result, ConstellationHit)
+    ]
+    hits.sort(key=ConstellationHit.sort_key)
+    return hits
+
+
+# (beta box, k range, hit count): the origin; an off-origin box whose hits
+# 135-110i (k = +-56) and 111-150i (k = -80) cover both k classes and negative
+# k; a window near 2^20 holding 1048519+1048626i, k = +-280
+KERNEL_REGIONS = [
+    (Box.centered(48), (-48, 48), 6),
+    (Box(64, 159, -150, -71), (-120, 64), 3),
+    (Box(1048512, 1048543, 1048608, 1048639), (-320, 320), 2),
+]
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
+    def test_matches_brute_force(self, box, k_range, count):
+        expected = brute_force_region(box, k_range)
+        assert len(expected) == count
+        for shards in (1, 3):
+            assert search_region(box, k_range, shards=shards) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=st.integers(-(1 << 36), 1 << 36),
+        v=st.integers(-(1 << 36), 1 << 36),
+        m=st.integers(-(1 << 37), 1 << 37).filter(bool),
+    )
+    @example(u=0, v=0, m=2)                      # beta = 15+10i, k = 16
+    @example(u=65532, v=65539, m=35)             # 1048519+1048626i, k = 280
+    @example(u=-1, v=-1, m=2)                    # -1-6i, k = 16: p_2 not prime
+    def test_one_point_agrees_with_constellation_at(self, u, v, m):
+        k = 8 * m
+        cre, cim = _BETA_CLASS_K0 if k % 16 == 0 else _BETA_CLASS_K8
+        a, b = 16 * u + cre, 16 * v + cim
+        hits, candidates, passes = _scan_shard((a, a, b, b, k, k))
+        is_hit = isinstance(constellation_at(GaussInt(a, b), k), ConstellationHit)
+        assert (candidates, passes) == (1, 1)
+        assert hits == ([(a, b, k)] if is_hit else [])
+
+
+class TestWorkerPool:
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(qirank.search, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 2)
+        box = Box.centered(40)
+        sharded = search_region(box, (-40, 40), shards=8)
+        assert created == [2]
+        assert sharded == search_region(box, (-40, 40), shards=1)
+
+
+class TestOptimizedInterpreter:
+    def test_frozen_hit_under_python_O(self):
+        src = str(Path(qirank.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "from qirank.search import Box, search_region\n"
+            "hit = search_region(Box.centered(32), (-32, 32))[0]\n"
+            "print(sys.flags.optimize, hit.beta, hit.k)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.split() == ["1", "15+10i", "16"]
 
 
 class TestFindFirstHit:
