@@ -1,112 +1,32 @@
 """qirank: exact Gaussian-integer arithmetic, prime constellation search,
-and independently verifiable rank-2 certificates for quartic twists over Q(i).
+and re-checkable rank-2 certificates for quartic twists over Q(i).
+
+The package namespace holds what the search, certify and verify jobs use;
+everything else is imported from its module (``qirank.gaussian``,
+``qirank.curves``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .gaussian import (
-    GaussInt,
-    GaussRat,
-    canonical_associate,
-    divmod_nearest,
-    gcd,
-    is_primary,
-    mod_pow,
-    norm,
-    primary_associate,
-    ram_valuation,
-)
-from .primes import (
-    PrimaryFactorization,
-    factor_primary,
-    is_gaussian_prime,
-    primes_in_box,
-)
-from .residues import euler_symbol, mn_invariants, symbol_i, symbol_one_plus_i
-from .selmer import (
-    F2Matrix,
-    SelmerReport,
-    build_L,
-    f2_kernel,
-    f2_solve,
-    rank_upper_bound,
-    selmer_candidate_set,
-)
-from .curves import (
-    CurvePoint,
-    TorsionGroup,
-    add,
-    cm_apply,
-    is_torsion,
-    on_curve,
-    phi_dual,
-    phi_forward,
-    torsion_subgroup,
-    twist_iso,
-    two_torsion_points,
-)
+from .gaussian import GaussInt
 from .search import (
     Box,
     ConstellationHit,
-    constellation_at,
     find_first_hit,
     prime_density_stats,
     search_region,
 )
-from .certify import (
-    Certificate,
-    FailureReport,
-    certify,
-    is_genuine,
-    verify_certificate,
-)
+from .certify import Certificate, FailureReport, certify, verify_certificate
 
 __all__ = [
     "Box",
     "Certificate",
     "ConstellationHit",
-    "CurvePoint",
-    "F2Matrix",
     "FailureReport",
     "GaussInt",
-    "GaussRat",
-    "PrimaryFactorization",
-    "SelmerReport",
-    "TorsionGroup",
-    "add",
-    "build_L",
-    "canonical_associate",
     "certify",
-    "cm_apply",
-    "constellation_at",
-    "divmod_nearest",
-    "euler_symbol",
-    "f2_kernel",
-    "f2_solve",
-    "factor_primary",
     "find_first_hit",
-    "gcd",
-    "is_gaussian_prime",
-    "is_genuine",
-    "is_primary",
-    "is_torsion",
-    "mn_invariants",
-    "mod_pow",
-    "norm",
-    "on_curve",
-    "phi_dual",
-    "phi_forward",
-    "primary_associate",
     "prime_density_stats",
-    "primes_in_box",
-    "ram_valuation",
-    "rank_upper_bound",
     "search_region",
-    "selmer_candidate_set",
-    "symbol_i",
-    "symbol_one_plus_i",
-    "torsion_subgroup",
-    "twist_iso",
-    "two_torsion_points",
     "verify_certificate",
 ]

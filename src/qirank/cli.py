@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--output", type=str, default=None,
                         help="also write the certificate JSON to this path")
 
-    p_verify = sub.add_parser("verify", help="independently re-verify a certificate file")
+    p_verify = sub.add_parser("verify",
+                              help="re-verify a certificate file by re-running certify")
     p_verify.add_argument("file", type=str)
 
     p_stats = sub.add_parser("stats", help="prime density census by residue class mod 16")
@@ -149,8 +150,8 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_selmer(args) -> int:
-    shape = args.shape.replace("-", "_")
-    report = selmer_candidate_set(shape, args.primes)
+    # the shape is a label: the candidate conditions depend only on the primes
+    report = selmer_candidate_set(args.primes)
     _emit({
         "shape": args.shape,
         "primes": [p.to_json() for p in report.primes],
@@ -197,6 +198,11 @@ def _cmd_search(args) -> int:
         if args.box is None:
             _emit({"error": "--expand needs --box as the initial radius"})
             return 2
+        explicit = (args.re_min, args.re_max, args.im_min, args.im_max, args.kmax)
+        if any(b is not None for b in explicit):
+            _emit({"error": "--expand grows the region from --box; it takes no "
+                            "--re-min/--re-max/--im-min/--im-max/--kmax"})
+            return 2
         try:
             hit = find_first_hit(
                 initial_radius=max(1, args.box),
@@ -232,10 +238,14 @@ def _cmd_certify(args) -> int:
         _emit({"error": result.reason, "condition": result.condition})
         return 1
     payload = result.to_json_bytes().decode("ascii")
-    sys.stdout.write(payload + "\n")
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            _emit({"error": f"cannot write {args.output}: {exc}"})
+            return 2
+    sys.stdout.write(payload + "\n")
     return 0
 
 

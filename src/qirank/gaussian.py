@@ -388,14 +388,6 @@ class GaussRat:
             return GaussRat.of(self.den, self.num) ** (-exponent)
         return GaussRat.of(self.num ** exponent, self.den ** exponent)
 
-    def is_integral(self) -> bool:
-        return self.den == ONE
-
-    def as_gauss_int(self) -> GaussInt:
-        if self.den != ONE:
-            raise ValueError(f"{self} is not integral")
-        return self.num
-
     def to_json(self) -> dict[str, dict[str, str]]:
         return {"den": self.den.to_json(), "num": self.num.to_json()}
 

@@ -1,4 +1,4 @@
-"""Gaussian prime testing, factorization into primary primes, enumeration.
+"""Gaussian prime testing, factorization into primary primes, a prime sieve.
 
 Rational integer factorization is delegated to sympy; everything Gaussian
 (splitting, primary normalization, ordering) is done here exactly.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
 
 from sympy import factorint
 
@@ -19,9 +18,8 @@ from .gaussian import (
     ONE_PLUS_I,
     _coerce,
     divides,
-    divmod_nearest,
     exact_div,
-    is_primary,
+    gcd,
     primary_associate,
     ram_valuation,
     unit_log,
@@ -114,10 +112,6 @@ class PrimaryFactorization:
     def is_square_free(self) -> bool:
         return self.t <= 1 and all(e == 1 for _, e in self.factors)
 
-    def is_square(self) -> bool:
-        return (self.s % 2 == 0 and self.t % 2 == 0
-                and all(e % 2 == 0 for _, e in self.factors))
-
 
 def sqrt_minus_one_mod(p: int) -> int:
     """Smallest-witness square root of -1 modulo a prime p = 1 mod 4."""
@@ -133,18 +127,12 @@ def sqrt_minus_one_mod(p: int) -> int:
 
 
 def prime_above(p: int) -> GaussInt:
-    """A primary Gaussian prime above the split rational prime p = 1 mod 4."""
-    x = sqrt_minus_one_mod(p)
-    g = _raw_gcd(GaussInt(p, 0), GaussInt(x, 1))
-    pi, _ = primary_associate(g)
-    return pi
+    """A primary Gaussian prime above the split rational prime p = 1 mod 4.
 
-
-def _raw_gcd(a: GaussInt, b: GaussInt) -> GaussInt:
-    while b:
-        _, r = divmod_nearest(a, b)
-        a, b = b, r
-    return a
+    gcd(p, x + i) with x^2 = -1 mod p is a prime of norm p; it is odd, so its
+    canonical associate is the primary one.
+    """
+    return gcd(GaussInt(p, 0), GaussInt(sqrt_minus_one_mod(p), 1))
 
 
 def factor_primary(alpha: GaussLike) -> PrimaryFactorization:
@@ -175,50 +163,6 @@ def factor_primary(alpha: GaussLike) -> PrimaryFactorization:
     s = unit_log(u)
     factors.sort(key=lambda fe: (fe[0].norm(), fe[0].re, fe[0].im))
     return PrimaryFactorization(s=s, t=t, factors=tuple(factors))
-
-
-def is_square(alpha: GaussLike) -> bool:
-    """True iff alpha is a perfect square in Z[i] (zero counts)."""
-    a = _coerce(alpha)
-    if not a:
-        return True
-    return factor_primary(a).is_square()
-
-
-def primes_in_box(
-    re_range: tuple[int, int],
-    im_range: tuple[int, int],
-    residue_filter: Optional[tuple[GaussInt, GaussInt]] = None,
-) -> Iterator[GaussInt]:
-    """Yield every Gaussian prime in the box, in (re, im) lexicographic order.
-
-    ``residue_filter`` = (cls, modulus) keeps only primes congruent to cls.
-    Ranges are inclusive; an empty range yields nothing.
-    """
-    if residue_filter is not None:
-        cls, modulus = residue_filter
-        if not modulus:
-            raise ValueError("zero modulus in residue filter")
-    for a in range(re_range[0], re_range[1] + 1):
-        for b in range(im_range[0], im_range[1] + 1):
-            alpha = GaussInt(a, b)
-            if residue_filter is not None and not divides(modulus, alpha - cls):
-                continue
-            if is_gaussian_prime(alpha):
-                yield alpha
-
-
-def primary_primes_up_to_norm(bound: int) -> list[GaussInt]:
-    """All primary Gaussian primes of norm < bound, sorted by (norm, re, im)."""
-    r = 1
-    while r * r < bound:
-        r += 1
-    found = []
-    for p in primes_in_box((-r, r), (-r, r)):
-        if p.norm() < bound and p.is_odd() and is_primary(p):
-            found.append(p)
-    found.sort(key=lambda p: (p.norm(), p.re, p.im))
-    return found
 
 
 def rational_prime_sieve(limit: int) -> bytearray:

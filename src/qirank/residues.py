@@ -3,7 +3,8 @@
 A primary element is uniquely (1-4i)**m * (-1-6i)**n modulo (1+i)^7 with
 (m, n) in (Z/4)^2; the pair determines the residue symbols of i and 1+i
 without any exponentiation.  The Euler-criterion symbol is the independent
-second route and the two are cross-checked in the test suite.
+second route and the two are cross-checked in the test suite, which also
+holds the brute-force symbol oracle (squares enumerated modulo p).
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .primes import is_gaussian_prime
 _GEN_M = GaussInt(1, -4)
 _GEN_N = GaussInt(-1, -6)
 _MODULUS_7 = ONE_PLUS_I ** 7  # 8 - 8i
-_FOUR = GaussInt(4, 0)
-_THREE_PLUS_2I = GaussInt(3, 2)
 
 # all 16 products (1-4i)^m (-1-6i)^n, indexed [m][n]
 _MN_TABLE = tuple(
@@ -71,13 +70,6 @@ def mn_invariants(alpha: GaussLike) -> MNInvariant:
     return hit
 
 
-def mod4_consistency(alpha: GaussLike) -> bool:
-    """Check alpha = (3+2i)**n_bar mod 4 for primary alpha."""
-    a = _coerce(alpha)
-    inv = mn_invariants(a)
-    return divides(_FOUR, a - _THREE_PLUS_2I ** inv.n_bar)
-
-
 def euler_symbol(alpha: GaussLike, p: GaussLike) -> int:
     """Gaussian quadratic residue symbol (alpha / p) in {+1, -1}.
 
@@ -119,30 +111,3 @@ def _require_primary_prime(p: GaussLike) -> GaussInt:
         raise ValueError(f"{p} is not primary")
     return q
 
-
-def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
-    """Oracle: (alpha / p) by enumerating all squares modulo p.
-
-    Only sensible for small norm(p); used to validate euler_symbol.
-    """
-    a, q = _coerce(alpha), _coerce(p)
-    if not is_gaussian_prime(q) or not q.is_odd():
-        raise ValueError(f"{p} is not an odd Gaussian prime")
-    if divides(q, a):
-        raise ValueError(f"{p} divides {alpha}")
-    n = norm(q)
-    if q.re != 0 and q.im != 0:
-        # split: Z[i]/(q) = F_p via i -> r with q.re + q.im * r = 0 mod p
-        r = (-q.re * pow(q.im, -1, n)) % n
-        squares = {x * x % n for x in range(1, n)}
-        return 1 if (a.re + a.im * r) % n in squares else -1
-    # inert: field with q0**2 elements, residues a + bi with 0 <= a, b < q0
-    q0 = abs(q.re or q.im)
-    squares = set()
-    for x in range(q0):
-        for y in range(q0):
-            if x == 0 and y == 0:
-                continue
-            sq = GaussInt(x, y) * GaussInt(x, y)
-            squares.add((sq.re % q0, sq.im % q0))
-    return 1 if (a.re % q0, a.im % q0) in squares else -1

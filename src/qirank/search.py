@@ -114,15 +114,6 @@ def constellation_at(beta: GaussLike, k: int) -> Union[ConstellationHit, Rejecti
     return ConstellationHit(beta=b, k=k, primes=values)
 
 
-def residue_prefilter(beta: GaussLike, k: int) -> bool:
-    """Fast residue test equivalent to the four mod-16 congruences."""
-    if k % 8 != 0 or k == 0:
-        return False
-    b = _coerce(beta)
-    cls = _BETA_CLASS_K0 if k % 16 == 0 else _BETA_CLASS_K8
-    return (b.re % 16, b.im % 16) == cls
-
-
 def _k_values(k_range: tuple[int, int]) -> list[int]:
     lo, hi = k_range
     start = lo + (-lo) % 8

@@ -1,29 +1,26 @@
 """F2 linear algebra and the Selmer-group candidate-set computation.
 
-The descent input is a list of distinct primary Gaussian primes.  From their
-pairwise residue symbols we build the symbol matrix L (rows sum to zero by
-construction), and the candidate divisor classes are the kernel of L (primary
-branch) together with the solution set of L x = (n_bar_j) (the i-branch).
-The F2 dimension of the span of all candidates feeds the rank bound
-2*dim - 2.
+The descent input is a list of distinct primary Gaussian primes; ``build_L``
+validates it.  From their pairwise residue symbols we build the symbol
+matrix L (rows sum to zero by construction), and the candidate divisor
+classes are the kernel of L (primary branch) together with the solution set
+of L x = (n_bar_j) (the i-branch).  The candidate conditions depend only on
+the primes, not on the sign or square shape of the curve coefficient.  The
+F2 dimension of the span of all candidates feeds the rank bound 2*dim - 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .gaussian import GaussInt, GaussLike, I, ONE, _coerce, is_primary
+from .gaussian import GaussInt, GaussLike, _coerce, is_primary
 from .primes import is_gaussian_prime
 from .residues import euler_symbol, mn_invariants
 
 F2Vector = tuple[int, ...]
 
 MAX_DIMENSION = 64  # dense bit rows; the certified family needs N = 4
-
-AlphaShape = Literal["plus", "minus", "minus_square"]
-ALPHA_SHAPES = ("plus", "minus", "minus_square")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,12 +46,6 @@ class F2Matrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def apply(self, v: F2Vector) -> F2Vector:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        mask = _vec_to_mask(v)
-        return tuple(bin(r & mask).count("1") & 1 for r in self.rows)
 
 
 def _vec_to_mask(v: F2Vector) -> int:
@@ -191,12 +182,6 @@ class DivisorClass:
     unit_i: bool
     indices: tuple[int, ...]
 
-    def value(self, primes: Sequence[GaussInt]) -> GaussInt:
-        acc = I if self.unit_i else ONE
-        for j in self.indices:
-            acc = acc * primes[j - 1]
-        return acc
-
     def label(self) -> str:
         parts = (["i"] if self.unit_i else []) + [f"p{j}" for j in self.indices]
         return "*".join(parts) if parts else "1"
@@ -213,26 +198,12 @@ class DivisorClass:
 class SelmerReport:
     """Everything the descent produces for one curve coefficient."""
 
-    shape: str
     primes: tuple[GaussInt, ...]
     matrix: F2Matrix
     nbar: tuple[int, ...]
     candidates: tuple[DivisorClass, ...]
     dim: int
     rank_upper: int
-
-    def candidate_values(self) -> list[GaussInt]:
-        return [c.value(self.primes) for c in self.candidates]
-
-    def is_group(self) -> bool:
-        """True iff the candidate classes form a subgroup of F2^(N+1)."""
-        n = len(self.primes)
-        masks = {c.span_vector(n) for c in self.candidates}
-        if 0 not in masks:
-            return False
-        if len(masks) != (1 << self.dim):
-            return False
-        return all(a ^ b in masks for a, b in combinations(masks, 2))
 
 
 def rank_upper_bound(dim: int) -> int:
@@ -242,22 +213,16 @@ def rank_upper_bound(dim: int) -> int:
     return 2 * dim - 2
 
 
-def selmer_candidate_set(
-    shape: AlphaShape, primes: Sequence[GaussLike]
-) -> SelmerReport:
+def selmer_candidate_set(primes: Sequence[GaussLike]) -> SelmerReport:
     """Candidate divisor classes containing the phi-Selmer group.
 
-    ``shape`` records whether the coefficient is +prod(p), -prod(p) or
-    -prod(p**2); the candidate conditions themselves depend only on the
-    primes.  A subset T is a candidate with unit 1 when its indicator lies
-    in ker(L), and with unit i when L applied to the indicator equals the
-    vector of n_bar invariants.
+    A subset T is a candidate with unit 1 when its indicator lies in ker(L),
+    and with unit i when L applied to the indicator equals the vector of
+    n_bar invariants.  ``build_L`` validates the primes.
     """
-    if shape not in ALPHA_SHAPES:
-        raise ValueError(f"unknown alpha shape {shape!r}; expected one of {ALPHA_SHAPES}")
-    ps = _validated_primes(primes)
+    matrix = build_L(primes)
+    ps = [_coerce(p) for p in primes]
     n = len(ps)
-    matrix = build_L(ps)
     nbar = tuple(mn_invariants(p).n_bar for p in ps)
 
     kernel = f2_kernel(matrix)
@@ -276,7 +241,6 @@ def selmer_candidate_set(
     span_masks = [c.span_vector(n) for c in candidates]
     dim = f2_rank(span_masks, n + 1)
     return SelmerReport(
-        shape=shape,
         primes=tuple(ps),
         matrix=matrix,
         nbar=nbar,

@@ -1,0 +1,135 @@
+"""Slow reference implementations that the tests compare the package against.
+
+None of these is on a path the package runs; each is either a brute-force
+route to a value the package computes another way, or an enumeration only
+the tests need.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from qirank import search
+from qirank.curves import CurvePoint
+from qirank.gaussian import (
+    GaussInt,
+    GaussLike,
+    GaussRat,
+    ONE_PLUS_I,
+    _coerce,
+    divides,
+    is_primary,
+    norm,
+)
+from qirank.primes import factor_primary, is_gaussian_prime
+from qirank.residues import mn_invariants
+from qirank.selmer import F2Matrix, F2Vector
+
+_FOUR = GaussInt(4, 0)
+_THREE_PLUS_2I = GaussInt(3, 2)
+
+
+def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
+    """(alpha / p) by enumerating all squares modulo p.
+
+    Only sensible for small norm(p); validates euler_symbol.
+    """
+    a, q = _coerce(alpha), _coerce(p)
+    if not is_gaussian_prime(q) or not q.is_odd():
+        raise ValueError(f"{p} is not an odd Gaussian prime")
+    if divides(q, a):
+        raise ValueError(f"{p} divides {alpha}")
+    n = norm(q)
+    if q.re != 0 and q.im != 0:
+        # split: Z[i]/(q) = F_p via i -> r with q.re + q.im * r = 0 mod p
+        r = (-q.re * pow(q.im, -1, n)) % n
+        squares = {x * x % n for x in range(1, n)}
+        return 1 if (a.re + a.im * r) % n in squares else -1
+    # inert: field with q0**2 elements, residues a + bi with 0 <= a, b < q0
+    q0 = abs(q.re or q.im)
+    squares = set()
+    for x in range(q0):
+        for y in range(q0):
+            if x == 0 and y == 0:
+                continue
+            sq = GaussInt(x, y) * GaussInt(x, y)
+            squares.add((sq.re % q0, sq.im % q0))
+    return 1 if (a.re % q0, a.im % q0) in squares else -1
+
+
+def mod4_consistency(alpha: GaussLike) -> bool:
+    """Check alpha = (3+2i)**n_bar mod 4 for primary alpha."""
+    a = _coerce(alpha)
+    inv = mn_invariants(a)
+    return divides(_FOUR, a - _THREE_PLUS_2I ** inv.n_bar)
+
+
+def primes_in_box(
+    re_range: tuple[int, int], im_range: tuple[int, int]
+) -> Iterator[GaussInt]:
+    """Every Gaussian prime in the inclusive box, in (re, im) lexicographic order."""
+    for a in range(re_range[0], re_range[1] + 1):
+        for b in range(im_range[0], im_range[1] + 1):
+            alpha = GaussInt(a, b)
+            if is_gaussian_prime(alpha):
+                yield alpha
+
+
+def primary_primes_up_to_norm(bound: int) -> list[GaussInt]:
+    """All primary Gaussian primes of norm < bound, sorted by (norm, re, im)."""
+    r = 1
+    while r * r < bound:
+        r += 1
+    found = [
+        p for p in primes_in_box((-r, r), (-r, r))
+        if p.norm() < bound and p.is_odd() and is_primary(p)
+    ]
+    found.sort(key=lambda p: (p.norm(), p.re, p.im))
+    return found
+
+
+def is_square(alpha: GaussLike) -> bool:
+    """True iff alpha is a perfect square in Z[i] (zero counts)."""
+    a = _coerce(alpha)
+    if not a:
+        return True
+    f = factor_primary(a)
+    return f.s % 2 == 0 and f.t % 2 == 0 and all(e % 2 == 0 for _, e in f.factors)
+
+
+_IOTA_X = GaussRat.of(ONE_PLUS_I * ONE_PLUS_I)   # (1+i)^2
+_IOTA_Y = GaussRat.of(ONE_PLUS_I ** 3)           # (1+i)^3
+
+
+def twist_iso_inv(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
+    """Inverse of curves.twist_iso: E_alpha -> E_(-4 alpha)."""
+    if point.is_infinity:
+        return point
+    return CurvePoint(point.x * _IOTA_X, point.y * _IOTA_Y)
+
+
+def residue_prefilter(beta: GaussLike, k: int) -> bool:
+    """The residue test the search kernel steps through, on one pair.
+
+    Reads the kernel's own class constants, so a test that proves this equal
+    to the four mod-16 congruences proves those constants.
+    """
+    if k % 8 != 0 or k == 0:
+        return False
+    b = _coerce(beta)
+    cls = search._BETA_CLASS_K0 if k % 16 == 0 else search._BETA_CLASS_K8
+    return (b.re % 16, b.im % 16) == cls
+
+
+def f2_apply(matrix: F2Matrix, v: F2Vector) -> F2Vector:
+    """The product M v over F2."""
+    if len(v) != matrix.ncols:
+        raise ValueError("dimension mismatch")
+    mask = sum((int(x) & 1) << j for j, x in enumerate(v))
+    return tuple(bin(r & mask).count("1") & 1 for r in matrix.rows)
+
+
+def is_f2_subgroup(masks) -> bool:
+    """True iff the set of F2 bitmask vectors contains 0 and is closed under XOR."""
+    group = set(masks)
+    return 0 in group and all(a ^ b in group for a in group for b in group)

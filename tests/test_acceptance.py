@@ -30,28 +30,27 @@ from qirank.curves import (
     scalar_mul,
     torsion_subgroup,
     twist_iso,
-    twist_iso_inv,
     two_torsion_points,
 )
-from qirank.primes import factor_primary, is_gaussian_prime, primary_primes_up_to_norm
-from qirank.residues import (
-    brute_force_symbol,
-    euler_symbol,
-    mn_invariants,
-    mod4_consistency,
-    symbol_i,
-    symbol_one_plus_i,
-)
+from qirank.primes import factor_primary, is_gaussian_prime
+from qirank.residues import euler_symbol, mn_invariants, symbol_i, symbol_one_plus_i
 from qirank.search import (
     Box,
     TARGET_CLASS,
     constellation_primes,
     find_first_hit,
     prime_density_stats,
-    residue_prefilter,
     search_region,
 )
 from qirank.selmer import DivisorClass, selmer_candidate_set
+
+from oracles import (
+    brute_force_symbol,
+    mod4_consistency,
+    primary_primes_up_to_norm,
+    residue_prefilter,
+    twist_iso_inv,
+)
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16
@@ -143,7 +142,7 @@ def test_criterion_4_selmer_reproduction():
             DivisorClass(True, (2, 4)),
         )
         for hit in hits:
-            report = selmer_candidate_set("minus_square", hit.primes)
+            report = selmer_candidate_set(hit.primes)
             assert any(report.matrix == m for m in CONSTELLATION_MATRICES)
             assert report.candidates == expected
             assert report.dim == 2
@@ -259,6 +258,7 @@ def test_criterion_10_symbol_pattern():
         for hit in hits:
             cert = certify(hit.beta, hit.k)
             assert isinstance(cert, Certificate)
+            assert cert.torsion.label == "Z2xZ2"
             p = cert.primes
             same = {
                 euler_symbol(p[0], p[3]),

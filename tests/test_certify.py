@@ -6,6 +6,7 @@ from qirank.gaussian import GaussInt, I
 from qirank.certify import (
     CONCLUSION,
     CONSTELLATION_MATRICES,
+    EXPECTED_CANDIDATES,
     Certificate,
     FailureReport,
     certify,
@@ -17,6 +18,9 @@ from qirank.certify import (
 from qirank.curves import on_curve
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, search_region
+from qirank.selmer import f2_rank, rank_upper_bound
+
+from oracles import is_f2_subgroup
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16
@@ -62,6 +66,17 @@ class TestFamilyPoint:
             if not gamma:
                 continue
             assert on_curve(alpha, family_point(b, k))
+
+
+class TestExpectedCandidates:
+    def test_klein_four_group_of_dimension_two(self):
+        # certify checks only candidates == EXPECTED_CANDIDATES; the group
+        # property, the dimension and the rank bound follow from this constant
+        masks = [c.span_vector(4) for c in EXPECTED_CANDIDATES]
+        assert len(set(masks)) == 4
+        assert is_f2_subgroup(masks)
+        assert f2_rank(masks, 5) == 2
+        assert rank_upper_bound(2) == 2
 
 
 class TestCertify:

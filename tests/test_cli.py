@@ -102,6 +102,14 @@ class TestSearch:
             json.dumps(h, sort_keys=True) for h in full
         )
 
+    def test_expand_rejects_explicit_bounds(self, capsys):
+        code, lines = run_json(
+            capsys, "search", "--box", "8", "--expand", "--re-min", "100",
+            "--kmax", "3",
+        )
+        assert code == 2
+        assert len(lines) == 1 and "error" in lines[0]
+
     def test_bounds_required(self, capsys):
         code, lines = run_json(capsys, "search", "--re-min", "0", "--re-max", "5")
         assert code == 2
@@ -158,6 +166,15 @@ class TestCertifyVerify:
         code, lines = run_json(capsys, "verify", str(path))
         assert code == 1
         assert lines == [{"valid": False}]
+
+    def test_certify_unwritable_output(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "c.json"
+        code, lines = run_json(
+            capsys, "certify", "15+10i", "16", "--output", str(path)
+        )
+        assert code == 2
+        assert len(lines) == 1 and "error" in lines[0]
+        assert not path.exists()
 
     def test_verify_missing_file(self, capsys):
         code, lines = run_json(capsys, "verify", "/nonexistent/cert.json")

@@ -265,6 +265,7 @@ class TestGaussRat:
         assert half ** -1 == GaussRat.of(2)
 
     def test_integrality(self):
-        assert GaussRat.of(gi(4, 2), gi(1, 1)).is_integral()
-        assert GaussRat.of(gi(4, 2), gi(1, 1)).as_gauss_int() == gi(3, -1)
-        assert not GaussRat.of(1, 2).is_integral()
+        # an integral value reduces to denominator 1
+        assert GaussRat.of(gi(4, 2), gi(1, 1)).den == ONE
+        assert GaussRat.of(gi(4, 2), gi(1, 1)).num == gi(3, -1)
+        assert GaussRat.of(1, 2).den != ONE

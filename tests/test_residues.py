@@ -3,16 +3,16 @@ import random
 import pytest
 
 from qirank.gaussian import GaussInt, I, ONE, ONE_PLUS_I, primary_associate
-from qirank.primes import is_gaussian_prime, primary_primes_up_to_norm
+from qirank.primes import is_gaussian_prime
 from qirank.residues import (
     MNInvariant,
-    brute_force_symbol,
     euler_symbol,
     mn_invariants,
-    mod4_consistency,
     symbol_i,
     symbol_one_plus_i,
 )
+
+from oracles import brute_force_symbol, mod4_consistency, primary_primes_up_to_norm
 
 
 def gi(re, im=0):

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -22,9 +23,10 @@ from qirank.search import (
     constellation_primes,
     find_first_hit,
     prime_density_stats,
-    residue_prefilter,
     search_region,
 )
+
+from oracles import residue_prefilter
 
 # first hit of the canonical expanding schedule; frozen regression constant
 FROZEN_BETA = GaussInt(15, 10)
@@ -248,6 +250,17 @@ class TestOptimizedInterpreter:
             capture_output=True, text=True, check=True, env=env,
         ).stdout
         assert out.split() == ["1", "15+10i", "16"]
+
+    def test_package_has_no_assert_statement(self):
+        # python -O strips assert, so a check written as one would vanish
+        package = Path(qirank.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestFindFirstHit:
