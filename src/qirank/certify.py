@@ -3,10 +3,14 @@
 ``certify`` runs every check on a candidate (beta, k): the four-prime
 constellation conditions, genuineness over Q(i), the Selmer candidate set
 with its dimension and rank bound, the torsion classification, and the
-explicit non-torsion point.  The result is a self-contained certificate;
-``verify_certificate`` re-runs ``certify`` on its (beta, k) and compares
-the result field by field.  Serialization is byte-stable: sorted keys,
+explicit non-torsion point.  It refuses norms at or above the bound below
+which Miller-Rabin with fixed bases is a proof.  The result is a
+self-contained certificate.  Serialization is byte-stable: sorted keys,
 decimal strings, no floats.
+
+``verify_certificate`` does not run ``certify``: it hands the certificate
+to ``qirank.verifier``, a stand-alone checker that shares no code with this
+chain and re-derives every field from (beta, k) by a shorter route.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from . import __version__
+from . import __version__, verifier
 from .gaussian import GaussInt, GaussLike, I, _coerce
 from .curves import (
     CurvePoint,
@@ -25,12 +29,19 @@ from .curves import (
     on_curve,
     torsion_subgroup,
 )
-from .search import ConstellationHit, Rejection, constellation_at
+from .search import (
+    ConstellationHit,
+    Rejection,
+    constellation_at,
+    constellation_primes,
+)
 from .selmer import DivisorClass, F2Matrix, SelmerReport, selmer_candidate_set
-
-CERT_VERSION = "1"
-CONCLUSION = "rank = 2, group ≅ ℤ² ⊕ (ℤ/2ℤ)²"
-GAMMA_CONVENTION = "gamma = i*(beta^4 + 4*k^4)"
+from .verifier import (
+    CERT_VERSION,
+    CONCLUSION,
+    GAMMA_CONVENTION,
+    MR_DETERMINISTIC_BOUND,
+)
 
 # the only two symbol matrices a valid constellation can produce, by the
 # common value of (k / p_j)
@@ -142,6 +153,13 @@ def family_point(beta: GaussLike, k: int) -> CurvePoint:
 def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
     """Run the full verification chain for (beta, k)."""
     b = _coerce(beta)
+    if any(v.norm() >= MR_DETERMINISTIC_BOUND for v in constellation_primes(b, k)):
+        return FailureReport(
+            reason="norm above the deterministic primality bound",
+            condition=f"each norm of beta + i^j k(1+i) must be below "
+                      f"{MR_DETERMINISTIC_BOUND}, where Miller-Rabin with fixed "
+                      f"bases is a proof of primality",
+        )
     result = constellation_at(b, k)
     if isinstance(result, Rejection):
         return FailureReport(
@@ -222,42 +240,15 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
     )
 
 
-def parse_certificate(data: Union[str, bytes, dict]) -> dict:
-    """Parse raw certificate JSON into a dict, validating the basic shape."""
-    if isinstance(data, (str, bytes)):
-        obj = json.loads(data)
-    else:
-        obj = data
-    if not isinstance(obj, dict):
-        raise ValueError("certificate must be a JSON object")
-    for field in ("beta", "k", "version"):
-        if field not in obj:
-            raise ValueError(f"certificate is missing the {field!r} field")
-    return obj
-
-
 def verify_certificate(data: Union[str, bytes, dict, Certificate]) -> bool:
-    """Recompute everything from (beta, k) and compare field by field.
+    """Check a certificate with the stand-alone ``qirank.verifier``.
 
-    Any mismatch (including a tampered matrix entry, a swapped point, or an
-    unsupported format version) makes the certificate invalid.  The
-    ``toolchain`` field is provenance, not mathematics, and is ignored.
+    It re-derives every field from the certificate's (beta, k) and compares
+    them all; a tampered matrix entry, a swapped point, an unsupported format
+    version or a norm above the primality bound makes the certificate
+    invalid.  The ``toolchain`` field is provenance, not mathematics, and is
+    ignored.  Raises ValueError on malformed input.
     """
     if isinstance(data, Certificate):
-        obj = data.to_json_obj()
-    else:
-        obj = parse_certificate(data)
-    if obj.get("version") != CERT_VERSION:
-        return False
-    try:
-        beta = GaussInt.from_json(obj["beta"])
-        k = int(obj["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed certificate: {exc}") from exc
-    recomputed = certify(beta, k)
-    if isinstance(recomputed, FailureReport):
-        return False
-    expected = recomputed.to_json_obj()
-    given = {key: value for key, value in obj.items() if key != "toolchain"}
-    expected.pop("toolchain", None)
-    return given == expected
+        data = data.to_json_obj()
+    return verifier.verify(data)

@@ -25,6 +25,8 @@ from .search import Box, find_first_hit, prime_density_stats, search_region
 from .selmer import selmer_candidate_set
 
 SHARDS_ENV = "QIRANK_SHARDS"
+# the census sieve holds 2 * box^2 + 1 bytes: about 34 MB at this cap
+STATS_MAX_BOX = 4096
 
 # tokens like -5, -i, -6i, -1-6i are values, not flags
 _NEGATIVE_VALUE_RE = re.compile(r"^-(?:\d+|\d*[iI])(?:[+-]\d*[iI])?$")
@@ -107,12 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--output", type=str, default=None,
                         help="also write the certificate JSON to this path")
 
-    p_verify = sub.add_parser("verify",
-                              help="re-verify a certificate file by re-running certify")
+    p_verify = sub.add_parser(
+        "verify", help="check a certificate file: re-derive every field from its "
+                       "(beta, k) with the stand-alone verifier")
     p_verify.add_argument("file", type=str)
 
     p_stats = sub.add_parser("stats", help="prime density census by residue class mod 16")
-    p_stats.add_argument("--box", type=int, required=True)
+    p_stats.add_argument("--box", type=int, required=True,
+                         help=f"census |Re|, |Im| <= BOX, 0 <= BOX <= {STATS_MAX_BOX}")
 
     return parser
 
@@ -203,9 +207,14 @@ def _cmd_search(args) -> int:
             _emit({"error": "--expand grows the region from --box; it takes no "
                             "--re-min/--re-max/--im-min/--im-max/--kmax"})
             return 2
+        initial_radius = max(1, args.box)
+        if args.max_radius < initial_radius:
+            _emit({"error": f"--max-radius {args.max_radius} is below the initial "
+                            f"radius {initial_radius}, so nothing would be searched"})
+            return 2
         try:
             hit = find_first_hit(
-                initial_radius=max(1, args.box),
+                initial_radius=initial_radius,
                 max_radius=args.max_radius,
                 shards=shards,
                 progress=_emit_stderr,
@@ -266,6 +275,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if not 0 <= args.box <= STATS_MAX_BOX:
+        _emit({"error": f"stats --box must be between 0 and {STATS_MAX_BOX}, "
+                        f"got {args.box}"})
+        return 2
     stats = prime_density_stats(Box.centered(args.box))
     ratio = stats.target_ratio
     classes = [

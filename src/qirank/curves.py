@@ -58,12 +58,6 @@ class CurvePoint:
             return "infinity"
         return {"x": self.x.to_json(), "y": self.y.to_json()}
 
-    @classmethod
-    def from_json(cls, obj) -> "CurvePoint":
-        if obj == "infinity":
-            return cls.infinity()
-        return cls(GaussRat.from_json(obj["x"]), GaussRat.from_json(obj["y"]))
-
 
 INFINITY = CurvePoint.infinity()
 ORIGIN = CurvePoint.affine(0, 0)

@@ -139,10 +139,6 @@ class GaussInt:
     def to_json(self) -> dict[str, str]:
         return {"im": str(self.im), "re": str(self.re)}
 
-    @classmethod
-    def from_json(cls, obj: dict[str, str]) -> "GaussInt":
-        return cls(int(obj["re"]), int(obj["im"]))
-
 
 ZERO = GaussInt(0, 0)
 ONE = GaussInt(1, 0)
@@ -390,10 +386,6 @@ class GaussRat:
 
     def to_json(self) -> dict[str, dict[str, str]]:
         return {"den": self.den.to_json(), "num": self.num.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict[str, dict[str, str]]) -> "GaussRat":
-        return cls.of(GaussInt.from_json(obj["num"]), GaussInt.from_json(obj["den"]))
 
 
 RAT_ZERO = GaussRat(ZERO, ONE)

@@ -24,11 +24,10 @@ from .gaussian import (
     ram_valuation,
     unit_log,
 )
+from .verifier import MR_BASES, MR_DETERMINISTIC_BOUND
 
-# Miller-Rabin with these bases is deterministic for n < 3_317_044_064_679_887_385_961_981
+# Miller-Rabin with MR_BASES is deterministic below MR_DETERMINISTIC_BOUND
 # (about 3.3e24), which covers the desk-scale norms this toolkit targets.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Extra bases for larger inputs: probabilistic with error < 4**-28 per composite.
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103,
                    107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
@@ -68,9 +67,9 @@ def is_rational_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES
-    if n >= _MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES + _MR_EXTRA_BASES
+    bases = MR_BASES
+    if n >= MR_DETERMINISTIC_BOUND:
+        bases = MR_BASES + _MR_EXTRA_BASES
     return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
 
 

@@ -1,0 +1,240 @@
+"""Stand-alone certificate checker.
+
+It uses only the standard library and imports nothing from the rest of
+qirank, so it can be read, audited and copied on its own.  From a
+certificate's ``(beta, k)`` alone it rebuilds the whole expected
+certificate, proving each claim on the way, then compares every field but
+``toolchain`` with the given one.  Only ``beta`` and ``k`` are ever parsed;
+every other field must equal its recomputed value exactly, type included.
+
+The paper's 2-isogeny descent makes the rank-2 claim a finite check:
+
+* the four values p_j = beta + i^j k(1+i), j = 1..4, are distinct (k != 0)
+  and congruent to -1-6i mod 16.  Such a value has both parts nonzero, so it
+  is a Gaussian prime iff its norm is a rational prime.  Miller-Rabin with
+  the 13 bases of ``MR_BASES`` proves that below ``MR_DETERMINISTIC_BOUND``;
+  larger norms are refused;
+* gamma = beta^4 + 4k^4 = p_1 p_2 p_3 p_4 (an identity in a, b, k, so it
+  is not checked), and Im(gamma^2) != 0, so
+  y^2 = x^3 - gamma^2 x is not a base change from Q;
+* the pairwise residue symbols give the matrix L, which must be one of the
+  two ``CONSTELLATION_ROWS``.  The class -1-6i mod 16 fixes every n_bar to 1,
+  and for both matrices the Selmer candidates are then the Klein four-group
+  ``SELMER_CANDIDATES``: F2 dimension 2, rank at most 2;
+* gamma is a product of four distinct primes, so it is square-free and not a
+  unit, and the torsion is Z/2 x Z/2 with y = 0 away from O.  The family
+  point and its CM image lie on the curve with y != 0, so both are
+  non-torsion, and the rank is 2.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Optional, Union
+
+CERT_VERSION = "1"
+CONCLUSION = "rank = 2, group ≅ ℤ² ⊕ (ℤ/2ℤ)²"
+GAMMA_CONVENTION = "gamma = i*(beta^4 + 4*k^4)"
+
+# Miller-Rabin with these bases proves primality below the bound (Sorenson &
+# Webster 2015); above it fixed bases can be fooled, so larger norms are refused
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+# beta.re, beta.im and k have at most 13 digits below the bound
+MAX_DIGITS = 40
+
+# row strings of the only two symbol matrices a valid constellation can give
+CONSTELLATION_ROWS = (
+    ("1001", "0011", "0110", "1100"),
+    ("0110", "1100", "1001", "0011"),
+)
+
+# the candidates (unit, 1-based prime indices) both matrices give
+SELMER_CANDIDATES = (("1", ()), ("1", (1, 2, 3, 4)), ("i", (1, 3)), ("i", (2, 4)))
+
+GaussPair = tuple[int, int]
+
+
+def parse_certificate(data: Union[str, bytes, dict]) -> dict:
+    """Parse raw certificate JSON into a dict, validating the basic shape."""
+    obj = json.loads(data) if isinstance(data, (str, bytes)) else data
+    if not isinstance(obj, dict):
+        raise ValueError("certificate must be a JSON object")
+    for field in ("beta", "k", "version"):
+        if field not in obj:
+            raise ValueError(f"certificate is missing the {field!r} field")
+    return obj
+
+
+def verify(data: Union[str, bytes, dict]) -> bool:
+    """True iff the certificate is exactly the one (beta, k) determines.
+
+    Raises ValueError on malformed input; a wrong version, a failed claim or
+    any changed field gives False.
+    """
+    obj = parse_certificate(data)
+    if obj.get("version") != CERT_VERSION:
+        return False
+    expected = expected_certificate(*_read_beta_k(obj))
+    given = {key: value for key, value in obj.items() if key != "toolchain"}
+    return expected is not None and _same(given, expected)
+
+
+def _read_beta_k(obj: dict) -> tuple[int, int, int]:
+    try:
+        texts = (obj["beta"]["re"], obj["beta"]["im"], obj["k"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed certificate: {exc!r}") from exc
+    for text in texts:
+        if not isinstance(text, str) or len(text) > MAX_DIGITS:
+            raise ValueError(
+                f"malformed certificate: beta and k must be decimal strings of "
+                f"at most {MAX_DIGITS} characters, got {text!r:.60}")
+    try:
+        return int(texts[0]), int(texts[1]), int(texts[2])
+    except ValueError as exc:
+        raise ValueError(f"malformed certificate: {exc}") from exc
+
+
+def _same(given, expected) -> bool:
+    """Equality that also requires equal JSON types (1 does not pass for true)."""
+    if type(given) is not type(expected):
+        return False
+    if isinstance(expected, dict):
+        return given.keys() == expected.keys() and all(
+            _same(given[key], value) for key, value in expected.items())
+    if isinstance(expected, list):
+        return len(given) == len(expected) and all(map(_same, given, expected))
+    return given == expected
+
+
+def expected_certificate(a: int, b: int, k: int) -> Optional[dict]:
+    """The certificate of beta = a + bi and k, or None if a claim fails."""
+    if k == 0:
+        return None  # the four values coincide
+    primes = ((a - k, b + k), (a - k, b - k), (a + k, b - k), (a + k, b + k))
+    if not all(map(_in_target_class, primes)):
+        return None
+    norms = [re * re + im * im for re, im in primes]
+    if max(norms) >= MR_DETERMINISTIC_BOUND or not all(map(_is_prime, norms)):
+        return None
+
+    beta = (a, b)
+    beta4 = _mul(_mul(beta, beta), _mul(beta, beta))
+    gamma = (beta4[0] + 4 * k ** 4, beta4[1])
+    gamma2 = _mul(gamma, gamma)
+    if gamma2[1] == 0:
+        return None
+    rows = _symbol_rows(primes)
+    if rows not in CONSTELLATION_ROWS:
+        return None
+
+    alpha = (-gamma2[0], -gamma2[1])
+    # (4 b^2 k^2, 2i b k (b^4 - 4k^4)) and its CM image (-x, iy)
+    x = _mul((4 * k * k, 0), _mul(beta, beta))
+    y = _mul(_mul((0, 2 * k), beta), (beta4[0] - 4 * k ** 4, beta4[1]))
+    x_cm, y_cm = (-x[0], -x[1]), (-y[1], y[0])
+    for px, py in ((x, y), (x_cm, y_cm)):
+        if py == (0, 0) or _mul(py, py) != _add(_mul(_mul(px, px), px), _mul(alpha, px)):
+            return None
+
+    return {
+        "L": list(rows),
+        "alpha": _gauss_json(alpha),
+        "beta": _gauss_json(beta),
+        "conclusion": CONCLUSION,
+        "genuine": {"im_gamma_squared": str(gamma2[1]), "value": True},
+        "k": str(k),
+        "point": _point_json(x, y),
+        "point_cm": _point_json(x_cm, y_cm),
+        "primes": [_gauss_json(p) for p in primes],
+        "rank_upper": "2",
+        "selmer_candidates": [
+            {"primes": [str(j) for j in indices], "unit": unit}
+            for unit, indices in SELMER_CANDIDATES
+        ],
+        "selmer_dim": "2",
+        "torsion": {
+            "convention": GAMMA_CONVENTION,
+            "gamma": _gauss_json((-gamma[1], gamma[0])),
+            "group": "Z2xZ2",
+        },
+        "version": CERT_VERSION,
+    }
+
+
+def residue_symbol(alpha: GaussPair, pi: GaussPair) -> int:
+    """The quadratic residue symbol (alpha / pi) in {+1, -1}.
+
+    pi = c + di must have prime norm p and d != 0 mod p, and must not divide
+    alpha.  In Z[i]/(pi) = F_p, i maps to r = -c/d, so alpha maps to
+    Re(alpha) + r Im(alpha) and the symbol is its Legendre symbol.
+    """
+    c, d = pi
+    p = c * c + d * d
+    r = -c * pow(d, -1, p) % p
+    t = (alpha[0] + alpha[1] * r) % p
+    return 1 if pow(t, (p - 1) // 2, p) == 1 else -1
+
+
+def _symbol_rows(primes: tuple[GaussPair, ...]) -> tuple[str, ...]:
+    """Row strings of L: entry (i, j) is 1 iff (p_i / p_j) = -1, and the
+    diagonal makes each row sum to zero."""
+    n = len(primes)
+    bits = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # distinct primary primes: pi_j does not divide p_i, and Gaussian
+            # reciprocity gives (p_i / p_j) = (p_j / p_i)
+            bits[i][j] = bits[j][i] = int(residue_symbol(primes[i], primes[j]) == -1)
+    for i, row in enumerate(bits):
+        row[i] = sum(row) % 2
+    return tuple("".join(map(str, row)) for row in bits)
+
+
+def _in_target_class(z: GaussPair) -> bool:
+    """z = -1-6i mod 16, which makes z primary and fixes its n_bar to 1."""
+    return z[0] % 16 == 15 and z[1] % 16 == 10
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with ``MR_BASES``; a proof for n below the bound."""
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _mul(x: GaussPair, y: GaussPair) -> GaussPair:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _add(x: GaussPair, y: GaussPair) -> GaussPair:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _gauss_json(z: GaussPair) -> dict:
+    return {"im": str(z[1]), "re": str(z[0])}
+
+
+def _point_json(x: GaussPair, y: GaussPair) -> dict:
+    one = {"im": "0", "re": "1"}
+    return {"x": {"den": one, "num": _gauss_json(x)},
+            "y": {"den": one, "num": _gauss_json(y)}}

@@ -7,9 +7,10 @@ the tests need.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Union
 
 from qirank import search
+from qirank.certify import CERT_VERSION, Certificate, FailureReport, certify
 from qirank.curves import CurvePoint
 from qirank.gaussian import (
     GaussInt,
@@ -24,6 +25,7 @@ from qirank.gaussian import (
 from qirank.primes import factor_primary, is_gaussian_prime
 from qirank.residues import mn_invariants
 from qirank.selmer import F2Matrix, F2Vector
+from qirank.verifier import parse_certificate
 
 _FOUR = GaussInt(4, 0)
 _THREE_PLUS_2I = GaussInt(3, 2)
@@ -133,3 +135,26 @@ def is_f2_subgroup(masks) -> bool:
     """True iff the set of F2 bitmask vectors contains 0 and is closed under XOR."""
     group = set(masks)
     return 0 in group and all(a ^ b in group for a in group for b in group)
+
+
+def verify_by_recertify(data: Union[str, bytes, dict, Certificate]) -> bool:
+    """Check a certificate by running ``certify`` on its (beta, k) again.
+
+    The route ``verify_certificate`` took before the stand-alone verifier:
+    compare the recomputed JSON with the given one, ignoring ``toolchain``.
+    """
+    obj = data.to_json_obj() if isinstance(data, Certificate) else parse_certificate(data)
+    if obj.get("version") != CERT_VERSION:
+        return False
+    try:
+        beta = GaussInt(int(obj["beta"]["re"]), int(obj["beta"]["im"]))
+        k = int(obj["k"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed certificate: {exc}") from exc
+    recomputed = certify(beta, k)
+    if isinstance(recomputed, FailureReport):
+        return False
+    expected = recomputed.to_json_obj()
+    expected.pop("toolchain")
+    given = {key: value for key, value in obj.items() if key != "toolchain"}
+    return given == expected

@@ -12,13 +12,13 @@ from qirank.certify import (
     certify,
     family_point,
     is_genuine,
-    parse_certificate,
     verify_certificate,
 )
 from qirank.curves import on_curve
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, search_region
 from qirank.selmer import f2_rank, rank_upper_bound
+from qirank.verifier import parse_certificate
 
 from oracles import is_f2_subgroup
 

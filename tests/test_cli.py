@@ -110,6 +110,17 @@ class TestSearch:
         assert code == 2
         assert len(lines) == 1 and "error" in lines[0]
 
+    def test_expand_rejects_max_radius_below_box(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_first_hit must not run")
+
+        monkeypatch.setattr("qirank.cli.find_first_hit", no_search)
+        code, lines = run_json(
+            capsys, "search", "--box", "8", "--expand", "--max-radius", "4"
+        )
+        assert code == 2
+        assert len(lines) == 1 and "--max-radius" in lines[0]["error"]
+
     def test_bounds_required(self, capsys):
         code, lines = run_json(capsys, "search", "--re-min", "0", "--re-max", "5")
         assert code == 2
@@ -190,6 +201,16 @@ class TestStats:
         assert obj["target_class"] == {"re": 15, "im": 10}
         num, den = obj["target_ratio"].split("/")
         assert int(den) == obj["total_primes"]
+
+    @pytest.mark.parametrize("box", ["4097", "100000", "-100000"])
+    def test_box_out_of_range_refused_before_allocation(self, capsys, monkeypatch, box):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census sieve must not be allocated")
+
+        monkeypatch.setattr("qirank.cli.prime_density_stats", no_census)
+        code, lines = run_json(capsys, "stats", "--box", box)
+        assert code == 2
+        assert len(lines) == 1 and "4096" in lines[0]["error"]
 
 
 class TestUsageErrors:

@@ -18,6 +18,7 @@ from qirank.gaussian import (
     primary_associate,
     ram_valuation,
 )
+from qirank.verifier import _read_beta_k
 
 
 def gi(re, im=0):
@@ -233,9 +234,14 @@ class TestParseFormat:
                 GaussInt.parse(bad)
 
     def test_json_roundtrip(self):
-        a = gi(-1, -6)
-        assert a.to_json() == {"im": "-6", "re": "-1"}
-        assert GaussInt.from_json(a.to_json()) == a
+        # the certificate format, read back by the verifier's (beta, k) reader
+        assert gi(-1, -6).to_json() == {"im": "-6", "re": "-1"}
+        rng = random.Random(12)
+        for _ in range(200):
+            a = random_gauss(rng, 10 ** 12)
+            k = rng.randint(-10 ** 6, 10 ** 6)
+            obj = {"beta": a.to_json(), "k": str(k), "version": "1"}
+            assert _read_beta_k(obj) == (a.re, a.im, k)
 
 
 class TestGaussRat:

@@ -1,0 +1,257 @@
+"""The stand-alone verifier against certify, the F2 engine and euler_symbol."""
+
+import ast
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qirank import verifier
+from qirank.certify import (
+    CONSTELLATION_MATRICES,
+    EXPECTED_CANDIDATES,
+    Certificate,
+    FailureReport,
+    certify,
+    verify_certificate,
+)
+from qirank.gaussian import GaussInt
+from qirank.residues import euler_symbol, mn_invariants
+from qirank.search import Box, search_region
+from qirank.selmer import (
+    DivisorClass,
+    F2Solutions,
+    f2_kernel,
+    f2_rank,
+    f2_solve,
+    rank_upper_bound,
+)
+
+from oracles import verify_by_recertify
+
+# beta = -1-6i mod 16 near 10^13 with k = 16: every norm is about 2e26
+FAR_BETA = GaussInt(10 ** 13 + (15 - 10 ** 13) % 16, 10 ** 13 + (10 - 10 ** 13) % 16)
+
+
+@pytest.fixture(scope="module")
+def hits():
+    found = search_region(Box.centered(48), (-48, 48))
+    assert found
+    return found
+
+
+@pytest.fixture(scope="module")
+def certificates(hits):
+    certs = [certify(h.beta, h.k) for h in hits]
+    assert all(isinstance(c, Certificate) for c in certs)
+    return [c.to_json_obj() for c in certs]
+
+
+def outcome(check, obj):
+    try:
+        return check(obj)
+    except ValueError:
+        return "ValueError"
+
+
+def flipped(leaf):
+    if isinstance(leaf, bool):
+        return not leaf
+    if leaf.lstrip("-").isdigit():
+        return str(int(leaf) + 1)
+    return leaf + "x"
+
+
+def containers(node, path=()):
+    """(path, dict or list) for every container in the JSON tree."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from containers(child, path + (key,))
+
+
+def at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def tampers(cert):
+    """Every single-leaf change: each leaf flipped, each pair of list entries
+    swapped, an extra key in each object, each key dropped."""
+    for path, node in list(containers(cert)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            if not isinstance(node[key], (dict, list)):
+                changed = copy.deepcopy(cert)
+                at(changed, path)[key] = flipped(node[key])
+                yield f"flip {path + (key,)}", changed
+        if isinstance(node, list):
+            for i in range(len(node)):
+                for j in range(i + 1, len(node)):
+                    changed = copy.deepcopy(cert)
+                    target = at(changed, path)
+                    target[i], target[j] = target[j], target[i]
+                    yield f"swap {path} {i} {j}", changed
+        else:
+            changed = copy.deepcopy(cert)
+            at(changed, path)["extra"] = "1"
+            yield f"extra key in {path}", changed
+            for key in keys:
+                changed = copy.deepcopy(cert)
+                del at(changed, path)[key]
+                yield f"drop {path + (key,)}", changed
+
+
+class TestDifferential:
+    def test_every_hit_verifies_both_ways(self, certificates):
+        for cert in certificates:
+            assert verify_certificate(cert) is True
+            assert verify_by_recertify(cert) is True
+            assert verify_certificate(json.dumps(cert)) is True
+
+    def test_single_leaf_tampers_agree_with_recertify(self, certificates):
+        count = 0
+        for cert in certificates:
+            for label, changed in tampers(cert):
+                fast = outcome(verify_certificate, changed)
+                slow = outcome(verify_by_recertify, changed)
+                assert fast == slow, (cert["beta"], cert["k"], label)
+                count += 1
+                if not label.startswith(("flip ('toolchain',)", "drop ('toolchain',)")):
+                    assert fast is not True, (cert["beta"], cert["k"], label)
+        assert count > 100 * len(certificates)
+
+    def test_residue_symbol_matches_euler_symbol(self, hits):
+        for hit in hits:
+            for p in hit.primes:
+                for q in hit.primes:
+                    if p != q:
+                        fast = verifier.residue_symbol((p.re, p.im), (q.re, q.im))
+                        assert fast == euler_symbol(p, q), (p, q)
+
+    def test_target_class_fixes_nbar(self, hits):
+        # the i-branch right-hand side the candidate constant assumes
+        for hit in hits:
+            assert [mn_invariants(p).n_bar for p in hit.primes] == [1, 1, 1, 1]
+
+
+class TestConstants:
+    @pytest.mark.parametrize("matrix", CONSTELLATION_MATRICES)
+    def test_f2_engine_gives_the_candidate_constant(self, matrix):
+        def indices(vec):
+            return tuple(j + 1 for j, bit in enumerate(vec) if bit)
+
+        kernel = f2_kernel(matrix)
+        i_branch = f2_solve(matrix, (1, 1, 1, 1))
+        assert i_branch is not None
+        candidates = [DivisorClass(False, indices(v))
+                      for v in F2Solutions((0, 0, 0, 0), tuple(kernel))]
+        candidates += [DivisorClass(True, indices(v)) for v in i_branch]
+        candidates.sort(key=lambda c: (c.unit_i, sum(1 << (j - 1) for j in c.indices)))
+        assert tuple(candidates) == EXPECTED_CANDIDATES
+        dim = f2_rank([c.span_vector(4) for c in candidates], 5)
+        assert dim == 2
+        assert rank_upper_bound(dim) == 2
+
+    def test_verifier_constants_match_certify(self):
+        rows = tuple(
+            tuple("".join(map(str, row)) for row in m.to_lists())
+            for m in CONSTELLATION_MATRICES
+        )
+        assert verifier.CONSTELLATION_ROWS == rows
+        assert verifier.SELMER_CANDIDATES == tuple(
+            ("i" if c.unit_i else "1", c.indices) for c in EXPECTED_CANDIDATES
+        )
+
+
+class TestBoundsAndInputs:
+    def test_certify_refuses_above_bound_before_primality(self, monkeypatch):
+        def no_primality(*args, **kwargs):
+            raise AssertionError("no primality test may run above the bound")
+
+        monkeypatch.setattr("qirank.search.is_gaussian_prime", no_primality)
+        failure = certify(FAR_BETA, 16)
+        assert isinstance(failure, FailureReport)
+        assert str(verifier.MR_DETERMINISTIC_BOUND) in failure.condition
+
+    def test_verifier_refuses_above_bound_before_primality(self, monkeypatch):
+        def no_primality(n):
+            raise AssertionError("no primality test may run above the bound")
+
+        monkeypatch.setattr(verifier, "_is_prime", no_primality)
+        obj = {"beta": FAR_BETA.to_json(), "k": "16", "version": "1"}
+        assert verify_certificate(obj) is False
+
+    def test_composite_norm_refused(self, monkeypatch):
+        # at (31-6i, 16) every claim but primality holds
+        with monkeypatch.context() as patched:
+            patched.setattr(verifier, "_is_prime", lambda n: True)
+            forged = verifier.expected_certificate(31, -6, 16)
+        assert forged is not None
+        assert verify_certificate(forged) is False
+        assert verify_by_recertify(forged) is False
+
+    def test_value_outside_target_class_refused(self, monkeypatch):
+        # at (5+30i, 1) the four norms are prime and L is a constellation
+        # matrix, but the values are not -1-6i mod 16
+        with monkeypatch.context() as patched:
+            patched.setattr(verifier, "_in_target_class", lambda z: True)
+            forged = verifier.expected_certificate(5, 30, 1)
+        assert forged is not None
+        assert verify_certificate(forged) is False
+        assert verify_by_recertify(forged) is False
+
+    def test_digit_cap(self):
+        obj = {"beta": {"re": "1" * 40, "im": "0"}, "k": "16", "version": "1"}
+        assert verify_certificate(obj) is False
+        obj["beta"]["re"] = "1" * 41
+        with pytest.raises(ValueError, match="at most 40"):
+            verify_certificate(obj)
+
+    def test_json_types_are_compared(self, certificates):
+        cert = copy.deepcopy(certificates[0])
+        cert["genuine"]["value"] = 1
+        assert verify_certificate(cert) is False
+        cert = copy.deepcopy(certificates[0])
+        cert["k"] = int(cert["k"])
+        with pytest.raises(ValueError):
+            verify_certificate(cert)
+
+
+class TestStandAlone:
+    SOURCE = Path(verifier.__file__)
+
+    def test_imports_only_the_standard_library(self):
+        tree = ast.parse(self.SOURCE.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import"
+                imported.append(node.module)
+        assert imported
+        for name in imported:
+            assert name.split(".")[0] in sys.stdlib_module_names, name
+
+    def test_runs_without_the_package(self, certificates):
+        script = (
+            "import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('v', {str(self.SOURCE)!r})\n"
+            "v = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(v)\n"
+            "assert not any(m.startswith('qirank') for m in sys.modules)\n"
+            "print(v.verify(sys.stdin.read()))\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script], input=json.dumps(certificates[0]),
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "True"
