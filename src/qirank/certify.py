@@ -44,21 +44,14 @@ from .verifier import (
 )
 
 # the only two symbol matrices a valid constellation can produce, by the
-# common value of (k / p_j)
-MATRIX_SYMBOL_PLUS = F2Matrix.from_lists(
-    [[1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]
+# common value of (k / p_j), and the Klein-four candidate set both give;
+# the verifier holds the constants
+CONSTELLATION_MATRICES = tuple(
+    F2Matrix.from_lists([[int(bit) for bit in row] for row in rows])
+    for rows in verifier.CONSTELLATION_ROWS
 )
-MATRIX_SYMBOL_MINUS = F2Matrix.from_lists(
-    [[0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1]]
-)
-CONSTELLATION_MATRICES = (MATRIX_SYMBOL_PLUS, MATRIX_SYMBOL_MINUS)
-
-# the Klein-four candidate set every valid constellation must produce
-EXPECTED_CANDIDATES = (
-    DivisorClass(False, ()),
-    DivisorClass(False, (1, 2, 3, 4)),
-    DivisorClass(True, (1, 3)),
-    DivisorClass(True, (2, 4)),
+EXPECTED_CANDIDATES = tuple(
+    DivisorClass(unit == "i", indices) for unit, indices in verifier.SELMER_CANDIDATES
 )
 
 
@@ -196,11 +189,11 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
             condition="candidates must be exactly {1, p1p2p3p4, i p1p3, i p2p4}",
         )
 
-    # square-freeness of gamma is certified by the four exhibited distinct
-    # primary primes and the product identity, so skip refactoring; a product
-    # of four primes is never a unit, so i*gamma != +-i and the torsion is Z2xZ2
+    # gamma is a product of four distinct primes, so it is square-free, as
+    # torsion_subgroup and is_torsion require, and not a unit, so
+    # i*gamma != +-i and the torsion is Z2xZ2
     gamma_torsion = I * gamma
-    torsion = torsion_subgroup(gamma_torsion, assume_square_free=True)
+    torsion = torsion_subgroup(gamma_torsion)
 
     point = family_point(b, k)
     if not on_curve(alpha, point):
@@ -209,16 +202,14 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
             condition="(4 b^2 k^2, 2i b k(b^4 - 4k^4)) must satisfy "
                       "y^2 = x^3 - (b^4+4k^4)^2 x",
         )
-    if is_torsion(gamma_torsion, point, assume_square_free=True):
+    if is_torsion(gamma_torsion, point):
         return FailureReport(
             reason="point is torsion",
             condition="the exhibited point must have y != 0 (b != 0, k != 0 and "
                       "b^4 != 4k^4 since 4 is not a fourth power in Z[i])",
         )
     point_cm = cm_apply(point)
-    if not on_curve(alpha, point_cm) or is_torsion(
-        gamma_torsion, point_cm, assume_square_free=True
-    ):
+    if not on_curve(alpha, point_cm) or is_torsion(gamma_torsion, point_cm):
         return FailureReport(
             reason="CM image of point invalid",
             condition="the CM image (-x, iy) must be a non-torsion curve point",

@@ -145,6 +145,11 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
+    # torsion_subgroup takes a square-free nonzero gamma as given
+    if not args.gamma:
+        raise ValueError("gamma must be nonzero")
+    if not factor_primary(args.gamma).is_square_free():
+        raise ValueError(f"{args.gamma} is not square-free")
     group = torsion_subgroup(args.gamma)
     _emit({
         "group": group.label,
@@ -180,16 +185,24 @@ def _hit_json(hit) -> dict:
 
 
 def _search_box(args) -> Box:
+    """The beta region; ValueError unless it is given and nonempty."""
     explicit = (args.re_min, args.re_max, args.im_min, args.im_max)
     if args.box is None and any(b is None for b in explicit):
         raise ValueError("search needs --box or all four explicit bounds")
+    if args.box is not None and args.box < 0:
+        raise ValueError(f"--box must be >= 0, got {args.box}")
     base = Box.centered(args.box) if args.box is not None else None
-    return Box(
+    box = Box(
         explicit[0] if explicit[0] is not None else base.re_min,
         explicit[1] if explicit[1] is not None else base.re_max,
         explicit[2] if explicit[2] is not None else base.im_min,
         explicit[3] if explicit[3] is not None else base.im_max,
     )
+    if box.re_min > box.re_max or box.im_min > box.im_max:
+        raise ValueError(
+            f"empty region: re {box.re_min}..{box.re_max}, "
+            f"im {box.im_min}..{box.im_max}")
+    return box
 
 
 def _cmd_search(args) -> int:
@@ -232,6 +245,9 @@ def _cmd_search(args) -> int:
     kmax = args.kmax if args.kmax is not None else args.box
     if kmax is None:
         _emit({"error": "search needs --kmax when --box is not given"})
+        return 2
+    if kmax < 0:
+        _emit({"error": f"--kmax must be >= 0, got {kmax}"})
         return 2
     hits = search_region(box, (-kmax, kmax), shards=shards,
                          progress=_emit_stderr)

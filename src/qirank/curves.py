@@ -6,9 +6,11 @@ the complex-multiplication automorphism, the 2-isogeny pair between E_a and
 E_(-4a), the twist isomorphism E_(-4a) -> E_a, and the torsion
 classification for congruent number curves E_(g^2) with g square-free.
 
-The maps take points that are already on their curve and do not check it
-again: every point comes from this program, and ``certify`` tests
-``on_curve`` on its two points before it classifies them.
+The functions take their preconditions as given and do not check them
+again: the maps and ``is_torsion`` take points already on their curve, and
+the torsion classification takes a square-free nonzero g.  ``certify``
+tests ``on_curve`` on its two points and passes a g that is a product of
+four distinct primes; the CLI ``torsion`` command checks its g itself.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .gaussian import (
     _coerce,
     _coerce_rat,
 )
-from .primes import factor_primary
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,13 +178,6 @@ def two_torsion_points(gamma: GaussLike) -> tuple[CurvePoint, ...]:
     )
 
 
-def _validate_square_free(gamma: GaussInt) -> None:
-    if not gamma:
-        raise ValueError("gamma must be nonzero")
-    if not factor_primary(gamma).is_square_free():
-        raise ValueError(f"{gamma} is not square-free")
-
-
 # torsion of E_(-1): the 2-torsion plus four points of order 4
 _ORDER4_POINTS = (
     CurvePoint.affine(I, GaussInt(1, -1)),
@@ -193,43 +187,32 @@ _ORDER4_POINTS = (
 )
 
 
-def torsion_subgroup(
-    gamma: GaussLike, *, assume_square_free: bool = False
-) -> TorsionGroup:
-    """The torsion subgroup of E_(gamma^2)(Q(i)) for square-free gamma.
+def torsion_subgroup(gamma: GaussLike) -> TorsionGroup:
+    """The torsion subgroup of E_(gamma^2)(Q(i)), gamma square-free and nonzero.
 
+    Square-freeness is not checked: ``certify`` passes a product of four
+    distinct primes, and the CLI ``torsion`` command checks its input.
     Z2xZ4 exactly when gamma = +/-i (both give the curve y^2 = x^3 - x);
     Z2xZ2 with the explicit 2-torsion points otherwise.  The classification
     rests on two constant facts, pinned in the test suite: an order-3 point
     would need sqrt(3) in Q(i), and a further order-4 point sqrt(2), and
-    neither 3 nor 2 is a square in Q(i).  Set
-    ``assume_square_free`` when square-freeness was already established by
-    other means (e.g. an exhibited prime factorization), to skip refactoring.
+    neither 3 nor 2 is a square in Q(i).
     """
     g = _coerce(gamma)
-    if not assume_square_free:
-        _validate_square_free(g)
-    elif not g:
-        raise ValueError("gamma must be nonzero")
     if g == I or g == -I:
         return TorsionGroup("Z2xZ4", two_torsion_points(g) + _ORDER4_POINTS)
     return TorsionGroup("Z2xZ2", two_torsion_points(g))
 
 
-def is_torsion(
-    gamma: GaussLike, point: CurvePoint, *, assume_square_free: bool = False
-) -> bool:
+def is_torsion(gamma: GaussLike, point: CurvePoint) -> bool:
     """Torsion membership of a point on E_(gamma^2), gamma square-free and nonzero.
 
-    The point must lie on the curve; this is not checked.  Away from
-    gamma = +/-i every torsion point other than O has y = 0; for
-    gamma = +/-i membership is checked against the explicit 8-point set.
+    Neither the point lying on the curve nor gamma being square-free is
+    checked.  Away from gamma = +/-i every torsion point other than O has
+    y = 0; for gamma = +/-i membership is checked against the explicit
+    8-point set.
     """
     g = _coerce(gamma)
-    if not assume_square_free:
-        _validate_square_free(g)
-    elif not g:
-        raise ValueError("gamma must be nonzero")
     if g == I or g == -I:
-        return point in torsion_subgroup(g, assume_square_free=True).points
+        return point in torsion_subgroup(g).points
     return point.is_infinity or point.y == RAT_ZERO

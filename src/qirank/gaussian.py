@@ -129,9 +129,6 @@ class GaussInt:
         """re**2 + im**2; zero iff the element is zero, and multiplicative."""
         return self.re * self.re + self.im * self.im
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def is_odd(self) -> bool:
         """True iff not divisible by 1+i, i.e. re and im have opposite parity."""
         return (self.re + self.im) % 2 == 1

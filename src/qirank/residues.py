@@ -2,9 +2,11 @@
 
 A primary element is uniquely (1-4i)**m * (-1-6i)**n modulo (1+i)^7 with
 (m, n) in (Z/4)^2; the pair determines the residue symbols of i and 1+i
-without any exponentiation.  The Euler-criterion symbol is the independent
-second route and the two are cross-checked in the test suite, which also
-holds the brute-force symbol oracle (squares enumerated modulo p).
+without any exponentiation.  Since 16 is divisible by (1+i)^7 = 8-8i, the
+pair is read off the residue mod 16 in a 32-entry table.  The
+Euler-criterion symbol is the independent second route and the two are
+cross-checked in the test suite, which also holds the brute-force symbol
+and the search for (m, n) over all 16 products (the oracles).
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from .gaussian import (
     GaussInt,
     GaussLike,
     ONE,
-    ONE_PLUS_I,
     _coerce,
     divides,
-    is_primary,
     mod_pow,
     norm,
 )
@@ -26,12 +26,6 @@ from .primes import is_gaussian_prime
 
 _GEN_M = GaussInt(1, -4)
 _GEN_N = GaussInt(-1, -6)
-_MODULUS_7 = ONE_PLUS_I ** 7  # 8 - 8i
-
-# all 16 products (1-4i)^m (-1-6i)^n, indexed [m][n]
-_MN_TABLE = tuple(
-    tuple(_GEN_M ** m * _GEN_N ** n for n in range(4)) for m in range(4)
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,25 +43,28 @@ class MNInvariant:
         return MNInvariant((self.m + other.m) % 4, (self.n + other.n) % 4)
 
 
+# (re mod 16, im mod 16) -> (m, n): each class mod (1+i)^7 = 8-8i has the
+# two residues g and g + 8+8i mod 16, so the 16 products give 32 keys, which
+# are exactly the primary residues mod 16
+_MN_BY_RESIDUE = {
+    ((g.re + d) % 16, (g.im + d) % 16): MNInvariant(m, n)
+    for m in range(4)
+    for n in range(4)
+    for g in (_GEN_M ** m * _GEN_N ** n,)
+    for d in (0, 8)
+}
+
+
 def mn_invariants(alpha: GaussLike) -> MNInvariant:
     """The unique (m, n) with alpha = (1-4i)^m (-1-6i)^n mod (1+i)^7.
 
-    Exhaustive search over the 16 candidate pairs; the group of primary
-    classes mod (1+i)^7 has order exactly 16, so exactly one pair matches.
+    A lookup on alpha mod 16; a residue outside the table is not primary.
     """
     a = _coerce(alpha)
-    if not a or not a.is_odd() or not is_primary(a):
-        raise ValueError(f"{alpha} is not primary")
-    hit = None
-    for m in range(4):
-        for n in range(4):
-            if divides(_MODULUS_7, a - _MN_TABLE[m][n]):
-                if hit is not None:
-                    raise AssertionError(f"non-unique (m, n) for {a}")
-                hit = MNInvariant(m, n)
-    if hit is None:
-        raise AssertionError(f"no (m, n) found for primary {a}")
-    return hit
+    try:
+        return _MN_BY_RESIDUE[a.re % 16, a.im % 16]
+    except KeyError:
+        raise ValueError(f"{alpha} is not primary") from None
 
 
 def euler_symbol(alpha: GaussLike, p: GaussLike) -> int:
@@ -93,21 +90,17 @@ def euler_symbol(alpha: GaussLike, p: GaussLike) -> int:
 
 def symbol_i(p: GaussLike) -> int:
     """(i / p) = (-1)**n_p for a primary prime p, via the class invariants."""
-    q = _require_primary_prime(p)
-    return -1 if mn_invariants(q).n % 2 else 1
+    return -1 if mn_invariants(_require_prime(p)).n % 2 else 1
 
 
 def symbol_one_plus_i(p: GaussLike) -> int:
     """(1+i / p) = (-1)**m_p for a primary prime p, via the class invariants."""
-    q = _require_primary_prime(p)
-    return -1 if mn_invariants(q).m % 2 else 1
+    return -1 if mn_invariants(_require_prime(p)).m % 2 else 1
 
 
-def _require_primary_prime(p: GaussLike) -> GaussInt:
+def _require_prime(p: GaussLike) -> GaussInt:
+    # mn_invariants rejects a prime that is not primary
     q = _coerce(p)
     if not is_gaussian_prime(q):
         raise ValueError(f"{p} is not a Gaussian prime")
-    if not q.is_odd() or not is_primary(q):
-        raise ValueError(f"{p} is not primary")
     return q
-

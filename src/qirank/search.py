@@ -47,10 +47,6 @@ class Box:
     def centered(cls, radius: int) -> "Box":
         return cls(-radius, radius, -radius, radius)
 
-    def __contains__(self, beta: GaussInt) -> bool:
-        return (self.re_min <= beta.re <= self.re_max
-                and self.im_min <= beta.im <= self.im_max)
-
     def split_re(self, shards: int) -> list["Box"]:
         """Partition into at most ``shards`` sub-boxes along the real axis."""
         width = self.re_max - self.re_min + 1

@@ -2,11 +2,13 @@
 
 The descent input is a list of distinct primary Gaussian primes; ``build_L``
 validates it.  From their pairwise residue symbols we build the symbol
-matrix L (rows sum to zero by construction), and the candidate divisor
-classes are the kernel of L (primary branch) together with the solution set
-of L x = (n_bar_j) (the i-branch).  The candidate conditions depend only on
-the primes, not on the sign or square shape of the curve coefficient.  The
-F2 dimension of the span of all candidates feeds the rank bound 2*dim - 2.
+matrix L (rows sum to zero by construction; by quadratic reciprocity it
+is symmetric, so each unordered pair costs one symbol), and the candidate
+divisor classes are the kernel of L (primary branch) together with the
+solution set of L x = (n_bar_j) (the i-branch).  The candidate conditions
+depend only on the primes, not on the sign or square shape of the curve
+coefficient.  The F2 dimension of the span of all candidates feeds the rank
+bound 2*dim - 2.
 """
 
 from __future__ import annotations
@@ -145,15 +147,18 @@ def build_L(primes: Sequence[GaussLike]) -> F2Matrix:
     """
     ps = _validated_primes(primes)
     n = len(ps)
-    rows = []
+    rows = [0] * n
+    # quadratic reciprocity in Z[i]: (p / q) = (q / p) for distinct primary
+    # primes (Lemmermeyer, Reciprocity Laws, 2000), so L is symmetric and one
+    # symbol per pair sets both entries
     for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i != j and euler_symbol(ps[i], ps[j]) == -1:
-                mask |= 1 << j
-        if bin(mask).count("1") & 1:
-            mask |= 1 << i
-        rows.append(mask)
+        for j in range(i + 1, n):
+            if euler_symbol(ps[i], ps[j]) == -1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    for i in range(n):
+        if bin(rows[i]).count("1") & 1:
+            rows[i] |= 1 << i
     return F2Matrix(tuple(rows), n)
 
 

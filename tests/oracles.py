@@ -23,12 +23,13 @@ from qirank.gaussian import (
     norm,
 )
 from qirank.primes import factor_primary, is_gaussian_prime
-from qirank.residues import mn_invariants
+from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 from qirank.selmer import F2Matrix, F2Vector
 from qirank.verifier import parse_certificate
 
 _FOUR = GaussInt(4, 0)
 _THREE_PLUS_2I = GaussInt(3, 2)
+_MODULUS_7 = ONE_PLUS_I ** 7  # 8 - 8i
 
 
 def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
@@ -57,6 +58,44 @@ def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
             sq = GaussInt(x, y) * GaussInt(x, y)
             squares.add((sq.re % q0, sq.im % q0))
     return 1 if (a.re % q0, a.im % q0) in squares else -1
+
+
+def mn_invariants_by_search(alpha: GaussLike) -> MNInvariant:
+    """(m, n) by trying all 16 products (1-4i)^m (-1-6i)^n modulo (1+i)^7.
+
+    Validates the residue table of ``mn_invariants``; the group of primary
+    classes mod (1+i)^7 has order 16, so exactly one product must match.
+    """
+    a = _coerce(alpha)
+    if not a or not a.is_odd() or not is_primary(a):
+        raise ValueError(f"{alpha} is not primary")
+    hits = [
+        MNInvariant(m, n)
+        for m in range(4)
+        for n in range(4)
+        if divides(_MODULUS_7, a - GaussInt(1, -4) ** m * GaussInt(-1, -6) ** n)
+    ]
+    if len(hits) != 1:
+        raise AssertionError(f"{len(hits)} pairs (m, n) match {a}")
+    return hits[0]
+
+
+def build_L_by_all_symbols(primes) -> F2Matrix:
+    """The symbol matrix with the symbol of every ordered pair computed.
+
+    n(n-1) symbols where ``build_L`` computes one per unordered pair and
+    relies on reciprocity for the other.
+    """
+    ps = [_coerce(p) for p in primes]
+    rows = []
+    for i, p in enumerate(ps):
+        mask = sum(
+            1 << j for j, q in enumerate(ps) if j != i and euler_symbol(p, q) == -1
+        )
+        if bin(mask).count("1") & 1:
+            mask |= 1 << i
+        rows.append(mask)
+    return F2Matrix(tuple(rows), len(ps))
 
 
 def mod4_consistency(alpha: GaussLike) -> bool:

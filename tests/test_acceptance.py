@@ -236,7 +236,7 @@ def test_criterion_8_end_to_end():
         cert = certify(hit.beta, hit.k)
         assert isinstance(cert, Certificate)
         assert cert.point == family_point(hit.beta, hit.k)
-        assert not is_torsion(cert.gamma_torsion, cert.point, assume_square_free=True)
+        assert not is_torsion(cert.gamma_torsion, cert.point)
         assert cert.genuine.value
         assert verify_certificate(cert)
         assert verify_certificate(cert.to_json_bytes())

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qirank
 from qirank.gaussian import GaussInt, I
 from qirank.certify import (
     CONCLUSION,
@@ -168,10 +174,11 @@ class TestSerialization:
 
 class TestByteStability:
     def test_hash_reproducible_across_processes(self):
-        import hashlib
-        import subprocess
-        import sys
-
+        # the child does not inherit pytest's sys.path, so name src explicitly
+        src = str(Path(qirank.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         script = (
             "from qirank.certify import certify\n"
             "from qirank.gaussian import GaussInt\n"
@@ -182,7 +189,7 @@ class TestByteStability:
         digests = {
             subprocess.run(
                 [sys.executable, "-c", script],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True, check=True, env=env,
             ).stdout
             for _ in range(2)
         }

@@ -36,6 +36,16 @@ class TestTorsion:
         assert code == 0
         assert lines[0]["group"] == "Z2xZ2"
 
+    @pytest.mark.parametrize("gamma, message", [
+        ("0", "gamma must be nonzero"),
+        ("4+2i", "4+2i is not square-free"),  # divisible by (1+i)^2
+        ("9", "9 is not square-free"),
+    ], ids=["0", "4+2i", "9"])
+    def test_rejects_bad_gamma(self, capsys, gamma, message):
+        code, lines = run_json(capsys, "torsion", gamma)
+        assert code == 1
+        assert lines == [{"error": message}]
+
 
 class TestInvariantsAndFactor:
     def test_invariants(self, capsys):
@@ -120,6 +130,33 @@ class TestSearch:
         )
         assert code == 2
         assert len(lines) == 1 and "--max-radius" in lines[0]["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--box", "-5"),
+        ("--box", "16", "--kmax", "-8"),
+        ("--re-min", "5", "--re-max", "-5", "--im-min", "0", "--im-max", "10",
+         "--kmax", "16"),
+        ("--re-min", "-5", "--re-max", "5", "--im-min", "10", "--im-max", "0",
+         "--kmax", "16"),
+        ("--box", "8", "--re-min", "9"),
+    ], ids=["negative-box", "negative-kmax", "re-min-above-re-max",
+            "im-min-above-im-max", "override-empties-box"])
+    def test_empty_region_is_usage_error(self, capsys, monkeypatch, argv):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search_region must not run")
+
+        monkeypatch.setattr("qirank.cli.search_region", no_search)
+        code, lines = run_json(capsys, "search", *argv)
+        assert code == 2
+        assert len(lines) == 1 and "error" in lines[0]
+
+    def test_box_zero_is_a_region(self, capsys):
+        code = run(["search", "--box", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "event": "search_done", "hits": 0}
 
     def test_bounds_required(self, capsys):
         code, lines = run_json(capsys, "search", "--re-min", "0", "--re-max", "5")

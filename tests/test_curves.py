@@ -226,14 +226,6 @@ class TestTorsionSubgroup:
                 for q in pts:
                     assert add(alpha, p, q) in pts
 
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            torsion_subgroup(gi(0))
-        with pytest.raises(ValueError):
-            torsion_subgroup(gi(4, 2))  # divisible by (1+i)^2
-        with pytest.raises(ValueError):
-            torsion_subgroup(gi(9))
-
 
 class TestIsTorsion:
     def test_known_values(self):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qirank.gaussian import GaussInt, I, ONE, ONE_PLUS_I, primary_associate
 from qirank.primes import is_gaussian_prime
@@ -12,7 +13,12 @@ from qirank.residues import (
     symbol_one_plus_i,
 )
 
-from oracles import brute_force_symbol, mod4_consistency, primary_primes_up_to_norm
+from oracles import (
+    brute_force_symbol,
+    mn_invariants_by_search,
+    mod4_consistency,
+    primary_primes_up_to_norm,
+)
 
 
 def gi(re, im=0):
@@ -48,6 +54,36 @@ class TestMNInvariants:
             mn_invariants(ONE_PLUS_I)
         with pytest.raises(ValueError):
             mn_invariants(gi(0))
+
+    def test_table_matches_search_on_every_residue_mod_16(self):
+        primary = 0
+        for re in range(16):
+            for im in range(16):
+                a = gi(re, im)
+                try:
+                    expected = mn_invariants_by_search(a)
+                except ValueError:
+                    with pytest.raises(ValueError, match="is not primary"):
+                        mn_invariants(a)
+                    continue
+                assert mn_invariants(a) == expected
+                primary += 1
+        assert primary == 32
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**64, 2**64), st.integers(-2**64, 2**64))
+    def test_table_matches_search_on_large_parts(self, re, im):
+        a = gi(re, im)
+        # a itself is primary one time in eight; its primary associate always
+        cases = [a, primary_associate(a)[0]] if a.is_odd() else [a]
+        for x in cases:
+            try:
+                expected = mn_invariants_by_search(x)
+            except ValueError:
+                with pytest.raises(ValueError, match="is not primary"):
+                    mn_invariants(x)
+                continue
+            assert mn_invariants(x) == expected
 
     def test_additivity(self):
         rng = random.Random(30)

@@ -16,7 +16,7 @@ from qirank.selmer import (
     selmer_candidate_set,
 )
 
-from oracles import f2_apply, is_f2_subgroup
+from oracles import build_L_by_all_symbols, f2_apply, is_f2_subgroup
 
 
 def gi(re, im=0):
@@ -141,6 +141,24 @@ class TestBuildL:
         for i in range(5):
             for j in range(5):
                 assert lists[i][j] == lists[j][i]
+
+    def test_matches_all_ordered_symbols(self):
+        # inert primary primes -q, q = 3 mod 4, next to split ones of both sizes
+        inert = [gi(-q) for q in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67)]
+        rng = random.Random(44)
+        mixed_pairs = inert_pairs = 0
+        for _ in range(300):
+            primes = []
+            for _ in range(rng.randint(1, 8)):
+                p = (rng.choice(inert) if rng.random() < 0.3
+                     else random_primary_prime(rng, side=rng.choice((100, 10**4))))
+                if p not in primes:
+                    primes.append(p)
+            assert build_L(primes) == build_L_by_all_symbols(primes), primes
+            n_inert = sum(p in inert for p in primes)
+            mixed_pairs += n_inert * (len(primes) - n_inert)
+            inert_pairs += n_inert * (n_inert - 1) // 2
+        assert mixed_pairs > 0 and inert_pairs > 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

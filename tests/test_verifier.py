@@ -159,16 +159,6 @@ class TestConstants:
         assert dim == 2
         assert rank_upper_bound(dim) == 2
 
-    def test_verifier_constants_match_certify(self):
-        rows = tuple(
-            tuple("".join(map(str, row)) for row in m.to_lists())
-            for m in CONSTELLATION_MATRICES
-        )
-        assert verifier.CONSTELLATION_ROWS == rows
-        assert verifier.SELMER_CANDIDATES == tuple(
-            ("i" if c.unit_i else "1", c.indices) for c in EXPECTED_CANDIDATES
-        )
-
 
 class TestBoundsAndInputs:
     def test_certify_refuses_above_bound_before_primality(self, monkeypatch):
