@@ -4,14 +4,15 @@ Gaussian integers are written as ``a+bi`` / ``a-bi`` (optional spaces);
 tokens that look like negative numbers or negative Gaussian literals are
 accepted as positional arguments.  All numeric output is exact (decimal
 strings or small integers, never floats).  Exit codes: 0 success, 1
-mathematical rejection, 2 usage error.
+mathematical rejection, 2 usage error.  Handlers raise ``UsageError`` for
+bad input and ``ValueError`` for a mathematical rejection; ``run()`` turns
+either into a JSON error on stdout with exit 2 or 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -24,12 +25,15 @@ from .residues import euler_symbol, mn_invariants
 from .search import Box, find_first_hit, prime_density_stats, search_region
 from .selmer import selmer_candidate_set
 
-SHARDS_ENV = "QIRANK_SHARDS"
 # the census sieve holds 2 * box^2 + 1 bytes: about 34 MB at this cap
 STATS_MAX_BOX = 4096
 
 # tokens like -5, -i, -6i, -1-6i are values, not flags
 _NEGATIVE_VALUE_RE = re.compile(r"^-(?:\d+|\d*[iI])(?:[+-]\d*[iI])?$")
+
+
+class UsageError(Exception):
+    """Bad command-line input: run() prints it as a JSON error, exit 2."""
 
 
 def _emit(obj) -> None:
@@ -46,21 +50,6 @@ def _gauss(text: str) -> GaussInt:
         return GaussInt.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _shard_count(args) -> int:
-    """--shards, else QIRANK_SHARDS, else 1; ValueError unless an integer >= 1."""
-    if args.shards is not None:
-        shards = args.shards
-    else:
-        value = os.environ.get(SHARDS_ENV, "1")
-        try:
-            shards = int(value)
-        except ValueError:
-            raise ValueError(f"{SHARDS_ENV} must be an integer, got {value!r}") from None
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
-    return shards
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    f"lets interrupted runs resume from a checkpoint")
     p_search.add_argument("--kmax", type=int, default=None,
                           help="search |k| <= KMAX (default: BOX)")
-    p_search.add_argument("--shards", type=int, default=None,
-                          help=f"worker shards (default: ${SHARDS_ENV}, else 1)")
+    p_search.add_argument("--shards", type=int, default=1,
+                          help="worker shards (default: 1)")
     p_search.add_argument("--expand", action="store_true",
                           help="expand the region until a first hit is found")
     p_search.add_argument("--max-radius", type=int, default=4096,
@@ -185,12 +174,10 @@ def _hit_json(hit) -> dict:
 
 
 def _search_box(args) -> Box:
-    """The beta region; ValueError unless it is given and nonempty."""
+    """The beta region; UsageError unless it is given and nonempty."""
     explicit = (args.re_min, args.re_max, args.im_min, args.im_max)
     if args.box is None and any(b is None for b in explicit):
-        raise ValueError("search needs --box or all four explicit bounds")
-    if args.box is not None and args.box < 0:
-        raise ValueError(f"--box must be >= 0, got {args.box}")
+        raise UsageError("search needs --box or all four explicit bounds")
     base = Box.centered(args.box) if args.box is not None else None
     box = Box(
         explicit[0] if explicit[0] is not None else base.re_min,
@@ -199,37 +186,33 @@ def _search_box(args) -> Box:
         explicit[3] if explicit[3] is not None else base.im_max,
     )
     if box.re_min > box.re_max or box.im_min > box.im_max:
-        raise ValueError(
+        raise UsageError(
             f"empty region: re {box.re_min}..{box.re_max}, "
             f"im {box.im_min}..{box.im_max}")
     return box
 
 
 def _cmd_search(args) -> int:
-    try:
-        shards = _shard_count(args)
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return 2
+    if args.shards < 1:
+        raise UsageError("shard count must be >= 1")
+    if args.box is not None and args.box < 0:
+        raise UsageError(f"--box must be >= 0, got {args.box}")
     if args.expand:
         if args.box is None:
-            _emit({"error": "--expand needs --box as the initial radius"})
-            return 2
+            raise UsageError("--expand needs --box as the initial radius")
         explicit = (args.re_min, args.re_max, args.im_min, args.im_max, args.kmax)
         if any(b is not None for b in explicit):
-            _emit({"error": "--expand grows the region from --box; it takes no "
-                            "--re-min/--re-max/--im-min/--im-max/--kmax"})
-            return 2
+            raise UsageError("--expand grows the region from --box; it takes no "
+                             "--re-min/--re-max/--im-min/--im-max/--kmax")
         initial_radius = max(1, args.box)
         if args.max_radius < initial_radius:
-            _emit({"error": f"--max-radius {args.max_radius} is below the initial "
-                            f"radius {initial_radius}, so nothing would be searched"})
-            return 2
+            raise UsageError(f"--max-radius {args.max_radius} is below the initial "
+                             f"radius {initial_radius}, so nothing would be searched")
         try:
             hit = find_first_hit(
                 initial_radius=initial_radius,
                 max_radius=args.max_radius,
-                shards=shards,
+                shards=args.shards,
                 progress=_emit_stderr,
             )
         except RuntimeError as exc:
@@ -237,19 +220,13 @@ def _cmd_search(args) -> int:
             return 1
         _emit(_hit_json(hit))
         return 0
-    try:
-        box = _search_box(args)
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return 2
+    box = _search_box(args)
     kmax = args.kmax if args.kmax is not None else args.box
     if kmax is None:
-        _emit({"error": "search needs --kmax when --box is not given"})
-        return 2
+        raise UsageError("search needs --kmax when --box is not given")
     if kmax < 0:
-        _emit({"error": f"--kmax must be >= 0, got {kmax}"})
-        return 2
-    hits = search_region(box, (-kmax, kmax), shards=shards,
+        raise UsageError(f"--kmax must be >= 0, got {kmax}")
+    hits = search_region(box, (-kmax, kmax), shards=args.shards,
                          progress=_emit_stderr)
     for hit in hits:
         _emit(_hit_json(hit))
@@ -268,8 +245,7 @@ def _cmd_certify(args) -> int:
             with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(payload + "\n")
         except OSError as exc:
-            _emit({"error": f"cannot write {args.output}: {exc}"})
-            return 2
+            raise UsageError(f"cannot write {args.output}: {exc}") from None
     sys.stdout.write(payload + "\n")
     return 0
 
@@ -279,22 +255,16 @@ def _cmd_verify(args) -> int:
         with open(args.file, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        _emit({"error": f"cannot read {args.file}: {exc}"})
-        return 2
-    try:
-        valid = verify_certificate(data)
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return 1
+        raise UsageError(f"cannot read {args.file}: {exc}") from None
+    valid = verify_certificate(data)
     _emit({"valid": valid})
     return 0 if valid else 1
 
 
 def _cmd_stats(args) -> int:
     if not 0 <= args.box <= STATS_MAX_BOX:
-        _emit({"error": f"stats --box must be between 0 and {STATS_MAX_BOX}, "
-                        f"got {args.box}"})
-        return 2
+        raise UsageError(f"stats --box must be between 0 and {STATS_MAX_BOX}, "
+                         f"got {args.box}")
     stats = prime_density_stats(Box.centered(args.box))
     ratio = stats.target_ratio
     classes = [
@@ -336,6 +306,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except UsageError as exc:
+        _emit({"error": str(exc)})
+        return 2
     except (ValueError, ZeroDivisionError) as exc:
         _emit({"error": str(exc)})
         return 1

@@ -386,7 +386,6 @@ class GaussRat:
 
 
 RAT_ZERO = GaussRat(ZERO, ONE)
-RAT_ONE = GaussRat(ONE, ONE)
 
 
 def _coerce_rat(x: "GaussRat | GaussLike") -> GaussRat | None:

@@ -169,7 +169,7 @@ def _validated_primes(primes: Sequence[GaussLike]) -> list[GaussInt]:
     if len(ps) > MAX_DIMENSION:
         raise ValueError(f"at most {MAX_DIMENSION} primes supported")
     for p in ps:
-        if not is_gaussian_prime(p) or not p.is_odd() or not is_primary(p):
+        if not is_gaussian_prime(p) or not is_primary(p):
             raise ValueError(f"{p} is not a primary Gaussian prime")
     if len(set(ps)) != len(ps):
         # primary elements are associate only when equal

@@ -58,7 +58,10 @@ GaussPair = tuple[int, int]
 
 def parse_certificate(data: Union[str, bytes, dict]) -> dict:
     """Parse raw certificate JSON into a dict, validating the basic shape."""
-    obj = json.loads(data) if isinstance(data, (str, bytes)) else data
+    try:
+        obj = json.loads(data) if isinstance(data, (str, bytes)) else data
+    except RecursionError:
+        raise ValueError("malformed certificate: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("certificate must be a JSON object")
     for field in ("beta", "k", "version"):

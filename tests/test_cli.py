@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from qirank.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_json(capsys, *argv):
@@ -139,13 +143,15 @@ class TestSearch:
         ("--re-min", "-5", "--re-max", "5", "--im-min", "10", "--im-max", "0",
          "--kmax", "16"),
         ("--box", "8", "--re-min", "9"),
+        ("--box", "-5", "--expand", "--max-radius", "64"),
     ], ids=["negative-box", "negative-kmax", "re-min-above-re-max",
-            "im-min-above-im-max", "override-empties-box"])
+            "im-min-above-im-max", "override-empties-box", "negative-box-expand"])
     def test_empty_region_is_usage_error(self, capsys, monkeypatch, argv):
         def no_search(*args, **kwargs):
-            raise AssertionError("search_region must not run")
+            raise AssertionError("no search may run")
 
         monkeypatch.setattr("qirank.cli.search_region", no_search)
+        monkeypatch.setattr("qirank.cli.find_first_hit", no_search)
         code, lines = run_json(capsys, "search", *argv)
         assert code == 2
         assert len(lines) == 1 and "error" in lines[0]
@@ -164,28 +170,22 @@ class TestSearch:
         assert "error" in lines[0]
 
 
-class TestShardsEnv:
-    @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
-    def test_bad_value_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QIRANK_SHARDS", value)
-        code, lines = run_json(capsys, "search", "--box", "16")
-        assert code == 2
-        assert "error" in lines[0]
+class TestShards:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_is_usage_error(self, capsys, monkeypatch, value):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search_region must not run")
 
-    def test_valid_value_and_flag_override(self, capsys, monkeypatch):
+        monkeypatch.setattr("qirank.cli.search_region", no_search)
+        code, lines = run_json(capsys, "search", "--box", "16", "--shards", value)
+        assert code == 2
+        assert lines == [{"error": "shard count must be >= 1"}]
+
+    def test_environment_variable_is_ignored(self, capsys, monkeypatch):
         _, expected = run_json(capsys, "search", "--box", "32")
-        monkeypatch.setenv("QIRANK_SHARDS", "2")
+        monkeypatch.setenv("QIRANK_SHARDS", "bad")
         code, lines = run_json(capsys, "search", "--box", "32")
         assert (code, lines) == (0, expected)
-        monkeypatch.setenv("QIRANK_SHARDS", "bad")
-        code, lines = run_json(capsys, "search", "--box", "32", "--shards", "1")
-        assert (code, lines) == (0, expected)
-
-    def test_certify_ignores_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("QIRANK_SHARDS", "bad")
-        code, lines = run_json(capsys, "certify", "15+10i", "16")
-        assert code == 0
-        assert lines[0]["rank_upper"] == "2"
 
 
 class TestCertifyVerify:
@@ -228,6 +228,14 @@ class TestCertifyVerify:
         code, lines = run_json(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2
 
+    def test_verify_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text("[" * depth + "]" * depth)
+        code, lines = run_json(capsys, "verify", str(path))
+        assert code == 1
+        assert lines == [{"error": "malformed certificate: JSON nested too deeply"}]
+
 
 class TestStats:
     def test_small_box(self, capsys):
@@ -262,3 +270,26 @@ class TestUsageErrors:
 
     def test_missing_positional(self, capsys):
         assert run(["symbol", "i"]) == 2
+
+
+def _readme_cli_examples():
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys, monkeypatch, tmp_path):
+        # in order, from one directory: certify --output feeds verify
+        monkeypatch.chdir(tmp_path)
+        examples = _readme_cli_examples()
+        assert examples
+        for line in examples:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "qirank", line
+            code = run(argv[1:])
+            out = capsys.readouterr().out
+            assert code == 0, line
+            assert out, line
+            for out_line in out.splitlines():
+                json.loads(out_line)

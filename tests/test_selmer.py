@@ -170,6 +170,11 @@ class TestBuildL:
         with pytest.raises(ValueError):
             build_L([gi(9)])
 
+    def test_rejects_the_even_prime(self):
+        # 1+i is prime but not primary: no element divisible by 1+i is
+        with pytest.raises(ValueError, match=r"^1\+i is not a primary Gaussian prime$"):
+            build_L([gi(1, 1)])
+
 
 class TestRankUpperBound:
     def test_values(self):

@@ -213,6 +213,12 @@ class TestBoundsAndInputs:
         with pytest.raises(ValueError):
             verify_certificate(cert)
 
+    def test_deep_nesting_is_malformed(self):
+        # json.loads raises RecursionError at this depth
+        depth = 100_000
+        with pytest.raises(ValueError, match="^malformed certificate"):
+            verify_certificate("[" * depth + "]" * depth)
+
 
 class TestStandAlone:
     SOURCE = Path(verifier.__file__)
