@@ -46,10 +46,7 @@ from .verifier import (
 # the only two symbol matrices a valid constellation can produce, by the
 # common value of (k / p_j), and the Klein-four candidate set both give;
 # the verifier holds the constants
-CONSTELLATION_MATRICES = tuple(
-    F2Matrix.from_lists([[int(bit) for bit in row] for row in rows])
-    for rows in verifier.CONSTELLATION_ROWS
-)
+CONSTELLATION_MATRICES = tuple(map(F2Matrix.from_rows, verifier.CONSTELLATION_ROWS))
 EXPECTED_CANDIDATES = tuple(
     DivisorClass(unit == "i", indices) for unit, indices in verifier.SELMER_CANDIDATES
 )
@@ -90,7 +87,7 @@ class Certificate:
 
     def to_json_obj(self) -> dict:
         return {
-            "L": ["".join(str(b) for b in row) for row in self.selmer.matrix.to_lists()],
+            "L": self.selmer.matrix.row_strings(),
             "alpha": self.alpha.to_json(),
             "beta": self.beta.to_json(),
             "conclusion": self.conclusion,

@@ -4,9 +4,10 @@ Gaussian integers are written as ``a+bi`` / ``a-bi`` (optional spaces);
 tokens that look like negative numbers or negative Gaussian literals are
 accepted as positional arguments.  All numeric output is exact (decimal
 strings or small integers, never floats).  Exit codes: 0 success, 1
-mathematical rejection, 2 usage error.  Handlers raise ``UsageError`` for
-bad input and ``ValueError`` for a mathematical rejection; ``run()`` turns
-either into a JSON error on stdout with exit 2 or 1.
+mathematical rejection, 2 usage error.  The parser and the handlers raise
+``UsageError`` for bad input, and handlers raise ``ValueError`` for a
+mathematical rejection; ``run()`` turns either into a JSON error on stdout
+with exit 2 or 1.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ class UsageError(Exception):
     """Bad command-line input: run() prints it as a JSON error, exit 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors (subparsers share the class)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -53,7 +61,7 @@ def _gauss(text: str) -> GaussInt:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qirank",
         description="Gaussian prime constellations and rank-2 curve certificates over Q(i)",
     )
@@ -73,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tors.add_argument("gamma", type=_gauss)
 
     p_selmer = sub.add_parser("selmer", help="Selmer candidate classes for a prime list")
-    p_selmer.add_argument("shape", choices=["plus", "minus", "minus-square"])
     p_selmer.add_argument("primes", type=_gauss, nargs="+")
 
     p_search = sub.add_parser("search", help="search a region for constellations")
@@ -148,12 +155,10 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_selmer(args) -> int:
-    # the shape is a label: the candidate conditions depend only on the primes
     report = selmer_candidate_set(args.primes)
     _emit({
-        "shape": args.shape,
         "primes": [p.to_json() for p in report.primes],
-        "L": ["".join(str(b) for b in row) for row in report.matrix.to_lists()],
+        "L": report.matrix.row_strings(),
         "nbar": list(report.nbar),
         "candidates": [
             {"unit": "i" if c.unit_i else "1", "primes": list(c.indices)}
@@ -302,10 +307,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv_safe)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         _emit({"error": str(exc)})
         return 2

@@ -218,8 +218,11 @@ def find_first_hit(
     Round r searches beta with max(|re|, |im|) <= R and |k| <= R for
     R = initial_radius * 2**r, and returns the canonically-first hit of the
     first round that finds any.  Raises RuntimeError when max_radius is
-    exhausted without a hit.
+    exhausted without a hit, ValueError when initial_radius is below 1 (the
+    radius would never grow).
     """
+    if initial_radius < 1:
+        raise ValueError(f"initial_radius must be >= 1, got {initial_radius}")
     radius = initial_radius
     while radius <= max_radius:
         hits = search_region(

@@ -1,26 +1,28 @@
 """F2 linear algebra and the Selmer-group candidate-set computation.
 
+Every F2 vector is an int bitmask with bit j for column j, and an
+``F2Matrix`` holds one such mask per row.  Matrices enter and leave as row
+strings like ``"1001"`` (character j is column j), the form the certificate
+and the CLI print.
+
 The descent input is a list of distinct primary Gaussian primes; ``build_L``
 validates it.  From their pairwise residue symbols we build the symbol
 matrix L (rows sum to zero by construction; by quadratic reciprocity it
 is symmetric, so each unordered pair costs one symbol), and the candidate
 divisor classes are the kernel of L (primary branch) together with the
-solution set of L x = (n_bar_j) (the i-branch).  The candidate conditions
-depend only on the primes, not on the sign or square shape of the curve
-coefficient.  The F2 dimension of the span of all candidates feeds the rank
-bound 2*dim - 2.
+solution set of L x = n_bar (the i-branch): two cosets of the one kernel.
+The candidate conditions depend only on the primes.  The F2 dimension of
+the span of all candidates feeds the rank bound 2*dim - 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .gaussian import GaussInt, GaussLike, _coerce, is_primary
 from .primes import is_gaussian_prime
 from .residues import euler_symbol, mn_invariants
-
-F2Vector = tuple[int, ...]
 
 MAX_DIMENSION = 64  # dense bit rows; the certified family needs N = 4
 
@@ -33,34 +35,23 @@ class F2Matrix:
     ncols: int
 
     @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[int]]) -> "F2Matrix":
+    def from_rows(cls, rows: Sequence[str]) -> "F2Matrix":
+        """The matrix of row strings such as ``"1001"``; character j is column j."""
         ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        masks = tuple(
-            sum((int(x) & 1) << j for j, x in enumerate(row)) for row in rows
+        if any(len(r) != ncols or not set(r) <= {"0", "1"} for r in rows):
+            raise ValueError("rows must be strings of 0 and 1 of equal length")
+        return cls(
+            tuple(sum(1 << j for j, c in enumerate(r) if c == "1") for r in rows),
+            ncols,
         )
-        return cls(masks, ncols)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def _vec_to_mask(v: F2Vector) -> int:
-    return sum((int(x) & 1) << j for j, x in enumerate(v))
-
-
-def _mask_to_vec(mask: int, n: int) -> F2Vector:
-    return tuple((mask >> j) & 1 for j in range(n))
+    def row_strings(self) -> list[str]:
+        return ["".join(str((r >> j) & 1) for j in range(self.ncols)) for r in self.rows]
 
 
 def _rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [r for r in rows]
+    work = list(rows)
     pivots: list[int] = []
     row_idx = 0
     for col in range(ncols):
@@ -84,8 +75,8 @@ def f2_rank(rows: Sequence[int], ncols: int) -> int:
     return len(_rref(list(rows), ncols)[1])
 
 
-def f2_kernel(matrix: F2Matrix) -> list[F2Vector]:
-    """A basis of the null space of the matrix, one vector per free column."""
+def f2_kernel(matrix: F2Matrix) -> list[int]:
+    """A basis of the null space of the matrix, one mask per free column."""
     reduced, pivots = _rref(list(matrix.rows), matrix.ncols)
     pivot_set = set(pivots)
     basis = []
@@ -96,46 +87,32 @@ def f2_kernel(matrix: F2Matrix) -> list[F2Vector]:
         for row, pcol in zip(reduced, pivots):
             if (row >> free) & 1:
                 mask |= 1 << pcol
-        basis.append(_mask_to_vec(mask, matrix.ncols))
+        basis.append(mask)
     return basis
 
 
-@dataclass(frozen=True, slots=True)
-class F2Solutions:
-    """The full solution set of M x = v: a particular solution + kernel basis."""
-
-    particular: F2Vector
-    kernel: tuple[F2Vector, ...]
-
-    def __iter__(self) -> Iterator[F2Vector]:
-        n = len(self.particular)
-        base = _vec_to_mask(self.particular)
-        kmasks = [_vec_to_mask(k) for k in self.kernel]
-        for bits in range(1 << len(kmasks)):
-            mask = base
-            for j, km in enumerate(kmasks):
-                if (bits >> j) & 1:
-                    mask ^= km
-            yield _mask_to_vec(mask, n)
-
-    def all(self) -> list[F2Vector]:
-        return sorted(self)
-
-
-def f2_solve(matrix: F2Matrix, v: F2Vector) -> Optional[F2Solutions]:
-    """Solve M x = v over F2; None when the system is inconsistent."""
-    if len(v) != matrix.nrows:
+def f2_solve(matrix: F2Matrix, v: int) -> Optional[int]:
+    """One solution x of M x = v over F2 (bit i of v is row i); None if inconsistent."""
+    if v >> len(matrix.rows):
         raise ValueError("dimension mismatch")
     n = matrix.ncols
-    augmented = [row | ((int(b) & 1) << n) for row, b in zip(matrix.rows, v)]
+    augmented = [row | ((v >> i) & 1) << n for i, row in enumerate(matrix.rows)]
     reduced, pivots = _rref(augmented, n + 1)
     if n in pivots:
         return None
-    mask = 0
+    x = 0
     for row, pcol in zip(reduced, pivots):
         if (row >> n) & 1:
-            mask |= 1 << pcol
-    return F2Solutions(_mask_to_vec(mask, n), tuple(f2_kernel(matrix)))
+            x |= 1 << pcol
+    return x
+
+
+def _coset(base: int, basis: Sequence[int]) -> list[int]:
+    """base plus every F2 combination of the basis: 2**len(basis) masks."""
+    masks = [base]
+    for b in basis:
+        masks += [m ^ b for m in masks]
+    return masks
 
 
 def build_L(primes: Sequence[GaussLike]) -> F2Matrix:
@@ -218,42 +195,47 @@ def rank_upper_bound(dim: int) -> int:
     return 2 * dim - 2
 
 
-def selmer_candidate_set(primes: Sequence[GaussLike]) -> SelmerReport:
-    """Candidate divisor classes containing the phi-Selmer group.
+def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[DivisorClass, ...], int]:
+    """The candidate classes of L and the n_bar mask, sorted, and their F2 dimension.
 
     A subset T is a candidate with unit 1 when its indicator lies in ker(L),
-    and with unit i when L applied to the indicator equals the vector of
-    n_bar invariants.  ``build_L`` validates the primes.
+    and with unit i when L applied to the indicator equals n_bar: the kernel
+    and, when L x = n_bar is solvable, its coset through one solution.
     """
-    matrix = build_L(primes)
-    ps = [_coerce(p) for p in primes]
-    n = len(ps)
-    nbar = tuple(mn_invariants(p).n_bar for p in ps)
-
     kernel = f2_kernel(matrix)
     if len(kernel) > 20:
         raise ValueError("kernel too large to enumerate candidate classes")
+    branches = [(False, 0)]
+    particular = f2_solve(matrix, nbar)
+    if particular is not None:
+        branches.append((True, particular))
+    found = sorted(
+        (unit_i, mask) for unit_i, base in branches for mask in _coset(base, kernel)
+    )
+    n = matrix.ncols
+    candidates = tuple(
+        DivisorClass(unit_i, tuple(j + 1 for j in range(n) if (mask >> j) & 1))
+        for unit_i, mask in found
+    )
+    return candidates, f2_rank([c.span_vector(n) for c in candidates], n + 1)
 
-    candidates: list[DivisorClass] = []
-    for vec in F2Solutions(tuple([0] * n), tuple(kernel)):
-        candidates.append(DivisorClass(False, _indices_of(vec)))
-    i_branch = f2_solve(matrix, nbar)
-    if i_branch is not None:
-        for vec in i_branch:
-            candidates.append(DivisorClass(True, _indices_of(vec)))
 
-    candidates.sort(key=lambda c: (c.unit_i, sum(1 << (j - 1) for j in c.indices)))
-    span_masks = [c.span_vector(n) for c in candidates]
-    dim = f2_rank(span_masks, n + 1)
+def selmer_candidate_set(primes: Sequence[GaussLike]) -> SelmerReport:
+    """Candidate divisor classes containing the phi-Selmer group.
+
+    ``build_L`` validates the primes; ``candidate_classes`` does the F2 half.
+    """
+    matrix = build_L(primes)
+    ps = tuple(_coerce(p) for p in primes)
+    nbar = tuple(mn_invariants(p).n_bar for p in ps)
+    candidates, dim = candidate_classes(
+        matrix, sum(bit << j for j, bit in enumerate(nbar))
+    )
     return SelmerReport(
-        primes=tuple(ps),
+        primes=ps,
         matrix=matrix,
         nbar=nbar,
-        candidates=tuple(candidates),
+        candidates=candidates,
         dim=dim,
         rank_upper=rank_upper_bound(dim),
     )
-
-
-def _indices_of(vec: F2Vector) -> tuple[int, ...]:
-    return tuple(j + 1 for j, bit in enumerate(vec) if bit)

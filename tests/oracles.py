@@ -24,7 +24,7 @@ from qirank.gaussian import (
 )
 from qirank.primes import factor_primary, is_gaussian_prime
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
-from qirank.selmer import F2Matrix, F2Vector
+from qirank.selmer import F2Matrix
 from qirank.verifier import parse_certificate
 
 _FOUR = GaussInt(4, 0)
@@ -162,12 +162,11 @@ def residue_prefilter(beta: GaussLike, k: int) -> bool:
     return (b.re % 16, b.im % 16) == cls
 
 
-def f2_apply(matrix: F2Matrix, v: F2Vector) -> F2Vector:
-    """The product M v over F2."""
-    if len(v) != matrix.ncols:
+def f2_apply(matrix: F2Matrix, v: int) -> int:
+    """The product M v over F2, as masks: bit j of v is column j, bit i of M v row i."""
+    if v >> matrix.ncols:
         raise ValueError("dimension mismatch")
-    mask = sum((int(x) & 1) << j for j, x in enumerate(v))
-    return tuple(bin(r & mask).count("1") & 1 for r in matrix.rows)
+    return sum((bin(r & v).count("1") & 1) << i for i, r in enumerate(matrix.rows))
 
 
 def is_f2_subgroup(masks) -> bool:

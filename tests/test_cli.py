@@ -65,14 +65,14 @@ class TestInvariantsAndFactor:
 
 class TestSelmer:
     def test_single_prime(self, capsys):
-        code, lines = run_json(capsys, "selmer", "minus-square", "-1-6i")
+        code, lines = run_json(capsys, "selmer", "-1-6i")
         assert code == 0
         assert lines[0]["dim"] == 1
         assert lines[0]["rank_upper"] == 0
 
     def test_constellation(self, capsys):
         code, lines = run_json(
-            capsys, "selmer", "minus-square", "-1+26i", "-1-6i", "31-6i", "31+26i"
+            capsys, "selmer", "-1+26i", "-1-6i", "31-6i", "31+26i"
         )
         assert code == 0
         assert lines[0]["dim"] == 2
@@ -270,6 +270,27 @@ class TestUsageErrors:
 
     def test_missing_positional(self, capsys):
         assert run(["symbol", "i"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--box", "8", "--shards", "two"],
+         "argument --shards: invalid int value: 'two'"),
+        (["search", "--box", "8", "--frobnicate"],
+         "unrecognized arguments: --frobnicate"),
+        (["symbol", "wibble", "-1-6i"],
+         "argument numerator: cannot parse Gaussian integer from 'wibble'"),
+        (["symbol", "i"], "the following arguments are required: prime"),
+    ], ids=["bad-int", "unknown-option", "bad-gaussian", "missing-positional"])
+    def test_parser_errors_are_json(self, capsys, argv, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert [json.loads(line) for line in captured.out.splitlines()] == [
+            {"error": message}]
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert "usage: qirank" in capsys.readouterr().out
 
 
 def _readme_cli_examples():

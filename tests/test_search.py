@@ -275,6 +275,23 @@ class TestFindFirstHit:
         rounds = [e for e in events if e["event"] == "round_done"]
         assert [r["radius"] for r in rounds] == [2, 4]
 
+    @pytest.mark.parametrize("radius", [0, -4])
+    def test_rejects_radius_below_one(self, monkeypatch, radius):
+        # a radius below 1 never doubles past max_radius; the stub stops
+        # such a loop after a few rounds instead of letting it run forever
+        calls = []
+
+        def few_rounds(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 3:
+                raise AssertionError("find_first_hit keeps searching")
+            return []
+
+        monkeypatch.setattr("qirank.search.search_region", few_rounds)
+        with pytest.raises(ValueError, match=f"initial_radius must be >= 1, got {radius}"):
+            find_first_hit(initial_radius=radius, max_radius=64)
+        assert calls == []
+
 
 class TestDensityStats:
     def test_tiny_box(self):

@@ -1,8 +1,8 @@
 import random
-from itertools import product
 
 import pytest
 
+from qirank import selmer
 from qirank.gaussian import GaussInt, primary_associate
 from qirank.primes import is_gaussian_prime
 from qirank.residues import mn_invariants
@@ -24,19 +24,26 @@ def gi(re, im=0):
 
 
 # the two 4x4 symbol matrices arising from a valid four-prime constellation
-MATRIX_A = F2Matrix.from_lists(
-    [[1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]
-)
-MATRIX_B = F2Matrix.from_lists(
-    [[0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1]]
-)
+MATRIX_A = F2Matrix.from_rows(["1001", "0011", "0110", "1100"])
+MATRIX_B = F2Matrix.from_rows(["0110", "1100", "1001", "0011"])
 
 
-def brute_kernel(matrix):
-    n = matrix.ncols
-    return sorted(
-        v for v in product((0, 1), repeat=n) if f2_apply(matrix, v) == (0,) * matrix.nrows
-    )
+def brute_solutions(matrix, v=0):
+    """Every x with M x = v, as sorted masks."""
+    return [x for x in range(1 << matrix.ncols) if f2_apply(matrix, x) == v]
+
+
+def span(basis):
+    masks = {0}
+    for b in basis:
+        masks |= {m ^ b for m in masks}
+    return masks
+
+
+def random_matrix(rng):
+    """An nrows x ncols matrix, each of 1..8, square or not."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    return F2Matrix(tuple(rng.getrandbits(ncols) for _ in range(nrows)), ncols)
 
 
 def is_group(report):
@@ -52,71 +59,88 @@ def random_primary_prime(rng, side=100):
             return primary_associate(a)[0]
 
 
+class TestRowStrings:
+    def test_one_by_one(self):
+        for row in ("0", "1"):
+            m = F2Matrix.from_rows([row])
+            assert (m.rows, m.ncols) == ((int(row),), 1)
+            assert m.row_strings() == [row]
+
+    def test_every_row_of_width_four(self):
+        rows = [format(x, "04b") for x in range(16)]
+        m = F2Matrix.from_rows(rows)
+        assert m.row_strings() == rows
+        assert m.ncols == 4
+        # character j is column j, bit j of the row mask
+        assert m.rows == tuple(int(r[::-1], 2) for r in rows)
+        for row in rows:
+            assert F2Matrix.from_rows([row]).row_strings() == [row]
+
+    def test_rejects_ragged_and_foreign_characters(self):
+        for rows in (["10", "1"], ["12"], ["1 0"]):
+            with pytest.raises(ValueError):
+                F2Matrix.from_rows(rows)
+
+
 class TestF2Kernel:
     def test_constellation_matrix_kernel(self):
-        basis = f2_kernel(MATRIX_A)
-        assert basis == [(1, 1, 1, 1)]
-        assert brute_kernel(MATRIX_A) == [(0, 0, 0, 0), (1, 1, 1, 1)]
+        assert f2_kernel(MATRIX_A) == [0b1111]
+        assert brute_solutions(MATRIX_A) == [0b0000, 0b1111]
 
     def test_zero_matrix(self):
-        m = F2Matrix.from_lists([[0, 0, 0]] * 3)
+        m = F2Matrix.from_rows(["000"] * 3)
         assert len(f2_kernel(m)) == 3
 
     def test_identity(self):
-        m = F2Matrix.from_lists([[1, 0], [0, 1]])
+        m = F2Matrix.from_rows(["10", "01"])
         assert f2_kernel(m) == []
 
     def test_against_brute_force_random(self):
         rng = random.Random(40)
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            m = F2Matrix.from_lists(
-                [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-            )
+        for _ in range(200):
+            m = random_matrix(rng)
             basis = f2_kernel(m)
-            spanned = {(0,) * n}
-            for b in basis:
-                spanned |= {
-                    tuple(x ^ y for x, y in zip(b, v)) for v in spanned
-                }
-            assert sorted(spanned) == brute_kernel(m)
+            assert sorted(span(basis)) == brute_solutions(m)
+            assert len(span(basis)) == 1 << len(basis)  # independent
 
 
 class TestF2Solve:
     def test_constellation_system(self):
-        sols = f2_solve(MATRIX_A, (1, 1, 1, 1))
-        assert sols is not None
-        assert sols.all() == [(0, 1, 0, 1), (1, 0, 1, 0)]
-        sols_b = f2_solve(MATRIX_B, (1, 1, 1, 1))
-        assert sols_b.all() == [(0, 1, 0, 1), (1, 0, 1, 0)]
+        for m in (MATRIX_A, MATRIX_B):
+            x = f2_solve(m, 0b1111)
+            assert x in (0b0101, 0b1010)
+            assert brute_solutions(m, 0b1111) == [0b0101, 0b1010]
 
     def test_identity(self):
-        m = F2Matrix.from_lists([[1, 0], [0, 1]])
-        assert f2_solve(m, (1, 0)).all() == [(1, 0)]
+        m = F2Matrix.from_rows(["10", "01"])
+        assert f2_solve(m, 0b01) == 0b01
 
     def test_inconsistent(self):
-        m = F2Matrix.from_lists([[1, 1], [1, 1]])
-        assert f2_solve(m, (1, 0)) is None
+        m = F2Matrix.from_rows(["11", "11"])
+        assert f2_solve(m, 0b01) is None
+
+    def test_rejects_bits_beyond_the_rows(self):
+        m = F2Matrix.from_rows(["11", "11"])
+        with pytest.raises(ValueError):
+            f2_solve(m, 0b100)
 
     def test_against_brute_force_random(self):
         rng = random.Random(41)
-        for _ in range(50):
-            n = rng.randint(1, 5)
-            m = F2Matrix.from_lists(
-                [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-            )
-            v = tuple(rng.randint(0, 1) for _ in range(n))
-            brute = sorted(
-                x for x in product((0, 1), repeat=n) if f2_apply(m, x) == v
-            )
-            sols = f2_solve(m, v)
-            assert (sols.all() if sols else []) == brute
+        for _ in range(200):
+            m = random_matrix(rng)
+            v = rng.getrandbits(len(m.rows))
+            brute = brute_solutions(m, v)
+            x = f2_solve(m, v)
+            if x is None:
+                assert brute == []
+            else:
+                assert sorted({x ^ k for k in span(f2_kernel(m))}) == brute
 
 
 class TestBuildL:
     def test_single_prime(self):
         m = build_L([gi(-1, -6)])
-        assert m.to_lists() == [[0]]
+        assert m.row_strings() == ["0"]
 
     def test_pair_symmetric(self):
         rng = random.Random(42)
@@ -125,8 +149,8 @@ class TestBuildL:
             q = random_primary_prime(rng)
             if p == q:
                 continue
-            m = build_L([p, q]).to_lists()
-            assert m[0][1] == m[1][0]
+            rows = build_L([p, q]).row_strings()
+            assert rows[0][1] == rows[1][0]
 
     def test_rows_sum_zero(self):
         rng = random.Random(43)
@@ -136,11 +160,11 @@ class TestBuildL:
             if p not in primes:
                 primes.append(p)
         m = build_L(primes)
-        assert f2_apply(m, (1,) * 5) == (0,) * 5
-        lists = m.to_lists()
+        assert f2_apply(m, 0b11111) == 0
+        rows = m.row_strings()
         for i in range(5):
             for j in range(5):
-                assert lists[i][j] == lists[j][i]
+                assert rows[i][j] == rows[j][i]
 
     def test_matches_all_ordered_symbols(self):
         # inert primary primes -q, q = 3 mod 4, next to split ones of both sizes
@@ -214,6 +238,26 @@ class TestSelmerCandidateSet:
         assert report.rank_upper == 2
         assert is_group(report)
 
+    def test_one_kernel_per_report(self, monkeypatch):
+        # both branches are cosets of one kernel, computed once
+        calls = []
+        real_kernel = selmer.f2_kernel
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real_kernel(matrix)
+
+        monkeypatch.setattr(selmer, "f2_kernel", counted)
+        prime_lists = [
+            [gi(-1, -6)],                                  # i-branch unsolvable
+            [gi(1, -4)],                                   # i-branch solvable
+            [gi(-1, 26), gi(-1, -6), gi(31, -6), gi(31, 26)],
+        ]
+        for count, primes in enumerate(prime_lists, 1):
+            report = selmer_candidate_set(primes)
+            assert len(calls) == count
+            assert calls[-1] == report.matrix
+
     def test_every_candidate_satisfies_a_branch(self):
         rng = random.Random(44)
         primes = []
@@ -223,12 +267,10 @@ class TestSelmerCandidateSet:
                 primes.append(p)
         report = selmer_candidate_set(primes)
         matrix = report.matrix
+        nbar = sum(bit << j for j, bit in enumerate(report.nbar))
         for cand in report.candidates:
-            vec = tuple(1 if j + 1 in cand.indices else 0 for j in range(4))
-            if cand.unit_i:
-                assert f2_apply(matrix, vec) == report.nbar
-            else:
-                assert f2_apply(matrix, vec) == (0, 0, 0, 0)
+            vec = sum(1 << (j - 1) for j in cand.indices)
+            assert f2_apply(matrix, vec) == (nbar if cand.unit_i else 0)
 
     def test_full_product_always_candidate(self):
         rng = random.Random(45)
@@ -262,6 +304,5 @@ class TestSymbolPatternMatrices:
     def test_constellation_matrices_consistency(self):
         # both displayed matrices have kernel {0, 1111} and the same i-branch
         for m in (MATRIX_A, MATRIX_B):
-            assert brute_kernel(m) == [(0, 0, 0, 0), (1, 1, 1, 1)]
-            sols = f2_solve(m, (1, 1, 1, 1))
-            assert sols.all() == [(0, 1, 0, 1), (1, 0, 1, 0)]
+            assert brute_solutions(m) == [0b0000, 0b1111]
+            assert brute_solutions(m, 0b1111) == [0b0101, 0b1010]

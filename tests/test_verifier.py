@@ -22,14 +22,7 @@ from qirank.certify import (
 from qirank.gaussian import GaussInt
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, search_region
-from qirank.selmer import (
-    DivisorClass,
-    F2Solutions,
-    f2_kernel,
-    f2_rank,
-    f2_solve,
-    rank_upper_bound,
-)
+from qirank.selmer import candidate_classes, rank_upper_bound
 
 from oracles import verify_by_recertify
 
@@ -144,18 +137,9 @@ class TestDifferential:
 class TestConstants:
     @pytest.mark.parametrize("matrix", CONSTELLATION_MATRICES)
     def test_f2_engine_gives_the_candidate_constant(self, matrix):
-        def indices(vec):
-            return tuple(j + 1 for j, bit in enumerate(vec) if bit)
-
-        kernel = f2_kernel(matrix)
-        i_branch = f2_solve(matrix, (1, 1, 1, 1))
-        assert i_branch is not None
-        candidates = [DivisorClass(False, indices(v))
-                      for v in F2Solutions((0, 0, 0, 0), tuple(kernel))]
-        candidates += [DivisorClass(True, indices(v)) for v in i_branch]
-        candidates.sort(key=lambda c: (c.unit_i, sum(1 << (j - 1) for j in c.indices)))
-        assert tuple(candidates) == EXPECTED_CANDIDATES
-        dim = f2_rank([c.span_vector(4) for c in candidates], 5)
+        # every n_bar is 1 in the target class
+        candidates, dim = candidate_classes(matrix, 0b1111)
+        assert candidates == EXPECTED_CANDIDATES
         assert dim == 2
         assert rank_upper_bound(dim) == 2
 
