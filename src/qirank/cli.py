@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _get_value(self, action, arg_string):
+        # undo run()'s padding, so types and error messages see the token as
+        # typed; the subcommand's own tokens stay padded for its parser
+        if (action.nargs != argparse.PARSER and arg_string.startswith(" ")
+                and _NEGATIVE_VALUE_RE.match(arg_string[1:])):
+            arg_string = arg_string[1:]
+        return super()._get_value(action, arg_string)
+
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -302,7 +310,8 @@ _HANDLERS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    # keep argparse from reading negative values as option flags
+    # keep argparse from reading negative values as option flags; the
+    # parser strips the space again before it converts or reports a token
     argv_safe = [" " + tok if _NEGATIVE_VALUE_RE.match(tok) else tok for tok in raw]
     parser = _build_parser()
     try:

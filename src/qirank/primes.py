@@ -1,11 +1,20 @@
 """Gaussian prime testing, factorization into primary primes, a prime sieve.
 
+Rational primality comes in two stages.  ``is_base2_probable_prime`` is the
+cheap one: trial division by the primes up to 97, as one gcd, then one
+strong base-2 test.  It never rejects a prime, so a filter built on it is
+exact, but a strong base-2 pseudoprime with no factor up to 97 passes it.
+``is_rational_prime`` is the answer: it runs the stage, then the other
+bases.  Both call ``verifier.is_strong_probable_prime``, the one
+Miller-Rabin routine, so no base runs twice for a number.
+
 Rational integer factorization is delegated to sympy; everything Gaussian
 (splitting, primary normalization, ordering) is done here exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +33,7 @@ from .gaussian import (
     ram_valuation,
     unit_log,
 )
-from .verifier import MR_BASES, MR_DETERMINISTIC_BOUND
+from .verifier import MR_BASES, MR_DETERMINISTIC_BOUND, is_strong_probable_prime
 
 # Miller-Rabin with MR_BASES is deterministic below MR_DETERMINISTIC_BOUND
 # (about 3.3e24), which covers the desk-scale norms this toolkit targets.
@@ -33,44 +42,44 @@ _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103,
                    107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
                    173, 179)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:
-    """True iff a witnesses that n is composite."""
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return False
-    return True
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                           47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# a number with no prime factor up to 97 is prime below 101^2
+_TRIAL_BOUND = 101 * 101
 
 
 @lru_cache(maxsize=1 << 20)
+def is_base2_probable_prime(n: int) -> bool:
+    """First primality stage: trial division up to 97, then a strong base-2 test.
+
+    True for every prime.  False proves n composite (or below 2); True
+    proves n prime only below 101^2.  The cache matters: a search meets the
+    same norm for many k.
+    """
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    if n < _TRIAL_BOUND:
+        return n > 1
+    return is_strong_probable_prime(n, (2,))
+
+
+@lru_cache(maxsize=1 << 12)
 def is_rational_prime(n: int) -> bool:
     """Primality of a rational integer.
 
     Deterministic below ~3.3e24 (fixed Miller-Rabin base set); strong
-    probabilistic with error below 4**-28 above that.
+    probabilistic with error below 4**-28 above that.  Base 2 and trial
+    division come from ``is_base2_probable_prime``.
     """
-    if n < 2:
+    if not is_base2_probable_prime(n):
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    bases = MR_BASES
+    if n < _TRIAL_BOUND:
+        return True
+    bases = MR_BASES[1:]  # MR_BASES[0] is 2, which the stage has run
     if n >= MR_DETERMINISTIC_BOUND:
-        bases = MR_BASES + _MR_EXTRA_BASES
-    return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
+        bases += _MR_EXTRA_BASES
+    return is_strong_probable_prime(n, bases)
 
 
 def is_gaussian_prime(alpha: GaussLike) -> bool:

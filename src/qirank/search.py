@@ -5,13 +5,15 @@ The region scan uses two pre-filters.  The residue pre-filter (k a multiple
 of 8, beta in one of two classes mod 16 depending on k mod 16) is
 exhaustively proven equivalent to the direct four-congruence test in the
 test suite; the scan steps beta through those classes directly.  The norm
-pre-filter then asks that the four norms be rational primes.  It is exact:
-a value congruent to -1-6i mod 16 has real part 15 and imaginary part 10
-mod 16, both nonzero, so it is a Gaussian prime iff its norm is a rational
-prime.  Both remain optimizations only: every pair that passes them still
-gets the full ``constellation_at`` check (direct congruences and primality).
-Sharded searches merge deterministically, so output never depends on the
-shard count.
+pre-filter then asks that the four norms pass the first primality stage,
+``is_base2_probable_prime`` (trial division up to 97 and one strong base-2
+test).  It is exact: a value congruent to -1-6i mod 16 has real part 15 and
+imaginary part 10 mod 16, both nonzero, so it is a Gaussian prime iff its
+norm is a rational prime, and the stage never rejects a prime.  Both remain
+optimizations only: every pair that passes them still gets the full
+``constellation_at`` check (direct congruences and the full primality test,
+whose base-2 stage is then a cache hit).  Sharded searches merge
+deterministically, so output never depends on the shard count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .gaussian import GaussInt, GaussLike, I_POWERS, ONE_PLUS_I, _coerce
-from .primes import is_gaussian_prime, is_rational_prime, rational_prime_sieve
+from .primes import is_base2_probable_prime, is_gaussian_prime, rational_prime_sieve
 
 TARGET_CLASS = GaussInt(-1, -6)
 # beta residues mod 16 compatible with the target class, by k mod 16
@@ -123,17 +125,20 @@ def _scan_shard(
 
     Only residue-passing pairs are visited: for each beta class, re and im
     step through the class by 16.  A pair then needs the norms of its four
-    values, (a -+ k)^2 + (b +- k)^2 in j-order, to be rational primes (exact
-    for values in the target class, see the module docstring), tested on
-    plain ints with the first failure ending the pair.  Only the pairs that
-    pass get the full ``constellation_at`` check.
+    values, (a -+ k)^2 + (b +- k)^2 in j-order, to pass the first primality
+    stage, ``is_base2_probable_prime`` (exact for values in the target
+    class, see the module docstring), tested on plain ints with the first
+    failure ending the pair.  Only the pairs that pass get the full
+    ``constellation_at`` check, which proves the four norms prime.  k is
+    the outer loop, so the im-parts (b +- k)^2 are computed once per k; the
+    order of the hits is left to the caller.
     """
     re_lo, re_hi, im_lo, im_hi, k_lo, k_hi = args
     ks = _k_values((k_lo, k_hi))
     candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * len(ks)
     hits: list[tuple[int, int, int]] = []
     passes = 0
-    prime = is_rational_prime
+    stage = is_base2_probable_prime
     for (cre, cim), class_ks in (
         (_BETA_CLASS_K0, [k for k in ks if k % 16 == 0]),
         (_BETA_CLASS_K8, [k for k in ks if k % 16 != 0]),
@@ -141,15 +146,14 @@ def _scan_shard(
         res = range(re_lo + (cre - re_lo) % 16, re_hi + 1, 16)
         ims = range(im_lo + (cim - im_lo) % 16, im_hi + 1, 16)
         passes += len(res) * len(ims) * len(class_ks)
-        for a in res:
-            for k in class_ks:
+        for k in class_ks:
+            columns = [(b, (b + k) * (b + k), (b - k) * (b - k)) for b in ims]
+            for a in res:
                 am2 = (a - k) * (a - k)
                 ap2 = (a + k) * (a + k)
-                for b in ims:
-                    bp2 = (b + k) * (b + k)
-                    bm2 = (b - k) * (b - k)
-                    if (prime(am2 + bp2) and prime(am2 + bm2)
-                            and prime(ap2 + bm2) and prime(ap2 + bp2)):
+                for b, bp2, bm2 in columns:
+                    if (stage(am2 + bp2) and stage(am2 + bm2)
+                            and stage(ap2 + bm2) and stage(ap2 + bp2)):
                         result = constellation_at(GaussInt(a, b), k)
                         if isinstance(result, ConstellationHit):
                             hits.append((a, b, k))

@@ -208,11 +208,19 @@ def _is_prime(n: int) -> bool:
     for p in MR_BASES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in MR_BASES:
+    return is_strong_probable_prime(n, MR_BASES)
+
+
+def is_strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """True iff n is a strong probable prime to every base (Miller-Rabin).
+
+    n must be odd and larger than every base.  This is the one strong test
+    in qirank: ``qirank.primes`` calls it too.
+    """
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

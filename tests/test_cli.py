@@ -224,6 +224,13 @@ class TestCertifyVerify:
         assert len(lines) == 1 and "error" in lines[0]
         assert not path.exists()
 
+    def test_negative_looking_output_name_kept_as_typed(self, capsys, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_json(capsys, "certify", "15+10i", "16", "--output", "-5")
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["-5"]
+
     def test_verify_missing_file(self, capsys):
         code, lines = run_json(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2
@@ -279,7 +286,11 @@ class TestUsageErrors:
         (["symbol", "wibble", "-1-6i"],
          "argument numerator: cannot parse Gaussian integer from 'wibble'"),
         (["symbol", "i"], "the following arguments are required: prime"),
-    ], ids=["bad-int", "unknown-option", "bad-gaussian", "missing-positional"])
+        # negative-looking tokens are reported as typed, with no padding
+        (["search", "--box", "-5i"], "argument --box: invalid int value: '-5i'"),
+        (["certify", "15+10i", "-2i"], "argument k: invalid int value: '-2i'"),
+    ], ids=["bad-int", "unknown-option", "bad-gaussian", "missing-positional",
+            "negative-option-value", "negative-positional"])
     def test_parser_errors_are_json(self, capsys, argv, message):
         code = run(argv)
         captured = capsys.readouterr()

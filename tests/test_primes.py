@@ -1,11 +1,15 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qirank.primes
 from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary, norm
 from qirank.primes import (
     PrimaryFactorization,
     factor_primary,
+    is_base2_probable_prime,
     is_gaussian_prime,
     is_rational_prime,
     prime_above,
@@ -32,6 +36,51 @@ class TestRationalPrimality:
         # Carmichael numbers must not fool the test
         assert not is_rational_prime(561)
         assert not is_rational_prime(1729)
+
+
+# the strong pseudoprimes to base 2 below 10^6 (OEIS A001262)
+SPSP2_BELOW_1E6 = (
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+    74665, 80581, 85489, 88357, 90751, 104653, 130561, 196093, 220729, 233017,
+    252601, 253241, 256999, 271951, 280601, 314821, 357761, 390937, 458989,
+    476971, 486737, 489997, 514447, 580337, 635401, 647089, 741751, 800605,
+    818201, 838861, 873181, 877099, 916327, 976873, 983401,
+)
+PRIMES_TO_97 = math.prod(p for p in range(2, 98) if all(p % q for q in range(2, p)))
+
+# the uncached stage, so that a million lookups do not fill the search's cache
+stage = is_base2_probable_prime.__wrapped__
+
+
+class TestBase2Stage:
+    def test_agrees_with_sieve_but_for_pseudoprimes_without_small_factors(self):
+        limit = 10 ** 6
+        sieve = rational_prime_sieve(limit)
+        wrong = [n for n in range(limit + 1) if stage(n) != bool(sieve[n])]
+        assert wrong == [n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_97) == 1]
+        assert all(stage(n) for n in wrong)
+
+    @settings(max_examples=150, deadline=None)
+    @given(exponent=st.sampled_from([41, 80]), offset=st.integers(0, 1 << 30))
+    def test_never_rejects_a_prime(self, exponent, offset):
+        n = (1 << exponent) + offset
+        while not is_rational_prime(n):
+            n += 1
+        assert stage(n)
+
+    @pytest.mark.parametrize("n", [1373653, 25326001, 3215031751, 2152302898747])
+    def test_pseudoprimes_pass_only_the_stage(self, n):
+        assert math.gcd(n, PRIMES_TO_97) == 1
+        assert stage(n)
+        assert not is_rational_prime(n)
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033])
+    def test_small_factors_end_at_trial_division(self, monkeypatch, n):
+        def no_strong_test(*args):
+            raise AssertionError("strong test reached")
+
+        monkeypatch.setattr(qirank.primes, "is_strong_probable_prime", no_strong_test)
+        assert not stage(n)
 
 
 class TestIsGaussianPrime:

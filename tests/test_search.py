@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qirank.search
+from qirank.certify import certify
 from qirank.gaussian import GaussInt
 from qirank.search import (
     Box,
@@ -189,6 +190,24 @@ class TestScanKernel:
         for shards in (1, 3):
             assert search_region(box, k_range, shards=shards) == expected
 
+    @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
+    def test_norm_filter_is_only_an_optimisation(self, monkeypatch, box, k_range, count):
+        # with a stage that passes everything, constellation_at sees every
+        # residue-passing pair and must still give the same hits
+        expected = search_region(box, k_range)
+        checked = []
+
+        def counted(beta, k):
+            checked.append((beta, k))
+            return constellation_at(beta, k)
+
+        monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
+        monkeypatch.setattr(qirank.search, "constellation_at", counted)
+        records = []
+        assert search_region(box, k_range, progress=records.append) == expected
+        assert len(expected) == count
+        assert len(checked) == sum(r["filter_pass"] for r in records)
+
     @settings(max_examples=300, deadline=None)
     @given(
         u=st.integers(-(1 << 36), 1 << 36),
@@ -250,6 +269,31 @@ class TestOptimizedInterpreter:
             capture_output=True, text=True, check=True, env=env,
         ).stdout
         assert out.split() == ["1", "15+10i", "16"]
+
+    def test_hits_and_certificate_bytes_unchanged_under_python_O(self):
+        src = str(Path(qirank.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "from qirank.search import Box, search_region\n"
+            "assert False, 'not running under -O'\n"
+            "for h in search_region(Box.centered(48), (-48, 48)):\n"
+            "    print(h.beta, h.k, *h.primes)\n"
+        )
+        hits = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        cert = subprocess.run(
+            [sys.executable, "-O", "-m", "qirank.cli", "certify", "15+10i", "16"],
+            capture_output=True, check=True, env=env,
+        ).stdout
+        expected = search_region(Box.centered(48), (-48, 48))
+        assert hits.splitlines() == [
+            " ".join(map(str, (h.beta, h.k, *h.primes))) for h in expected]
+        assert cert == certify(FROZEN_BETA, FROZEN_K).to_json_bytes() + b"\n"
 
     def test_package_has_no_assert_statement(self):
         # python -O strips assert, so a check written as one would vanish
