@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import nextprime
 
 import qirank.primes
 from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary, norm
@@ -58,15 +59,14 @@ class TestBase2Stage:
         sieve = rational_prime_sieve(limit)
         wrong = [n for n in range(limit + 1) if stage(n) != bool(sieve[n])]
         assert wrong == [n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_97) == 1]
-        assert all(stage(n) for n in wrong)
 
     @settings(max_examples=150, deadline=None)
     @given(exponent=st.sampled_from([41, 80]), offset=st.integers(0, 1 << 30))
     def test_never_rejects_a_prime(self, exponent, offset):
-        n = (1 << exponent) + offset
-        while not is_rational_prime(n):
-            n += 1
-        assert stage(n)
+        # sympy finds the prime, so that the check does not go through the stage
+        p = nextprime((1 << exponent) + offset)
+        assert is_rational_prime(p)
+        assert stage(p)
 
     @pytest.mark.parametrize("n", [1373653, 25326001, 3215031751, 2152302898747])
     def test_pseudoprimes_pass_only_the_stage(self, n):

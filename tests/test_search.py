@@ -252,12 +252,17 @@ class TestWorkerPool:
         assert sharded == search_region(box, (-40, 40), shards=1)
 
 
+def _env_with_src():
+    """The environment for a child interpreter that imports this qirank."""
+    src = str(Path(qirank.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestOptimizedInterpreter:
     def test_frozen_hit_under_python_O(self):
-        src = str(Path(qirank.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = _env_with_src()
         script = (
             "import sys\n"
             "from qirank.search import Box, search_region\n"
@@ -271,12 +276,8 @@ class TestOptimizedInterpreter:
         assert out.split() == ["1", "15+10i", "16"]
 
     def test_hits_and_certificate_bytes_unchanged_under_python_O(self):
-        src = str(Path(qirank.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = _env_with_src()
         script = (
-            "import sys\n"
             "from qirank.search import Box, search_region\n"
             "assert False, 'not running under -O'\n"
             "for h in search_region(Box.centered(48), (-48, 48)):\n"
