@@ -158,7 +158,7 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
                       "congruent to -1-6i mod 16, with k nonzero",
         )
     hit: ConstellationHit = result
-    # constellation_at has proved p_1 p_2 p_3 p_4 = gamma
+    # p_1 p_2 p_3 p_4 = gamma is an identity in (beta, k)
     gamma = b ** 4 + GaussInt(4 * k ** 4, 0)
 
     genuine = is_genuine(b, k)

@@ -1,8 +1,9 @@
 """Command-line surface: every capability as a subcommand with JSON output.
 
 Gaussian integers are written as ``a+bi`` / ``a-bi`` (optional spaces);
-tokens that look like negative numbers or negative Gaussian literals are
-accepted as positional arguments.  All numeric output is exact (decimal
+a token that starts with ``-`` and then a digit or ``i`` is a value, never
+an option, so negative literals are accepted and a malformed one such as
+``-5x`` is reported as typed.  All numeric output is exact (decimal
 strings or small integers, never floats).  Exit codes: 0 success, 1
 mathematical rejection, 2 usage error.  The parser and the handlers raise
 ``UsageError`` for bad input, and handlers raise ``ValueError`` for a
@@ -29,9 +30,6 @@ from .selmer import selmer_candidate_set
 # the census sieve holds 2 * box^2 + 1 bytes: about 34 MB at this cap
 STATS_MAX_BOX = 4096
 
-# tokens like -5, -i, -6i, -1-6i are values, not flags
-_NEGATIVE_VALUE_RE = re.compile(r"^-(?:\d+|\d*[iI])(?:[+-]\d*[iI])?$")
-
 
 class UsageError(Exception):
     """Bad command-line input: run() prints it as a JSON error, exit 2."""
@@ -40,16 +38,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors are UsageErrors (subparsers share the class)."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # tokens like -5, -i, -6i, -1-6i (and -5x) are values, not flags; no
+        # option starts with a dash and a digit or i
+        self._negative_number_matcher = re.compile(r"^-[\diI]")
+
     def error(self, message):
         raise UsageError(message)
-
-    def _get_value(self, action, arg_string):
-        # undo run()'s padding, so types and error messages see the token as
-        # typed; the subcommand's own tokens stay padded for its parser
-        if (action.nargs != argparse.PARSER and arg_string.startswith(" ")
-                and _NEGATIVE_VALUE_RE.match(arg_string[1:])):
-            arg_string = arg_string[1:]
-        return super()._get_value(action, arg_string)
 
 
 def _emit(obj) -> None:
@@ -309,13 +305,9 @@ _HANDLERS = {
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    # keep argparse from reading negative values as option flags; the
-    # parser strips the space again before it converts or reports a token
-    argv_safe = [" " + tok if _NEGATIVE_VALUE_RE.match(tok) else tok for tok in raw]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv_safe)
+        args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -106,9 +106,6 @@ def constellation_at(beta: GaussLike, k: int) -> Union[ConstellationHit, Rejecti
     for j, p in enumerate(values, start=1):
         if not is_gaussian_prime(p):
             return Rejection(f"p_{j} = {p} is not a Gaussian prime")
-    # algebraic identity; cheap cross-check that the offsets are right
-    if values[0] * values[1] * values[2] * values[3] != b ** 4 + GaussInt(4 * k ** 4, 0):
-        raise AssertionError(f"product identity fails at beta = {b}, k = {k}")
     return ConstellationHit(beta=b, k=k, primes=values)
 
 

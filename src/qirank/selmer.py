@@ -8,17 +8,18 @@ and the CLI print.
 The descent input is a list of distinct primary Gaussian primes; ``build_L``
 validates it.  From their pairwise residue symbols we build the symbol
 matrix L (rows sum to zero by construction; by quadratic reciprocity it
-is symmetric, so each unordered pair costs one symbol), and the candidate
-divisor classes are the kernel of L (primary branch) together with the
-solution set of L x = n_bar (the i-branch): two cosets of the one kernel.
-The candidate conditions depend only on the primes.  The F2 dimension of
-the span of all candidates feeds the rank bound 2*dim - 2.
+is symmetric, so each unordered pair costs one symbol).  A class
+u * prod_{j in T} p_j with u in {1, i} is a candidate when L 1_T = u n_bar,
+a condition linear in (1_T, u), so the candidates are one subspace: the
+kernel of [L | n_bar], with bit n the unit.  The candidate conditions depend
+only on the primes.  The dimension of that kernel feeds the rank bound
+2*dim - 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .gaussian import GaussInt, GaussLike, _coerce, is_primary
 from .primes import is_gaussian_prime
@@ -71,10 +72,6 @@ def _rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return work[:row_idx], pivots
 
 
-def f2_rank(rows: Sequence[int], ncols: int) -> int:
-    return len(_rref(list(rows), ncols)[1])
-
-
 def f2_kernel(matrix: F2Matrix) -> list[int]:
     """A basis of the null space of the matrix, one mask per free column."""
     reduced, pivots = _rref(list(matrix.rows), matrix.ncols)
@@ -91,25 +88,9 @@ def f2_kernel(matrix: F2Matrix) -> list[int]:
     return basis
 
 
-def f2_solve(matrix: F2Matrix, v: int) -> Optional[int]:
-    """One solution x of M x = v over F2 (bit i of v is row i); None if inconsistent."""
-    if v >> len(matrix.rows):
-        raise ValueError("dimension mismatch")
-    n = matrix.ncols
-    augmented = [row | ((v >> i) & 1) << n for i, row in enumerate(matrix.rows)]
-    reduced, pivots = _rref(augmented, n + 1)
-    if n in pivots:
-        return None
-    x = 0
-    for row, pcol in zip(reduced, pivots):
-        if (row >> n) & 1:
-            x |= 1 << pcol
-    return x
-
-
-def _coset(base: int, basis: Sequence[int]) -> list[int]:
-    """base plus every F2 combination of the basis: 2**len(basis) masks."""
-    masks = [base]
+def _span(basis: Sequence[int]) -> list[int]:
+    """Every F2 combination of the basis: 2**len(basis) masks."""
+    masks = [0]
     for b in basis:
         masks += [m ^ b for m in masks]
     return masks
@@ -164,10 +145,6 @@ class DivisorClass:
     unit_i: bool
     indices: tuple[int, ...]
 
-    def label(self) -> str:
-        parts = (["i"] if self.unit_i else []) + [f"p{j}" for j in self.indices]
-        return "*".join(parts) if parts else "1"
-
     def span_vector(self, n: int) -> int:
         """Bitmask in F2^(n+1): bit n is the unit flag, bit j-1 marks p_j."""
         mask = sum(1 << (j - 1) for j in self.indices)
@@ -198,26 +175,24 @@ def rank_upper_bound(dim: int) -> int:
 def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[DivisorClass, ...], int]:
     """The candidate classes of L and the n_bar mask, sorted, and their F2 dimension.
 
-    A subset T is a candidate with unit 1 when its indicator lies in ker(L),
-    and with unit i when L applied to the indicator equals n_bar: the kernel
-    and, when L x = n_bar is solvable, its coset through one solution.
+    A subset T with unit u is a candidate when L 1_T = u n_bar, that is when
+    1_T, plus bit n when u = i, lies in the kernel of [L | n_bar] (n_bar as
+    column n).  The unit is the highest bit, so sorting the span's masks
+    sorts by (unit, subset); the dimension is the length of the kernel basis.
     """
-    kernel = f2_kernel(matrix)
-    if len(kernel) > 20:
-        raise ValueError("kernel too large to enumerate candidate classes")
-    branches = [(False, 0)]
-    particular = f2_solve(matrix, nbar)
-    if particular is not None:
-        branches.append((True, particular))
-    found = sorted(
-        (unit_i, mask) for unit_i, base in branches for mask in _coset(base, kernel)
-    )
     n = matrix.ncols
-    candidates = tuple(
-        DivisorClass(unit_i, tuple(j + 1 for j in range(n) if (mask >> j) & 1))
-        for unit_i, mask in found
+    augmented = F2Matrix(
+        tuple(row | ((nbar >> r) & 1) << n for r, row in enumerate(matrix.rows)),
+        n + 1,
     )
-    return candidates, f2_rank([c.span_vector(n) for c in candidates], n + 1)
+    kernel = f2_kernel(augmented)
+    if len(kernel) > 21:  # at most 2**21 candidates
+        raise ValueError("kernel too large to enumerate candidate classes")
+    candidates = tuple(
+        DivisorClass(bool(mask >> n), tuple(j + 1 for j in range(n) if (mask >> j) & 1))
+        for mask in sorted(_span(kernel))
+    )
+    return candidates, len(kernel)
 
 
 def selmer_candidate_set(primes: Sequence[GaussLike]) -> SelmerReport:

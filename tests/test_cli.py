@@ -80,6 +80,12 @@ class TestSelmer:
             ["1001", "0011", "0110", "1100"],
             ["0110", "1100", "1001", "0011"],
         )
+        assert lines[0]["candidates"] == [
+            {"unit": "1", "primes": []},
+            {"unit": "1", "primes": [1, 2, 3, 4]},
+            {"unit": "i", "primes": [1, 3]},
+            {"unit": "i", "primes": [2, 4]},
+        ]
 
 
 class TestSearch:
@@ -289,8 +295,18 @@ class TestUsageErrors:
         # negative-looking tokens are reported as typed, with no padding
         (["search", "--box", "-5i"], "argument --box: invalid int value: '-5i'"),
         (["certify", "15+10i", "-2i"], "argument k: invalid int value: '-2i'"),
+        # a malformed token after a dash is a bad value, not a missing argument
+        (["factor", "-5x"],
+         "argument value: cannot parse Gaussian integer from '-5x'"),
+        (["symbol", "-1x", "-1-6i"],
+         "argument numerator: cannot parse Gaussian integer from '-1x'"),
+        (["certify", "15+10i", "-2x"], "argument k: invalid int value: '-2x'"),
+        (["search", "--box", "4", "--kmax", "-1x"],
+         "argument --kmax: invalid int value: '-1x'"),
     ], ids=["bad-int", "unknown-option", "bad-gaussian", "missing-positional",
-            "negative-option-value", "negative-positional"])
+            "negative-option-value", "negative-positional",
+            "malformed-negative-value", "malformed-negative-numerator",
+            "malformed-negative-int", "malformed-negative-option-value"])
     def test_parser_errors_are_json(self, capsys, argv, message):
         code = run(argv)
         captured = capsys.readouterr()

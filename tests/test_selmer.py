@@ -10,8 +10,8 @@ from qirank.selmer import (
     DivisorClass,
     F2Matrix,
     build_L,
+    candidate_classes,
     f2_kernel,
-    f2_solve,
     rank_upper_bound,
     selmer_candidate_set,
 )
@@ -104,37 +104,52 @@ class TestF2Kernel:
             assert len(span(basis)) == 1 << len(basis)  # independent
 
 
-class TestF2Solve:
+def brute_candidates(matrix, nbar):
+    """(unit i?, mask) of every candidate: Mx = 0 with unit 1, then Mx = n_bar with unit i."""
+    return ([(False, x) for x in brute_solutions(matrix)]
+            + [(True, x) for x in brute_solutions(matrix, nbar)])
+
+
+def found(candidates):
+    return [(c.unit_i, sum(1 << (j - 1) for j in c.indices)) for c in candidates]
+
+
+class TestCandidateClasses:
     def test_constellation_system(self):
         for m in (MATRIX_A, MATRIX_B):
-            x = f2_solve(m, 0b1111)
-            assert x in (0b0101, 0b1010)
-            assert brute_solutions(m, 0b1111) == [0b0101, 0b1010]
+            candidates, dim = candidate_classes(m, 0b1111)
+            assert found(candidates) == [
+                (False, 0b0000), (False, 0b1111), (True, 0b0101), (True, 0b1010)]
+            assert dim == 2
 
     def test_identity(self):
         m = F2Matrix.from_rows(["10", "01"])
-        assert f2_solve(m, 0b01) == 0b01
+        assert candidate_classes(m, 0b01) == (
+            (DivisorClass(False, ()), DivisorClass(True, (1,))), 1)
 
     def test_inconsistent(self):
+        # L x = n_bar has no solution: only the unit-1 classes are candidates
         m = F2Matrix.from_rows(["11", "11"])
-        assert f2_solve(m, 0b01) is None
-
-    def test_rejects_bits_beyond_the_rows(self):
-        m = F2Matrix.from_rows(["11", "11"])
-        with pytest.raises(ValueError):
-            f2_solve(m, 0b100)
+        assert candidate_classes(m, 0b01) == (
+            (DivisorClass(False, ()), DivisorClass(False, (1, 2))), 1)
 
     def test_against_brute_force_random(self):
         rng = random.Random(41)
         for _ in range(200):
             m = random_matrix(rng)
-            v = rng.getrandbits(len(m.rows))
-            brute = brute_solutions(m, v)
-            x = f2_solve(m, v)
-            if x is None:
-                assert brute == []
-            else:
-                assert sorted({x ^ k for k in span(f2_kernel(m))}) == brute
+            nbar = rng.getrandbits(len(m.rows))
+            candidates, dim = candidate_classes(m, nbar)
+            assert found(candidates) == brute_candidates(m, nbar)
+            assert len(candidates) == 1 << dim
+
+    def test_too_large_kernel_refused_before_enumerating(self, monkeypatch):
+        def no_span(basis):
+            raise AssertionError("enumerated a kernel above the cap")
+
+        monkeypatch.setattr(selmer, "_span", no_span)
+        # 22 zero columns and the unit: a kernel of dimension 23 > 21
+        with pytest.raises(ValueError, match="kernel too large"):
+            candidate_classes(F2Matrix((0,), 22), 0)
 
 
 class TestBuildL:
@@ -239,7 +254,7 @@ class TestSelmerCandidateSet:
         assert is_group(report)
 
     def test_one_kernel_per_report(self, monkeypatch):
-        # both branches are cosets of one kernel, computed once
+        # the candidates are the kernel of [L | n_bar], computed once
         calls = []
         real_kernel = selmer.f2_kernel
 
@@ -255,8 +270,12 @@ class TestSelmerCandidateSet:
         ]
         for count, primes in enumerate(prime_lists, 1):
             report = selmer_candidate_set(primes)
+            n = len(primes)
             assert len(calls) == count
-            assert calls[-1] == report.matrix
+            assert calls[-1] == F2Matrix(
+                tuple(row | bit << n for row, bit in zip(report.matrix.rows, report.nbar)),
+                n + 1,
+            )
 
     def test_every_candidate_satisfies_a_branch(self):
         rng = random.Random(44)
