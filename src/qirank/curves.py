@@ -2,9 +2,12 @@
 
 Curve coefficients are Gaussian integers; point coordinates are exact
 elements of Q(i).  Alongside the chord-tangent group law this module houses
-the complex-multiplication automorphism, the 2-isogeny pair between E_a and
-E_(-4a), the twist isomorphism E_(-4a) -> E_a, and the torsion
-classification for congruent number curves E_(g^2) with g square-free.
+``scale``, the isomorphism (x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a)
+(for j = 1728 every isomorphism has this form: Silverman, *The Arithmetic
+of Elliptic Curves*, III.1), the complex-multiplication automorphism, the
+2-isogeny pair between E_a and E_(-4a), the twist isomorphism
+E_(-4a) -> E_a, and the torsion classification for congruent number
+curves E_(g^2) with g square-free.
 
 The functions take their preconditions as given and do not check them
 again: the maps and ``is_torsion`` take points already on their curve, and
@@ -41,10 +44,6 @@ class CurvePoint:
     def affine(cls, x, y) -> "CurvePoint":
         return cls(_coerce_rat(x), _coerce_rat(y))
 
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -60,8 +59,10 @@ class CurvePoint:
         return {"x": self.x.to_json(), "y": self.y.to_json()}
 
 
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint(None, None)
 ORIGIN = CurvePoint.affine(0, 0)
+_HALF = GaussRat.of(1, 2)  # phi_dual: E_(16 alpha) -> E_alpha
+_TWIST_U = GaussRat.of(1, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
 
 
 def on_curve(alpha: GaussLike, point: CurvePoint) -> bool:
@@ -72,7 +73,17 @@ def on_curve(alpha: GaussLike, point: CurvePoint) -> bool:
     return point.y * point.y == point.x ** 3 + a * point.x
 
 
+def scale(point: CurvePoint, u: "GaussRat | GaussLike") -> CurvePoint:
+    """The isomorphism E_a -> E_(u^4 a), (x, y) -> (u^2 x, u^3 y), u nonzero in Q(i)."""
+    if point.is_infinity:
+        return point
+    u = _coerce_rat(u)
+    u_sq = u * u
+    return CurvePoint(u_sq * point.x, u_sq * u * point.y)
+
+
 def negate(point: CurvePoint) -> CurvePoint:
+    """[-1], which is scale(point, -1) written with one negation."""
     if point.is_infinity:
         return point
     return CurvePoint(point.x, -point.y)
@@ -98,20 +109,22 @@ def add(alpha: GaussLike, p: CurvePoint, q: CurvePoint) -> CurvePoint:
 
 
 def scalar_mul(alpha: GaussLike, n: int, point: CurvePoint) -> CurvePoint:
+    """n * point by left-to-right double-and-add over the bits of |n|."""
     if n < 0:
         return scalar_mul(alpha, -n, negate(point))
     acc = INFINITY
-    addend = point
-    while n:
-        if n & 1:
-            acc = add(alpha, acc, addend)
-        addend = add(alpha, addend, addend)
-        n >>= 1
+    for bit in bin(n)[2:]:
+        acc = add(alpha, acc, acc)
+        if bit == "1":
+            acc = add(alpha, acc, point)
     return acc
 
 
 def cm_apply(point: CurvePoint) -> CurvePoint:
-    """The automorphism [i]: (x, y) -> (-x, iy), fixing O and (0,0)."""
+    """The automorphism [i]: (x, y) -> (-x, iy), fixing O and (0,0).
+
+    It is scale(point, -I) in one product, not four: certify runs it.
+    """
     if point.is_infinity:
         return point
     return CurvePoint(-point.x, point.y * GaussRat.of(I))
@@ -130,30 +143,17 @@ def phi_forward(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
 
 
 def phi_dual(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
-    """The dual isogeny E_(-4 alpha) -> E_alpha.
+    """The dual isogeny E_(-4 alpha) -> E_alpha: phi_forward, then scale by 1/2.
 
     Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/(4x^2), -y(4 alpha + x^2)/(8x^2)).
     Composing with phi_forward is duplication on E_alpha.
     """
-    if point.is_infinity or point == ORIGIN:
-        return INFINITY
-    a = _coerce_rat(_coerce(alpha))
-    x_sq = point.x * point.x
-    return CurvePoint(
-        point.y * point.y / (4 * x_sq),
-        -point.y * (4 * a + x_sq) / (8 * x_sq),
-    )
+    return scale(phi_forward(-4 * _coerce(alpha), point), _HALF)
 
 
-_IOTA_X = GaussRat.of(ONE_PLUS_I * ONE_PLUS_I)   # (1+i)^2
-_IOTA_Y = GaussRat.of(ONE_PLUS_I ** 3)           # (1+i)^3
-
-
-def twist_iso(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
+def twist_iso(point: CurvePoint) -> CurvePoint:
     """The isomorphism E_(-4 alpha) -> E_alpha, (x, y) -> (x/(1+i)^2, y/(1+i)^3)."""
-    if point.is_infinity:
-        return point
-    return CurvePoint(point.x / _IOTA_X, point.y / _IOTA_Y)
+    return scale(point, _TWIST_U)
 
 
 @dataclass(frozen=True, slots=True)

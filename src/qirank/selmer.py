@@ -25,7 +25,7 @@ from .gaussian import GaussInt, GaussLike, _coerce, is_primary
 from .primes import is_gaussian_prime
 from .residues import euler_symbol, mn_invariants
 
-MAX_DIMENSION = 64  # dense bit rows; the certified family needs N = 4
+MAX_DIMENSION = 64  # caps build_L's n(n-1)/2 residue symbols; certify needs N = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,13 +144,6 @@ class DivisorClass:
 
     unit_i: bool
     indices: tuple[int, ...]
-
-    def span_vector(self, n: int) -> int:
-        """Bitmask in F2^(n+1): bit n is the unit flag, bit j-1 marks p_j."""
-        mask = sum(1 << (j - 1) for j in self.indices)
-        if self.unit_i:
-            mask |= 1 << n
-        return mask
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,7 @@ from qirank.gaussian import (
 )
 from qirank.primes import factor_primary, is_gaussian_prime
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
-from qirank.selmer import F2Matrix
+from qirank.selmer import DivisorClass, F2Matrix
 from qirank.verifier import parse_certificate
 
 _FOUR = GaussInt(4, 0)
@@ -167,6 +167,12 @@ def f2_apply(matrix: F2Matrix, v: int) -> int:
     if v >> matrix.ncols:
         raise ValueError("dimension mismatch")
     return sum((bin(r & v).count("1") & 1) << i for i, r in enumerate(matrix.rows))
+
+
+def class_mask(divisor_class: DivisorClass, n: int) -> int:
+    """A candidate class as a bitmask in F2^(n+1): bit n is the unit i, bit j-1 marks p_j."""
+    mask = sum(1 << (j - 1) for j in divisor_class.indices)
+    return mask | (divisor_class.unit_i << n)
 
 
 def is_f2_subgroup(masks) -> bool:

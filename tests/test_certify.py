@@ -26,7 +26,7 @@ from qirank.search import Box, search_region
 from qirank.selmer import rank_upper_bound
 from qirank.verifier import parse_certificate
 
-from oracles import is_f2_subgroup
+from oracles import class_mask, is_f2_subgroup
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16
@@ -79,7 +79,7 @@ class TestExpectedCandidates:
         # certify checks only candidates == EXPECTED_CANDIDATES; the group
         # property, the dimension and the rank bound follow from this constant:
         # a subgroup of four distinct elements has dimension 2
-        masks = [c.span_vector(4) for c in EXPECTED_CANDIDATES]
+        masks = [class_mask(c, 4) for c in EXPECTED_CANDIDATES]
         assert len(set(masks)) == 4
         assert is_f2_subgroup(masks)
         assert rank_upper_bound(2) == 2

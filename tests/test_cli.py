@@ -1,10 +1,13 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
+from sympy import nextprime
 
 from qirank.cli import run
+from qirank.verifier import MR_DETERMINISTIC_BOUND
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -61,6 +64,16 @@ class TestInvariantsAndFactor:
         code, lines = run_json(capsys, "factor", "-4")
         assert code == 0
         assert lines[0] == {"s": 0, "t": 4, "factors": []}
+
+    @pytest.mark.parametrize("command", ["factor", "torsion"])
+    def test_norm_above_bound_refused(self, capsys, command):
+        n = str(nextprime(10**30) * nextprime(7 * 10**30))  # 61 digits
+        start = time.monotonic()
+        code, lines = run_json(capsys, command, n)
+        assert time.monotonic() - start < 1
+        assert code == 1
+        assert lines == [{"error": f"the norm of {n} must be below "
+                                   f"{MR_DETERMINISTIC_BOUND} to be factored"}]
 
 
 class TestSelmer:

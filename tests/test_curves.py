@@ -16,6 +16,7 @@ from qirank.curves import (
     phi_dual,
     phi_forward,
     scalar_mul,
+    scale,
     torsion_subgroup,
     twist_iso,
     two_torsion_points,
@@ -44,6 +45,14 @@ def random_curve_point(rng, bound=8):
         if not alpha:
             continue
         return alpha, pt(x, x * t)
+
+
+def random_nonzero_rat(rng, bound=5):
+    while True:
+        num = GaussInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        den = GaussInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if num and den:
+            return GaussRat.of(num, den)
 
 
 def random_square_free(rng, bound=30):
@@ -91,6 +100,58 @@ class TestGroupLaw:
             lhs = add(alpha, add(alpha, p, q), r)
             rhs = add(alpha, p, add(alpha, q, r))
             assert lhs == rhs
+
+
+class TestScalarMul:
+    def test_matches_repeated_add(self):
+        rng = random.Random(64)
+        points = [random_curve_point(rng, bound=4) for _ in range(4)]
+        points.append((gi(-1), pt(I, gi(1, -1))))  # order 4
+        for alpha, p in points:
+            for n in range(-9, 10):
+                step = negate(p) if n < 0 else p
+                expected = INFINITY
+                for _ in range(abs(n)):
+                    expected = add(alpha, expected, step)
+                assert scalar_mul(alpha, n, p) == expected, n
+
+
+class TestScale:
+    def test_fixed_points(self):
+        u = GaussRat.of(gi(2, 1), gi(3))
+        assert scale(INFINITY, u) == INFINITY
+        assert scale(ORIGIN, u) == ORIGIN
+
+    def test_image_on_scaled_curve(self):
+        # for u = c/d, x = d^2 x0 and y = x t with t = d t0 lie on E_(d^4 a0),
+        # a0 = x0 (t0^2 - x0), and u^4 d^4 a0 = c^4 a0 is integral
+        rng = random.Random(66)
+        for trial in range(40):
+            u = random_nonzero_rat(rng)
+            if trial % 2:
+                u = GaussRat.of(u.num)  # integral
+            x0 = GaussInt(rng.randint(-8, 8), rng.randint(-8, 8))
+            t0 = GaussInt(rng.randint(-8, 8), rng.randint(-8, 8))
+            a0 = x0 * (t0 * t0 - x0)
+            if not a0:
+                continue
+            x, t = u.den * u.den * x0, u.den * t0
+            p = pt(x, x * t)
+            assert on_curve(u.den ** 4 * a0, p)
+            assert on_curve(u.num ** 4 * a0, scale(p, u))
+
+    def test_composition(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            _, p = random_curve_point(rng)
+            u, v = random_nonzero_rat(rng), random_nonzero_rat(rng)
+            assert scale(scale(p, u), v) == scale(p, u * v)
+
+    def test_negate_and_cm_apply_are_scale(self):
+        rng = random.Random(68)
+        for p in (INFINITY, ORIGIN) + tuple(random_curve_point(rng)[1] for _ in range(30)):
+            assert negate(p) == scale(p, -1)
+            assert cm_apply(p) == scale(p, -I)
 
 
 class TestCmApply:
@@ -156,8 +217,8 @@ class TestIsogenies:
 
 class TestTwistIso:
     def test_fixed_points(self):
-        assert twist_iso(gi(5), INFINITY) == INFINITY
-        assert twist_iso(gi(5), ORIGIN) == ORIGIN
+        assert twist_iso(INFINITY) == INFINITY
+        assert twist_iso(ORIGIN) == ORIGIN
 
     def test_round_trip(self):
         rng = random.Random(58)
@@ -166,7 +227,7 @@ class TestTwistIso:
             beta, q = random_curve_point(rng)
             # choose alpha with -4*alpha = beta when divisible, else map other way
             p = twist_iso_inv(beta, q)  # on E_(-4 beta)
-            assert twist_iso(beta, p) == q
+            assert twist_iso(p) == q
 
     def test_image_on_target(self):
         rng = random.Random(59)

@@ -1,9 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import nextprime
+from sympy import nextprime, prevprime
 
 import qirank.primes
 from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary, norm
@@ -17,6 +18,7 @@ from qirank.primes import (
     rational_prime_sieve,
     sqrt_minus_one_mod,
 )
+from qirank.verifier import MR_DETERMINISTIC_BOUND
 
 from oracles import is_square, primary_primes_up_to_norm, primes_in_box
 
@@ -158,6 +160,25 @@ class TestFactorPrimary:
             keys = [(norm(p), p.re, p.im) for p, _ in f.factors]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+
+    def test_refuses_norm_at_or_above_bound(self):
+        # the bound is 1287836182261 * 2575672364521, both primes 1 mod 4, so
+        # it is a norm; unbounded, sympy takes about half a second on it
+        at_bound = prime_above(1287836182261) * prime_above(2575672364521)
+        assert norm(at_bound) == MR_DETERMINISTIC_BOUND
+        big = gi(nextprime(10**30) * nextprime(7 * 10**30))  # 61 digits
+        start = time.monotonic()
+        for a in (at_bound, at_bound * ONE_PLUS_I, big):
+            with pytest.raises(ValueError, match="must be below"):
+                factor_primary(a)
+        assert time.monotonic() - start < 1
+
+    def test_factors_just_below_bound(self):
+        p = prevprime(MR_DETERMINISTIC_BOUND)
+        while p % 4 != 1:
+            p = prevprime(p)
+        pi = prime_above(p)
+        assert factor_primary(pi) == PrimaryFactorization(s=0, t=0, factors=((pi, 1),))
 
     def test_prime_above(self):
         for p in (5, 13, 17, 10007 * 0 + 101):

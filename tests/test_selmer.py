@@ -16,7 +16,7 @@ from qirank.selmer import (
     selmer_candidate_set,
 )
 
-from oracles import build_L_by_all_symbols, f2_apply, is_f2_subgroup
+from oracles import build_L_by_all_symbols, class_mask, f2_apply, is_f2_subgroup
 
 
 def gi(re, im=0):
@@ -48,7 +48,7 @@ def random_matrix(rng):
 
 def is_group(report):
     """The candidate classes form a subgroup of F2^(N+1) of order 2^dim."""
-    masks = {c.span_vector(len(report.primes)) for c in report.candidates}
+    masks = {class_mask(c, len(report.primes)) for c in report.candidates}
     return is_f2_subgroup(masks) and len(masks) == 1 << report.dim
 
 
@@ -312,7 +312,7 @@ class TestSelmerCandidateSet:
                 if p not in primes:
                     primes.append(p)
             report = selmer_candidate_set(primes)
-            masks = [c.span_vector(n_primes) for c in report.candidates]
+            masks = [class_mask(c, n_primes) for c in report.candidates]
             span = {0}
             for m in masks:
                 span |= {m ^ s for s in span}
