@@ -1,0 +1,66 @@
+"""Golden bytes of the CLI's small commands over a fixed input grid.
+
+Each group runs ``cli.run`` in-process on every argument list of its grid
+and hashes, per call, the argument list, the exit code, stdout and stderr.
+The digests were recorded on a tree whose normal forms (canonical and
+primary associates) were found by search, so a change to how those forms
+are computed that alters a single byte of output fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from qirank.cli import run
+from qirank.gaussian import GaussInt
+
+from oracles import primary_primes_up_to_norm
+
+PRIMES = [str(p) for p in primary_primes_up_to_norm(200)]
+
+GRIDS = {
+    "factor": [
+        ["factor", str(GaussInt(a, b))]
+        for a in range(-12, 13) for b in range(-12, 13)
+    ],
+    "torsion": [
+        ["torsion", g] for g in (
+            # square-free: units, ramified, split, inert, products
+            "1", "-1", "i", "-i", "1+i", "2+i", "-1+2i", "-1-6i", "3", "-3i",
+            "5", "6", "5-7i", "2+3i", "-21",
+            # not square-free, and zero
+            "0", "2", "-4", "4+2i", "9", "2i", "-12+5i", "25", "-1-6i*",
+        )
+    ],
+    "invariants": [["invariants", p] for p in PRIMES]
+    + [["invariants", a] for a in ("1", "3+2i", "2+i", "1+i", "i", "0")],
+    "symbol": [
+        ["symbol", a, p]
+        for p in PRIMES
+        for a in PRIMES[:12] + ["1", "i", "-1", "1+i", "2"]
+        if a != p
+    ],
+    "selmer": [["selmer", "-1+26i", "-1-6i", "31-6i", "31+26i"]],
+}
+
+DIGESTS = {
+    "factor": "e622da0f026033e8b2aab71f71b7daed8d7eaf75702a1ce7d25beef16687536c",
+    "torsion": "01b2008ce142f77bd467024cfb9d12a1958ecfafd883185fe90901c2c228fb7d",
+    "invariants": "352f932cb79ae81855b777ec57695d64e792db9a84b7e317561465e11cbd279e",
+    "symbol": "53c21f60ed3c643ce93371ce2b4fc716cb3ee35f545846efa85ca0f09ef0d1c3",
+    "selmer": "00ba6254b587a6d0fbc826506c2d92db365f250cfe5f9e0b40406bbf77aa6a08",
+}
+
+
+def grid_digest(capsys, grid):
+    h = hashlib.sha256()
+    for argv in grid:
+        code = run(argv)
+        captured = capsys.readouterr()
+        h.update(f"{argv!r}\n{code}\n{captured.out}\n{captured.err}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(GRIDS))
+def test_cli_bytes_unchanged(capsys, group):
+    assert grid_digest(capsys, GRIDS[group]) == DIGESTS[group]
