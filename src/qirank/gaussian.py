@@ -4,6 +4,9 @@ Everything here is integer-exact: no floats anywhere.  The two value types
 are ``GaussInt`` (a + bi with arbitrary-precision integer parts) and
 ``GaussRat`` (a reduced fraction of two GaussInts, the coordinate field for
 curve points).  All values are immutable and safe to share across threads.
+Normal forms are read off the element, not searched for: ``odd_part``
+strips the powers of 1+i in one pass, and the unit that makes an odd
+element primary comes from its residue mod 4.
 """
 
 from __future__ import annotations
@@ -154,13 +157,6 @@ def _coerce(x: GaussLike) -> GaussInt | None:
     return None
 
 
-def norm(alpha: GaussLike) -> int:
-    a = _coerce(alpha)
-    if a is None:
-        raise TypeError(f"expected GaussInt or int, got {type(alpha).__name__}")
-    return a.norm()
-
-
 def divmod_nearest(n: GaussLike, d: GaussLike) -> tuple[GaussInt, GaussInt]:
     """Euclidean division n = q*d + r with norm(r) <= norm(d)/2.
 
@@ -197,54 +193,47 @@ def exact_div(a: GaussLike, d: GaussLike) -> GaussInt:
     return q
 
 
-def ram_valuation(alpha: GaussLike) -> int:
-    """Largest t with (1+i)**t dividing alpha (alpha != 0)."""
+def odd_part(alpha: GaussLike) -> tuple[int, GaussInt]:
+    """(t, u) with alpha = (1+i)**t * u and u odd (alpha != 0)."""
     a = _coerce(alpha)
     if not a:
-        raise ValueError("ram_valuation is undefined at zero")
+        raise ValueError("odd_part is undefined at zero")
     t = 0
     re, im = a.re, a.im
     while (re + im) % 2 == 0:
         # division by 1+i: (re+im)/2 + ((im-re)/2) i
         re, im = (re + im) // 2, (im - re) // 2
         t += 1
-    return t
+    return t, GaussInt(re, im)
 
 
-_ONE_PLUS_I_CUBED = ONE_PLUS_I ** 3  # -2 + 2i
+# s with alpha = i**s * (a primary element), keyed by the odd alpha's residue
+# mod 4.  Primary means 1 mod (1+i)**3; mod 4 = -(1+i)**4 that is 1 or 3+2i.
+_PRIMARY_UNIT = {
+    ((u * r).re % 4, (u * r).im % 4): s
+    for s, u in enumerate(I_POWERS)
+    for r in (ONE, GaussInt(3, 2))
+}
 
 
 def is_primary(alpha: GaussLike) -> bool:
     """True iff alpha is congruent to 1 mod (1+i)**3."""
     a = _coerce(alpha)
-    return divides(_ONE_PLUS_I_CUBED, a - ONE)
+    return _PRIMARY_UNIT.get((a.re % 4, a.im % 4)) == 0
 
 
 def primary_associate(alpha: GaussLike) -> tuple[GaussInt, int]:
     """Return (a_plus, s) with alpha = i**s * a_plus and a_plus primary.
 
     Exactly one of the four associates of an odd element is congruent to 1
-    mod (1+i)**3; units normalize to (1, s).  Even input is an error.
+    mod (1+i)**3, and s is read off alpha's residue mod 4; units normalize
+    to (1, s).  Even input, zero included, is an error.
     """
     a = _coerce(alpha)
-    if not a:
-        raise ValueError("primary_associate is undefined at zero")
-    if not a.is_odd():
+    s = _PRIMARY_UNIT.get((a.re % 4, a.im % 4))
+    if s is None:
         raise ValueError(f"{a} is divisible by 1+i; no primary associate exists")
-    for s in range(4):
-        candidate = a * I_POWERS[(4 - s) % 4]  # alpha * i**(-s)
-        if is_primary(candidate):
-            return candidate, s
-    raise AssertionError(f"no primary associate found for {a}")  # unreachable
-
-
-def unit_log(u: GaussLike) -> int:
-    """s with u = i**s, for a unit u."""
-    v = _coerce(u)
-    for s, p in enumerate(I_POWERS):
-        if v == p:
-            return s
-    raise ValueError(f"{u} is not a unit")
+    return a * I_POWERS[-s], s
 
 
 def canonical_associate(alpha: GaussLike) -> GaussInt:
@@ -254,13 +243,8 @@ def canonical_associate(alpha: GaussLike) -> GaussInt:
     odd part replaced by its primary associate.  Serves as the normal form
     for gcd results.
     """
-    a = _coerce(alpha)
-    if not a:
-        raise ValueError("zero has no canonical associate")
-    t = ram_valuation(a)
-    u = exact_div(a, ONE_PLUS_I ** t)
-    u_plus, _ = primary_associate(u)
-    return (ONE_PLUS_I ** t) * u_plus
+    t, u = odd_part(alpha)
+    return ONE_PLUS_I ** t * primary_associate(u)[0]
 
 
 def gcd(alpha: GaussLike, beta: GaussLike) -> GaussInt:
@@ -315,10 +299,9 @@ class GaussRat:
             return cls(ZERO, ONE)
         g = gcd(n, d)
         n, d = exact_div(n, g), exact_div(d, g)
-        # rotate by a unit so the denominator is canonical
-        t = ram_valuation(d)
-        _, s = primary_associate(exact_div(d, ONE_PLUS_I ** t))
-        w = I_POWERS[(4 - s) % 4]
+        # rotate by the unit that makes the denominator canonical
+        _, s = primary_associate(odd_part(d)[1])
+        w = I_POWERS[-s]
         return cls(n * w, d * w)
 
     def __str__(self) -> str:

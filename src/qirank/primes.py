@@ -32,9 +32,7 @@ from .gaussian import (
     divides,
     exact_div,
     gcd,
-    primary_associate,
-    ram_valuation,
-    unit_log,
+    odd_part,
 )
 from .verifier import MR_BASES, MR_DETERMINISTIC_BOUND, is_strong_probable_prime
 
@@ -154,8 +152,7 @@ def factor_primary(alpha: GaussLike) -> PrimaryFactorization:
     if a.norm() >= MR_DETERMINISTIC_BOUND:
         raise ValueError(f"the norm of {a} must be below {MR_DETERMINISTIC_BOUND} "
                          f"to be factored")
-    t = ram_valuation(a)
-    u = exact_div(a, ONE_PLUS_I ** t)
+    t, u = odd_part(a)
     factors: list[tuple[GaussInt, int]] = []
     for p, e in sorted(factorint(u.norm()).items()):
         if p % 4 == 3:
@@ -166,15 +163,14 @@ def factor_primary(alpha: GaussLike) -> PrimaryFactorization:
             u = exact_div(u, GaussInt(-p, 0) ** (e // 2))
         else:
             pi = prime_above(p)
-            for q in (pi, pi.conj()):
-                q_plus, _ = primary_associate(q)
+            for q in (pi, pi.conj()):  # conjugation fixes 1 and 3+2i mod 4
                 mult = 0
-                while divides(q_plus, u):
-                    u = exact_div(u, q_plus)
+                while divides(q, u):
+                    u = exact_div(u, q)
                     mult += 1
                 if mult:
-                    factors.append((q_plus, mult))
-    s = unit_log(u)
+                    factors.append((q, mult))
+    s = I_POWERS.index(u)
     factors.sort(key=lambda fe: (fe[0].norm(), fe[0].re, fe[0].im))
     return PrimaryFactorization(s=s, t=t, factors=tuple(factors))
 

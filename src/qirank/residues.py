@@ -20,7 +20,6 @@ from .gaussian import (
     _coerce,
     divides,
     mod_pow,
-    norm,
 )
 from .primes import is_gaussian_prime
 
@@ -80,7 +79,7 @@ def euler_symbol(alpha: GaussLike, p: GaussLike) -> int:
         raise ValueError(f"{p} is even (the symbol needs an odd prime)")
     if divides(q, a):
         raise ValueError(f"{p} divides {alpha}")
-    r = mod_pow(a, (norm(q) - 1) // 2, q)
+    r = mod_pow(a, (q.norm() - 1) // 2, q)
     if r == ONE:
         return 1
     if r == -ONE:

@@ -109,41 +109,39 @@ def constellation_at(beta: GaussLike, k: int) -> Union[ConstellationHit, Rejecti
     return ConstellationHit(beta=b, k=k, primes=values)
 
 
-def _k_values(k_range: tuple[int, int]) -> list[int]:
-    lo, hi = k_range
-    start = lo + (-lo) % 8
-    return [k for k in range(start, hi + 1, 8) if k != 0]
-
-
 def _scan_shard(
     args: tuple[int, int, int, int, int, int]
 ) -> tuple[list[tuple[int, int, int]], int, int]:
     """Worker: scan one sub-box; returns (hits, candidates, filter passes).
 
-    Only residue-passing pairs are visited: for each beta class, re and im
-    step through the class by 16.  A pair then needs the norms of its four
-    values, (a -+ k)^2 + (b +- k)^2 in j-order, to pass the first primality
-    stage, ``is_base2_probable_prime`` (exact for values in the target
-    class, see the module docstring), tested on plain ints with the first
-    failure ending the pair.  Only the pairs that pass get the full
+    Only residue-passing pairs are visited: for each beta class, k steps
+    by 16 through its class mod 16 (k = 0 skipped), and re and im through
+    the beta class; all three are lazy ranges whose lengths give the
+    counts.  A pair then needs the norms of its four values,
+    (a -+ k)^2 + (b +- k)^2 in j-order, to pass the first primality stage,
+    ``is_base2_probable_prime`` (exact for values in the target class, see
+    the module docstring), tested on plain ints with the first failure
+    ending the pair.  Only the pairs that pass get the full
     ``constellation_at`` check, which proves the four norms prime.  k is
     the outer loop, so the im-parts (b +- k)^2 are computed once per k; the
     order of the hits is left to the caller.
     """
     re_lo, re_hi, im_lo, im_hi, k_lo, k_hi = args
-    ks = _k_values((k_lo, k_hi))
-    candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * len(ks)
     hits: list[tuple[int, int, int]] = []
-    passes = 0
+    k_count = passes = 0
     stage = is_base2_probable_prime
-    for (cre, cim), class_ks in (
-        (_BETA_CLASS_K0, [k for k in ks if k % 16 == 0]),
-        (_BETA_CLASS_K8, [k for k in ks if k % 16 != 0]),
-    ):
+    for (cre, cim), k_class in ((_BETA_CLASS_K0, 0), (_BETA_CLASS_K8, 8)):
+        ks = range(k_lo + (k_class - k_lo) % 16, k_hi + 1, 16)
+        class_k_count = len(ks) - (0 in ks)
+        k_count += class_k_count
         res = range(re_lo + (cre - re_lo) % 16, re_hi + 1, 16)
         ims = range(im_lo + (cim - im_lo) % 16, im_hi + 1, 16)
-        passes += len(res) * len(ims) * len(class_ks)
-        for k in class_ks:
+        if not res or not ims:
+            continue
+        passes += len(res) * len(ims) * class_k_count
+        for k in ks:
+            if k == 0:
+                continue
             columns = [(b, (b + k) * (b + k), (b - k) * (b - k)) for b in ims]
             for a in res:
                 am2 = (a - k) * (a - k)
@@ -154,6 +152,7 @@ def _scan_shard(
                         result = constellation_at(GaussInt(a, b), k)
                         if isinstance(result, ConstellationHit):
                             hits.append((a, b, k))
+    candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * k_count
     return hits, candidates, passes
 
 

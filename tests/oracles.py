@@ -19,8 +19,6 @@ from qirank.gaussian import (
     ONE_PLUS_I,
     _coerce,
     divides,
-    is_primary,
-    norm,
 )
 from qirank.primes import factor_primary, is_gaussian_prime
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
@@ -29,7 +27,17 @@ from qirank.verifier import parse_certificate
 
 _FOUR = GaussInt(4, 0)
 _THREE_PLUS_2I = GaussInt(3, 2)
+_ONE_PLUS_I_CUBED = ONE_PLUS_I ** 3  # -2 + 2i
 _MODULUS_7 = ONE_PLUS_I ** 7  # 8 - 8i
+
+
+def is_primary_by_division(alpha: GaussLike) -> bool:
+    """The definition of primary: alpha = 1 mod (1+i)**3, tested by division.
+
+    Validates the residue-mod-4 lookup behind ``is_primary`` and
+    ``primary_associate``.
+    """
+    return divides(_ONE_PLUS_I_CUBED, _coerce(alpha) - 1)
 
 
 def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
@@ -42,7 +50,7 @@ def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
         raise ValueError(f"{p} is not an odd Gaussian prime")
     if divides(q, a):
         raise ValueError(f"{p} divides {alpha}")
-    n = norm(q)
+    n = q.norm()
     if q.re != 0 and q.im != 0:
         # split: Z[i]/(q) = F_p via i -> r with q.re + q.im * r = 0 mod p
         r = (-q.re * pow(q.im, -1, n)) % n
@@ -67,7 +75,7 @@ def mn_invariants_by_search(alpha: GaussLike) -> MNInvariant:
     classes mod (1+i)^7 has order 16, so exactly one product must match.
     """
     a = _coerce(alpha)
-    if not a or not a.is_odd() or not is_primary(a):
+    if not a or not a.is_odd() or not is_primary_by_division(a):
         raise ValueError(f"{alpha} is not primary")
     hits = [
         MNInvariant(m, n)
@@ -123,7 +131,7 @@ def primary_primes_up_to_norm(bound: int) -> list[GaussInt]:
         r += 1
     found = [
         p for p in primes_in_box((-r, r), (-r, r))
-        if p.norm() < bound and p.is_odd() and is_primary(p)
+        if p.norm() < bound and p.is_odd() and is_primary_by_division(p)
     ]
     found.sort(key=lambda p: (p.norm(), p.re, p.im))
     return found

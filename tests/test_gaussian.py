@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qirank.gaussian import (
     GaussInt,
@@ -11,14 +12,16 @@ from qirank.gaussian import (
     canonical_associate,
     divides,
     divmod_nearest,
+    exact_div,
     gcd,
     is_primary,
     mod_pow,
-    norm,
+    odd_part,
     primary_associate,
-    ram_valuation,
 )
 from qirank.verifier import _read_beta_k
+
+from oracles import is_primary_by_division
 
 
 def gi(re, im=0):
@@ -31,19 +34,19 @@ def random_gauss(rng, bound=10**6):
 
 class TestNorm:
     def test_values(self):
-        assert norm(gi(3, 2)) == 13
-        assert norm(gi(-1, -6)) == 37
-        assert norm(gi(0, 0)) == 0
+        assert gi(3, 2).norm() == 13
+        assert gi(-1, -6).norm() == 37
+        assert gi(0, 0).norm() == 0
 
     def test_multiplicative(self):
         rng = random.Random(1)
         for _ in range(200):
             a, b = random_gauss(rng), random_gauss(rng)
-            assert norm(a * b) == norm(a) * norm(b)
+            assert (a * b).norm() == a.norm() * b.norm()
 
     def test_zero_iff_zero(self):
-        assert norm(gi(0)) == 0
-        assert norm(gi(0, 1)) > 0
+        assert gi(0).norm() == 0
+        assert gi(0, 1).norm() > 0
 
 
 class TestDivmodNearest:
@@ -65,7 +68,7 @@ class TestDivmodNearest:
                 continue
             q, r = divmod_nearest(n, d)
             assert q * d + r == n
-            assert 2 * norm(r) <= norm(d)
+            assert 2 * r.norm() <= d.norm()
 
 
 class TestGcd:
@@ -97,23 +100,29 @@ class TestGcd:
 
 class TestRamValuation:
     def test_known_values(self):
-        assert ram_valuation(gi(8)) == 6
-        assert ram_valuation(gi(1, 1)) == 1
-        assert ram_valuation(gi(3)) == 0
+        assert odd_part(gi(8)) == (6, I)  # 8 = (1+i)**6 * i
+        assert odd_part(gi(1, 1)) == (1, ONE)
+        assert odd_part(gi(3)) == (0, gi(3))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            ram_valuation(gi(0))
+            odd_part(gi(0))
 
     def test_exactness(self):
         rng = random.Random(5)
-        for _ in range(100):
-            a = random_gauss(rng, 1000)
+        for _ in range(300):
+            a = random_gauss(rng, 1000) * ONE_PLUS_I ** rng.randint(0, 40)
             if not a:
                 continue
-            t = ram_valuation(a)
-            assert divides(ONE_PLUS_I ** t, a)
+            t, u = odd_part(a)
+            assert ONE_PLUS_I ** t * u == a
+            assert u.is_odd()
             assert not divides(ONE_PLUS_I ** (t + 1), a)
+            s, v = 0, a
+            while divides(ONE_PLUS_I, v):
+                v = exact_div(v, ONE_PLUS_I)
+                s += 1
+            assert (t, u) == (s, v)
 
 
 class TestPrimaryAssociate:
@@ -161,6 +170,30 @@ class TestPrimaryAssociate:
             bp, _ = primary_associate(b)
             assert is_primary(ap * bp)
             checked += 1
+
+    @pytest.mark.parametrize("shift", [0, 16 * 10**30, -16 * 10**30])
+    def test_every_residue_mod_16_against_oracle(self, shift):
+        # shift 0 includes zero, which is even and has no primary associate
+        for re in range(16):
+            for im in range(16):
+                a = gi(re + shift, im - shift)
+                assert is_primary(a) == is_primary_by_division(a)
+                if not a.is_odd():
+                    with pytest.raises(ValueError, match="divisible by 1\\+i"):
+                        primary_associate(a)
+                    continue
+                a_plus, s = primary_associate(a)
+                assert is_primary_by_division(a_plus)
+                assert I ** s * a_plus == a
+
+    @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+    def test_large_parts_against_oracle(self, re, im):
+        a = gi(re, im)
+        assert is_primary(a) == is_primary_by_division(a)
+        if a.is_odd():
+            a_plus, s = primary_associate(a)
+            assert is_primary_by_division(a_plus)
+            assert I ** s * a_plus == a
 
 
 class TestModPow:
@@ -275,3 +308,14 @@ class TestGaussRat:
         assert GaussRat.of(gi(4, 2), gi(1, 1)).den == ONE
         assert GaussRat.of(gi(4, 2), gi(1, 1)).num == gi(3, -1)
         assert GaussRat.of(1, 2).den != ONE
+
+    def test_denominator_is_canonical(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            n = random_gauss(rng, 10**6)
+            d = random_gauss(rng, 10**3) * ONE_PLUS_I ** rng.randint(0, 6)
+            if not d:
+                continue
+            q = GaussRat.of(n, d)
+            assert q.den == canonical_associate(q.den)
+            assert n * q.den == q.num * d

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import nextprime, prevprime
 
 import qirank.primes
-from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary, norm
+from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary
 from qirank.primes import (
     PrimaryFactorization,
     factor_primary,
@@ -105,7 +105,7 @@ class TestIsGaussianPrime:
             a = GaussInt(rng.randint(-500, 500), rng.randint(-500, 500))
             if a.re == 0 or a.im == 0:
                 continue
-            assert is_gaussian_prime(a) == is_rational_prime(norm(a))
+            assert is_gaussian_prime(a) == is_rational_prime(a.norm())
 
     def test_inert_cases(self):
         assert is_gaussian_prime(gi(0, 7))
@@ -157,7 +157,7 @@ class TestFactorPrimary:
             if not a:
                 continue
             f = factor_primary(a)
-            keys = [(norm(p), p.re, p.im) for p, _ in f.factors]
+            keys = [(p.norm(), p.re, p.im) for p, _ in f.factors]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
@@ -165,7 +165,7 @@ class TestFactorPrimary:
         # the bound is 1287836182261 * 2575672364521, both primes 1 mod 4, so
         # it is a norm; unbounded, sympy takes about half a second on it
         at_bound = prime_above(1287836182261) * prime_above(2575672364521)
-        assert norm(at_bound) == MR_DETERMINISTIC_BOUND
+        assert at_bound.norm() == MR_DETERMINISTIC_BOUND
         big = gi(nextprime(10**30) * nextprime(7 * 10**30))  # 61 digits
         start = time.monotonic()
         for a in (at_bound, at_bound * ONE_PLUS_I, big):
@@ -183,7 +183,7 @@ class TestFactorPrimary:
     def test_prime_above(self):
         for p in (5, 13, 17, 10007 * 0 + 101):
             pi = prime_above(p)
-            assert norm(pi) == p
+            assert pi.norm() == p
             assert is_primary(pi)
             assert is_gaussian_prime(pi)
 
@@ -247,7 +247,7 @@ class TestPrimaryPrimesUpToNorm:
     def test_contents(self):
         ps = primary_primes_up_to_norm(200)
         assert all(is_primary(p) and is_gaussian_prime(p) for p in ps)
-        assert all(norm(p) < 200 for p in ps)
+        assert all(p.norm() < 200 for p in ps)
         assert gi(-1, -2) in ps and gi(-1, 2) in ps and gi(-3) in ps
         # split p = 1 mod 4 contributes two primary primes, inert q contributes -q
         split_count = sum(1 for p in ps if p.im != 0)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,30 @@ class TestScanKernel:
         is_hit = isinstance(constellation_at(GaussInt(a, b), k), ConstellationHit)
         assert (candidates, passes) == (1, 1)
         assert hits == ([(a, b, k)] if is_hit else [])
+
+    def test_wide_k_range_is_streamed(self):
+        tracemalloc.start()
+        try:
+            result = _scan_shard((0, 0, 0, 0, -10**6, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == ([], 250000, 0)
+        assert peak < 10**6
+
+    def test_counts_match_brute_force(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            re_lo, im_lo, k_lo = (rng.randint(-100, 100) for _ in range(3))
+            region = (re_lo, re_lo + rng.randint(-3, 40),
+                      im_lo, im_lo + rng.randint(-3, 40),
+                      k_lo, k_lo + rng.randint(-20, 120))
+            betas = [GaussInt(a, b) for a in range(region[0], region[1] + 1)
+                     for b in range(region[2], region[3] + 1)]
+            ks = [k for k in range(region[4], region[5] + 1) if k % 8 == 0 and k]
+            _, candidates, passes = _scan_shard(region)
+            assert candidates == len(betas) * len(ks)
+            assert passes == sum(residue_prefilter(b, k) for b in betas for k in ks)
 
 
 class TestWorkerPool:
