@@ -3,8 +3,10 @@
 Each group runs ``cli.run`` in-process on every argument list of its grid
 and hashes, per call, the argument list, the exit code, stdout and stderr.
 The digests were recorded on a tree whose normal forms (canonical and
-primary associates) were found by search, so a change to how those forms
-are computed that alters a single byte of output fails here.
+primary associates) were found by search, and whose ``stats`` census
+tested every lattice point of the box one by one, so a change to how those
+forms or counts are computed that alters a single byte of output fails
+here.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ GRIDS = {
         if a != p
     ],
     "selmer": [["selmer", "-1+26i", "-1-6i", "31-6i", "31+26i"]],
+    "stats": [["stats", "--box", str(b)] for b in (0, 1, 2, 3, 15, 16, 17, 64, 200)],
 }
 
 DIGESTS = {
@@ -49,6 +52,7 @@ DIGESTS = {
     "invariants": "352f932cb79ae81855b777ec57695d64e792db9a84b7e317561465e11cbd279e",
     "symbol": "53c21f60ed3c643ce93371ce2b4fc716cb3ee35f545846efa85ca0f09ef0d1c3",
     "selmer": "00ba6254b587a6d0fbc826506c2d92db365f250cfe5f9e0b40406bbf77aa6a08",
+    "stats": "a69dcb2785d420c6bc7943d8b9b8e12edb2c160d406da14e129035c59ba64d88",
 }
 
 
