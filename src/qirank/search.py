@@ -264,34 +264,75 @@ class DensityStats:
         return total
 
 
+def _abs_range(lo: int, hi: int) -> tuple[int, int]:
+    """The least and greatest |v| over the nonempty range lo..hi."""
+    if lo <= 0 <= hi:
+        return 0, max(-lo, hi)
+    return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
+
+
 def prime_density_stats(box: Box) -> DensityStats:
-    """Exact per-class prime counts over the box (sieve-backed, no floats)."""
-    max_re = max(abs(box.re_min), abs(box.re_max), 1)
-    max_im = max(abs(box.im_min), abs(box.im_max), 1)
-    limit = max_re * max_re + max_im * max_im
-    sieve = rational_prime_sieve(limit)
-    counts: dict[tuple[int, int], int] = {}
-    total = 0
-    for a in range(box.re_min, box.re_max + 1):
-        aa = a * a
-        for b in range(box.im_min, box.im_max + 1):
-            n = aa + b * b
-            if n < 2:
-                continue
-            if sieve[n]:
-                prime = True
-            elif (a == 0 or b == 0) and abs(a or b) % 4 == 3 and sieve[abs(a or b)]:
-                prime = True
-            else:
-                prime = False
-            if not prime:
-                continue
-            total += 1
-            if n % 2 == 1:  # odd primes lie in invertible classes mod 16
-                key = (a % 16, b % 16)
-                counts[key] = counts.get(key, 0) + 1
+    """Exact per-class prime counts over the box (sieve-backed, no floats).
+
+    Whether a + bi is prime depends only on (|a|, |b|): off the axes it is
+    prime iff a^2 + b^2 is a rational prime, and on an axis iff the nonzero
+    coordinate is, up to sign, a rational prime q = 3 mod 4.  So the census
+    builds one row of flags per x = |a| over y = |b|, and a and -a share
+    it.  An odd prime has norm x^2 + y^2 odd, so a row reads the sieve only
+    at the y of the other parity than x; that also leaves out the associates
+    of 1+i (norm 2), which count in the total but lie in no invertible
+    class, and are added to the total by hand.  In a row, the b >= 0 of one
+    class mod 16 sit at y stepping by 16, and so do the b < 0, at y = -b;
+    each class count of a row is two strided byte counts.
+    """
+    target = (TARGET_CLASS.re % 16, TARGET_CLASS.im % 16)
+    if box.re_max < box.re_min or box.im_max < box.im_min:
+        return DensityStats(total_primes=0, class_counts={}, target_class=target)
+    x_lo, x_hi = _abs_range(box.re_min, box.re_max)
+    y_lo, y_hi = _abs_range(box.im_min, box.im_max)
+    sieve = rational_prime_sieve(max(x_hi, 1) ** 2 + max(y_hi, 1) ** 2)
+    # axis[q] == 1 iff q and qi are Gaussian primes: q prime, q = 3 mod 4
+    axis = sieve[: max(x_hi, y_hi) + 1]
+    for r in (0, 1, 2):
+        axis[r::4] = bytes(len(range(r, len(axis), 4)))
+
+    def strided(lo: int, hi: int, r: int) -> slice:
+        """Row positions of the y in lo..hi with y = r mod 16."""
+        if hi < lo:
+            return slice(0, 0)
+        return slice(lo + (r - lo) % 16 - y_lo, hi + 1 - y_lo, 16)
+
+    # per class c mod 16: the b >= 0 at y = b, the b < 0 at y = -b
+    slices = [
+        (strided(max(box.im_min, 0), box.im_max, c),
+         strided(max(-box.im_max, 1), -box.im_min, -c))
+        for c in range(16)
+    ]
+    width = y_hi - y_lo + 1
+    # by parity p of y: the row position of the first such y, and every y^2
+    first = [(y_lo - p) % 2 for p in (0, 1)]
+    squares = [[y * y for y in range(y_lo + first[p], y_hi + 1, 2)] for p in (0, 1)]
+    acc = [[0] * 16 for _ in range(16)]
+    for x in range(x_lo, x_hi + 1):
+        if x == 0:
+            row = axis[y_lo : y_hi + 1]
+        else:
+            xx = x * x
+            p = 1 - x % 2  # x^2 + y^2 is odd for the y of parity p
+            row = bytearray(width)
+            row[first[p] :: 2] = bytearray([sieve[xx + yy] for yy in squares[p]])
+            if y_lo == 0:
+                row[0] = axis[x]
+        counts_x = [row[pos].count(1) + row[neg].count(1) for pos, neg in slices]
+        for a in {x, -x}:
+            if box.re_min <= a <= box.re_max:
+                acc[a % 16] = [m + n for m, n in zip(acc[a % 16], counts_x)]
+    counts = {(r, c): n for r, by_c in enumerate(acc) for c, n in enumerate(by_c) if n}
+    units = (-1, 1)
+    norm_two = sum(box.re_min <= a <= box.re_max for a in units) * sum(
+        box.im_min <= b <= box.im_max for b in units)
     return DensityStats(
-        total_primes=total,
+        total_primes=sum(counts.values()) + norm_two,
         class_counts=counts,
-        target_class=(TARGET_CLASS.re % 16, TARGET_CLASS.im % 16),
+        target_class=target,
     )

@@ -20,7 +20,7 @@ from qirank.gaussian import (
     _coerce,
     divides,
 )
-from qirank.primes import factor_primary, is_gaussian_prime
+from qirank.primes import factor_primary, is_gaussian_prime, rational_prime_sieve
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 from qirank.selmer import DivisorClass, F2Matrix
 from qirank.verifier import parse_certificate
@@ -122,6 +122,39 @@ def primes_in_box(
             alpha = GaussInt(a, b)
             if is_gaussian_prime(alpha):
                 yield alpha
+
+
+def density_by_point(box: search.Box) -> search.DensityStats:
+    """The census of ``prime_density_stats``, one lattice point at a time."""
+    max_re = max(abs(box.re_min), abs(box.re_max), 1)
+    max_im = max(abs(box.im_min), abs(box.im_max), 1)
+    limit = max_re * max_re + max_im * max_im
+    sieve = rational_prime_sieve(limit)
+    counts: dict[tuple[int, int], int] = {}
+    total = 0
+    for a in range(box.re_min, box.re_max + 1):
+        aa = a * a
+        for b in range(box.im_min, box.im_max + 1):
+            n = aa + b * b
+            if n < 2:
+                continue
+            if sieve[n]:
+                prime = True
+            elif (a == 0 or b == 0) and abs(a or b) % 4 == 3 and sieve[abs(a or b)]:
+                prime = True
+            else:
+                prime = False
+            if not prime:
+                continue
+            total += 1
+            if n % 2 == 1:  # odd primes lie in invertible classes mod 16
+                key = (a % 16, b % 16)
+                counts[key] = counts.get(key, 0) + 1
+    return search.DensityStats(
+        total_primes=total,
+        class_counts=counts,
+        target_class=(search.TARGET_CLASS.re % 16, search.TARGET_CLASS.im % 16),
+    )
 
 
 def primary_primes_up_to_norm(bound: int) -> list[GaussInt]:

@@ -28,7 +28,8 @@ from qirank.search import (
     search_region,
 )
 
-from oracles import residue_prefilter
+import oracles
+from oracles import density_by_point, residue_prefilter
 
 # first hit of the canonical expanding schedule; frozen regression constant
 FROZEN_BETA = GaussInt(15, 10)
@@ -402,3 +403,64 @@ class TestDensityStats:
         # associate symmetry: the four counts agree exactly (multiplication
         # by i permutes the prime set and the classes)
         assert len(set(per_class)) == 1
+
+    def test_empty_box_sieves_nothing(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sieved up to {limit} for an empty box")
+
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse)
+        for box in (Box(3000, 0, 0, 0), Box(10**5, 0, 0, 0), Box(0, 0, 10**5, 0),
+                    Box(1, 0, 1, 0), Box(-5, 5, 2, -2)):
+            stats = prime_density_stats(box)
+            assert (stats.total_primes, stats.class_counts) == (0, {})
+            assert stats.target_class == (15, 10)
+
+
+def _census_axis(rng):
+    """An inclusive range of width -2..60 that is negative, positive or holds 0."""
+    width = rng.randint(-2, 60)
+    offset = rng.choice((rng.randint(1, 3), rng.randint(1, 64), rng.randint(1, 3000)))
+    side = rng.choice(("neg", "pos", "zero"))
+    if side == "neg":
+        hi = -offset
+    elif side == "pos":
+        hi = offset + width - 1
+    else:
+        hi = rng.randint(0, max(width - 1, 0))
+    return hi - width + 1, hi
+
+
+CENSUS_BOXES = [
+    Box(0, 0, 0, 0),
+    Box(-1, 1, -1, 1),
+    Box(1, 1, 1, 1),
+    Box(-1, -1, -3, 1),
+    Box(1, 7, -1, 0),
+    Box(2, 9, -1, 1),
+    Box(-3, 3, 2, 40),
+    Box(-1016, 984, -968, 1032),
+]
+
+
+def test_census_matches_point_by_point_oracle(monkeypatch):
+    rng = random.Random(20240615)
+    boxes = CENSUS_BOXES + [
+        Box(*_census_axis(rng), *_census_axis(rng)) for _ in range(640)
+    ]
+    # one sieve for every box: each call gets an exact-length copy of its prefix
+    full = qirank.search.rational_prime_sieve(2 * 3062**2)
+
+    def prefix(limit):
+        return full[: limit + 1]
+
+    monkeypatch.setattr(qirank.search, "rational_prime_sieve", prefix)
+    monkeypatch.setattr(oracles, "rational_prime_sieve", prefix)
+    with_norm_two = 0
+    for box in boxes:
+        stats = prime_density_stats(box)
+        expected = density_by_point(box)
+        assert stats.total_primes == expected.total_primes, box
+        assert stats.class_counts == expected.class_counts, box
+        assert 0 not in stats.class_counts.values(), box
+        with_norm_two += stats.total_primes > sum(stats.class_counts.values())
+    assert 0 < with_norm_two < len(boxes)
