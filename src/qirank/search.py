@@ -320,7 +320,7 @@ def prime_density_stats(box: Box) -> DensityStats:
             xx = x * x
             p = 1 - x % 2  # x^2 + y^2 is odd for the y of parity p
             row = bytearray(width)
-            row[first[p] :: 2] = bytearray([sieve[xx + yy] for yy in squares[p]])
+            row[first[p] :: 2] = [sieve[xx + yy] for yy in squares[p]]
             if y_lo == 0:
                 row[0] = axis[x]
         counts_x = [row[pos].count(1) + row[neg].count(1) for pos, neg in slices]

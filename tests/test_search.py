@@ -415,6 +415,30 @@ class TestDensityStats:
             assert (stats.total_primes, stats.class_counts) == (0, {})
             assert stats.target_class == (15, 10)
 
+    def test_matches_point_by_point_oracle(self, monkeypatch):
+        rng = random.Random(20240615)
+        boxes = CENSUS_BOXES + [
+            Box(*_census_axis(rng), *_census_axis(rng)) for _ in range(640)
+        ]
+        # one sieve for every box (sieving each box afresh would take minutes):
+        # each call gets an exact-length copy of its prefix
+        full = qirank.search.rational_prime_sieve(2 * 3062**2)
+
+        def prefix(limit):
+            return full[: limit + 1]
+
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", prefix)
+        monkeypatch.setattr(oracles, "rational_prime_sieve", prefix)
+        with_norm_two = 0
+        for box in boxes:
+            stats = prime_density_stats(box)
+            expected = density_by_point(box)
+            assert stats.total_primes == expected.total_primes, box
+            assert stats.class_counts == expected.class_counts, box
+            assert 0 not in stats.class_counts.values(), box
+            with_norm_two += stats.total_primes > sum(stats.class_counts.values())
+        assert 0 < with_norm_two < len(boxes)
+
 
 def _census_axis(rng):
     """An inclusive range of width -2..60 that is negative, positive or holds 0."""
@@ -441,26 +465,3 @@ CENSUS_BOXES = [
     Box(-1016, 984, -968, 1032),
 ]
 
-
-def test_census_matches_point_by_point_oracle(monkeypatch):
-    rng = random.Random(20240615)
-    boxes = CENSUS_BOXES + [
-        Box(*_census_axis(rng), *_census_axis(rng)) for _ in range(640)
-    ]
-    # one sieve for every box: each call gets an exact-length copy of its prefix
-    full = qirank.search.rational_prime_sieve(2 * 3062**2)
-
-    def prefix(limit):
-        return full[: limit + 1]
-
-    monkeypatch.setattr(qirank.search, "rational_prime_sieve", prefix)
-    monkeypatch.setattr(oracles, "rational_prime_sieve", prefix)
-    with_norm_two = 0
-    for box in boxes:
-        stats = prime_density_stats(box)
-        expected = density_by_point(box)
-        assert stats.total_primes == expected.total_primes, box
-        assert stats.class_counts == expected.class_counts, box
-        assert 0 not in stats.class_counts.values(), box
-        with_norm_two += stats.total_primes > sum(stats.class_counts.values())
-    assert 0 < with_norm_two < len(boxes)
