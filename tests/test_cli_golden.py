@@ -3,10 +3,12 @@
 Each group runs ``cli.run`` in-process on every argument list of its grid
 and hashes, per call, the argument list, the exit code, stdout and stderr.
 The digests were recorded on a tree whose normal forms (canonical and
-primary associates) were found by search, and whose ``stats`` census
-tested every lattice point of the box one by one, so a change to how those
-forms or counts are computed that alters a single byte of output fails
-here.
+primary associates) were found by search, whose ``stats`` census tested
+every lattice point of the box one by one, and whose ``certify`` built each
+certificate from typed Selmer, torsion and point objects, so a change to how
+those forms, counts or certificates are computed that alters a single byte
+of output fails here.  The ``certify`` group writes each certificate to a
+file in a scratch directory and runs ``verify`` on it.
 """
 
 import hashlib
@@ -19,6 +21,19 @@ from qirank.gaussian import GaussInt
 from oracles import primary_primes_up_to_norm
 
 PRIMES = [str(p) for p in primary_primes_up_to_norm(200)]
+
+# the 10 hits of ``search --box 64``, k in -64..64
+BOX_64_HITS = [
+    ("15+10i", 16), ("15+10i", -16), ("39-14i", 40), ("39+34i", 40),
+    ("39-14i", -40), ("39+34i", -40), ("55-30i", 24), ("55-30i", -24),
+    ("-57+2i", 40), ("-57+2i", -40),
+]
+
+# one pair per failure kind: primes not distinct, not congruent, not a
+# Gaussian prime, a norm above the Miller-Rabin bound
+CERTIFY_FAILURES = [
+    ("7+2i", 0), ("1", 16), ("-1-6i", 16), ("10000000000015+10000000000010i", 16),
+]
 
 GRIDS = {
     "factor": [
@@ -44,6 +59,12 @@ GRIDS = {
     ],
     "selmer": [["selmer", "-1+26i", "-1-6i", "31-6i", "31+26i"]],
     "stats": [["stats", "--box", str(b)] for b in (0, 1, 2, 3, 15, 16, 17, 64, 200)],
+    "certify": [
+        argv
+        for n, (beta, k) in enumerate(BOX_64_HITS)
+        for argv in (["certify", beta, str(k), "--output", f"cert-{n}.json"],
+                     ["verify", f"cert-{n}.json"])
+    ] + [["certify", beta, str(k)] for beta, k in CERTIFY_FAILURES],
 }
 
 DIGESTS = {
@@ -53,6 +74,7 @@ DIGESTS = {
     "symbol": "53c21f60ed3c643ce93371ce2b4fc716cb3ee35f545846efa85ca0f09ef0d1c3",
     "selmer": "00ba6254b587a6d0fbc826506c2d92db365f250cfe5f9e0b40406bbf77aa6a08",
     "stats": "a69dcb2785d420c6bc7943d8b9b8e12edb2c160d406da14e129035c59ba64d88",
+    "certify": "016ee6aa31c198c9059dbadd95fee53096901d01d00840fe9c4da84f7b953b44",
 }
 
 
@@ -66,5 +88,6 @@ def grid_digest(capsys, grid):
 
 
 @pytest.mark.parametrize("group", sorted(GRIDS))
-def test_cli_bytes_unchanged(capsys, group):
+def test_cli_bytes_unchanged(capsys, monkeypatch, tmp_path, group):
+    monkeypatch.chdir(tmp_path)
     assert grid_digest(capsys, GRIDS[group]) == DIGESTS[group]
