@@ -4,13 +4,16 @@
 constellation conditions, genuineness over Q(i), the Selmer candidate set
 with its dimension and rank bound, the torsion classification, and the
 explicit non-torsion point.  It refuses norms at or above the bound below
-which Miller-Rabin with fixed bases is a proof.  The result is a
-self-contained certificate.  Serialization is byte-stable: sorted keys,
-decimal strings, no floats.
+which Miller-Rabin with fixed bases is a proof.  Its last step hands the
+values it derived to ``verifier.certificate_fields``, the one owner of the
+certificate layout, and a ``Certificate`` is the canonical bytes of that
+dict plus ``toolchain``: sorted keys, ASCII, no whitespace, decimal
+strings, no floats.
 
-``verify_certificate`` does not run ``certify``: it hands the certificate
-to ``qirank.verifier``, a stand-alone checker that shares no code with this
-chain and re-derives every field from (beta, k) by a shorter route.
+``verify_certificate`` does not run ``certify``: it hands the bytes to
+``qirank.verifier``, a stand-alone checker that re-derives every field from
+(beta, k) by a shorter route of its own.  The two share the layout, never a
+derived value.
 """
 
 from __future__ import annotations
@@ -21,43 +24,15 @@ from typing import Union
 
 from . import __version__, verifier
 from .gaussian import GaussInt, GaussLike, I, _coerce
-from .curves import (
-    CurvePoint,
-    TorsionGroup,
-    cm_apply,
-    is_torsion,
-    on_curve,
-    torsion_subgroup,
-)
+from .curves import CurvePoint, cm_apply, is_torsion, on_curve, torsion_subgroup
 from .search import (
     ConstellationHit,
     Rejection,
     constellation_at,
     constellation_primes,
 )
-from .selmer import DivisorClass, F2Matrix, SelmerReport, selmer_candidate_set
-from .verifier import (
-    CERT_VERSION,
-    CONCLUSION,
-    GAMMA_CONVENTION,
-    MR_DETERMINISTIC_BOUND,
-)
-
-# the only two symbol matrices a valid constellation can produce, by the
-# common value of (k / p_j), and the Klein-four candidate set both give;
-# the verifier holds the constants
-CONSTELLATION_MATRICES = tuple(map(F2Matrix.from_rows, verifier.CONSTELLATION_ROWS))
-EXPECTED_CANDIDATES = tuple(
-    DivisorClass(unit == "i", indices) for unit, indices in verifier.SELMER_CANDIDATES
-)
-
-
-@dataclass(frozen=True, slots=True)
-class GenuineWitness:
-    """Is the curve genuinely defined over Q(i), witnessed by Im((beta^4+4k^4)^2)."""
-
-    value: bool
-    im_gamma_squared: int
+from .selmer import selmer_candidate_set
+from .verifier import MR_DETERMINISTIC_BOUND
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,66 +45,23 @@ class FailureReport:
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """Machine-checkable record of one certified rank-2 curve."""
+    """One certified rank-2 curve, held as its canonical JSON bytes."""
 
-    beta: GaussInt
-    k: int
-    primes: tuple[GaussInt, GaussInt, GaussInt, GaussInt]
-    alpha: GaussInt
-    selmer: SelmerReport
-    genuine: GenuineWitness
-    point: CurvePoint
-    point_cm: CurvePoint
-    torsion: TorsionGroup
-    gamma_torsion: GaussInt
-    conclusion: str
-    version: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "L": self.selmer.matrix.row_strings(),
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-            "conclusion": self.conclusion,
-            "genuine": {
-                "im_gamma_squared": str(self.genuine.im_gamma_squared),
-                "value": self.genuine.value,
-            },
-            "k": str(self.k),
-            "point": self.point.to_json(),
-            "point_cm": self.point_cm.to_json(),
-            "primes": [p.to_json() for p in self.primes],
-            "rank_upper": str(self.selmer.rank_upper),
-            "selmer_candidates": [
-                {
-                    "primes": [str(j) for j in c.indices],
-                    "unit": "i" if c.unit_i else "1",
-                }
-                for c in self.selmer.candidates
-            ],
-            "selmer_dim": str(self.selmer.dim),
-            "toolchain": f"qirank {__version__}",
-            "torsion": {
-                "convention": GAMMA_CONVENTION,
-                "gamma": self.gamma_torsion.to_json(),
-                "group": self.torsion.label,
-            },
-            "version": self.version,
-        }
+    data: bytes
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(
-            self.to_json_obj(), sort_keys=True, ensure_ascii=True,
-            separators=(",", ":"),
-        ).encode("ascii")
+        return self.data
 
 
-def is_genuine(beta: GaussLike, k: int) -> GenuineWitness:
-    """The curve is genuine iff (beta^4 + 4k^4)^2 is not a rational integer."""
+def genuine_witness(beta: GaussLike, k: int) -> int:
+    """Im((beta^4 + 4k^4)^2): the curve is genuine iff this is nonzero.
+
+    When it is zero, (beta^4 + 4k^4)^2 is a rational integer and the curve
+    is a base change from Q.
+    """
     b = _coerce(beta)
     gamma = b ** 4 + GaussInt(4 * k ** 4, 0)
-    im = (gamma * gamma).im
-    return GenuineWitness(value=(im != 0), im_gamma_squared=im)
+    return (gamma * gamma).im
 
 
 def family_point(beta: GaussLike, k: int) -> CurvePoint:
@@ -161,8 +93,8 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
     # p_1 p_2 p_3 p_4 = gamma is an identity in (beta, k)
     gamma = b ** 4 + GaussInt(4 * k ** 4, 0)
 
-    genuine = is_genuine(b, k)
-    if not genuine.value:
+    im_gamma_squared = genuine_witness(b, k)
+    if not im_gamma_squared:
         return FailureReport(
             reason="not genuine",
             condition="Im((beta^4 + 4k^4)^2) must be nonzero, otherwise the curve "
@@ -172,7 +104,8 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
     alpha = -(gamma * gamma)
 
     report = selmer_candidate_set(hit.primes)
-    if not any(report.matrix == m for m in CONSTELLATION_MATRICES):
+    rows = report.matrix.row_strings()
+    if tuple(rows) not in verifier.CONSTELLATION_ROWS:
         return FailureReport(
             reason="unexpected symbol matrix",
             condition="the matrix of pairwise residue symbols must be one of the "
@@ -180,7 +113,8 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
         )
     # the fixed Klein four-group: a subgroup of F2 dimension 2, so the rank
     # bound 2*dim - 2 is 2
-    if report.candidates != EXPECTED_CANDIDATES:
+    candidates = tuple(("i" if c.unit_i else "1", c.indices) for c in report.candidates)
+    if candidates != verifier.SELMER_CANDIDATES:
         return FailureReport(
             reason="unexpected Selmer candidate set",
             condition="candidates must be exactly {1, p1p2p3p4, i p1p3, i p2p4}",
@@ -212,20 +146,27 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
             condition="the CM image (-x, iy) must be a non-torsion curve point",
         )
 
-    return Certificate(
-        beta=b,
-        k=k,
-        primes=hit.primes,
-        alpha=alpha,
-        selmer=report,
-        genuine=genuine,
-        point=point,
-        point_cm=point_cm,
-        torsion=torsion,
-        gamma_torsion=gamma_torsion,
-        conclusion=CONCLUSION,
-        version=CERT_VERSION,
+    fields = verifier.certificate_fields(
+        beta=_pair(b), k=k, primes=[_pair(p) for p in hit.primes], rows=rows,
+        alpha=_pair(alpha), genuine=im_gamma_squared != 0,
+        im_gamma_squared=im_gamma_squared,
+        point=_coordinates(point), point_cm=_coordinates(point_cm),
+        candidates=candidates, selmer_dim=report.dim, rank_upper=report.rank_upper,
+        gamma_torsion=_pair(gamma_torsion), torsion_group=torsion.label,
     )
+    fields["toolchain"] = f"qirank {__version__}"
+    return Certificate(json.dumps(
+        fields, sort_keys=True, ensure_ascii=True, separators=(",", ":"),
+    ).encode("ascii"))
+
+
+def _pair(z: GaussInt) -> tuple[int, int]:
+    return z.re, z.im
+
+
+def _coordinates(point: CurvePoint):
+    """(x, y) of an affine point, each coordinate as (numerator, denominator) pairs."""
+    return tuple((_pair(c.num), _pair(c.den)) for c in (point.x, point.y))
 
 
 def verify_certificate(data: Union[str, bytes, dict, Certificate]) -> bool:
@@ -238,5 +179,5 @@ def verify_certificate(data: Union[str, bytes, dict, Certificate]) -> bool:
     ignored.  Raises ValueError on malformed input.
     """
     if isinstance(data, Certificate):
-        data = data.to_json_obj()
+        data = data.data
     return verifier.verify(data)

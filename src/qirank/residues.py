@@ -1,12 +1,12 @@
 """Quadratic residue symbols over Z[i] and the mod-(1+i)^7 class invariants.
 
 A primary element is uniquely (1-4i)**m * (-1-6i)**n modulo (1+i)^7 with
-(m, n) in (Z/4)^2; the pair determines the residue symbols of i and 1+i
-without any exponentiation.  Since 16 is divisible by (1+i)^7 = 8-8i, the
-pair is read off the residue mod 16 in a 32-entry table.  The
-Euler-criterion symbol is the independent second route and the two are
-cross-checked in the test suite, which also holds the brute-force symbol
-and the search for (m, n) over all 16 products (the oracles).
+(m, n) in (Z/4)^2.  Since 16 is divisible by (1+i)^7 = 8-8i, the pair is
+read off the residue mod 16 in a 32-entry table.  The pair determines the
+residue symbols of i and 1+i without any exponentiation; the test suite
+reads them off it and cross-checks them against the Euler-criterion symbol
+here.  Its oracles also hold the brute-force symbol and the search for
+(m, n) over all 16 products.
 """
 
 from __future__ import annotations
@@ -86,20 +86,3 @@ def euler_symbol(alpha: GaussLike, p: GaussLike) -> int:
         return -1
     raise AssertionError(f"Euler criterion gave non-unit {r} mod {p}")
 
-
-def symbol_i(p: GaussLike) -> int:
-    """(i / p) = (-1)**n_p for a primary prime p, via the class invariants."""
-    return -1 if mn_invariants(_require_prime(p)).n % 2 else 1
-
-
-def symbol_one_plus_i(p: GaussLike) -> int:
-    """(1+i / p) = (-1)**m_p for a primary prime p, via the class invariants."""
-    return -1 if mn_invariants(_require_prime(p)).m % 2 else 1
-
-
-def _require_prime(p: GaussLike) -> GaussInt:
-    # mn_invariants rejects a prime that is not primary
-    q = _coerce(p)
-    if not is_gaussian_prime(q):
-        raise ValueError(f"{p} is not a Gaussian prime")
-    return q

@@ -25,12 +25,17 @@ The paper's 2-isogeny descent makes the rank-2 claim a finite check:
   unit, and the torsion is Z/2 x Z/2 with y = 0 away from O.  The family
   point and its CM image lie on the curve with y != 0, so both are
   non-torsion, and the rank is 2.
+
+The module also owns the certificate format.  ``certificate_fields`` lays
+out every field but ``toolchain`` from values its caller derived;
+``expected_certificate`` and ``qirank.certify`` both call it, so the layout
+is written once while each still derives every value on its own.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 CERT_VERSION = "1"
 CONCLUSION = "rank = 2, group ≅ ℤ² ⊕ (ℤ/2ℤ)²"
@@ -54,6 +59,8 @@ CONSTELLATION_ROWS = (
 SELMER_CANDIDATES = (("1", ()), ("1", (1, 2, 3, 4)), ("i", (1, 3)), ("i", (2, 4)))
 
 GaussPair = tuple[int, int]
+# (x, y) with each coordinate a (numerator, denominator) pair
+GaussPoint = tuple[tuple[GaussPair, GaussPair], tuple[GaussPair, GaussPair]]
 
 
 def parse_certificate(data: Union[str, bytes, dict]) -> dict:
@@ -142,26 +149,49 @@ def expected_certificate(a: int, b: int, k: int) -> Optional[dict]:
         if py == (0, 0) or _mul(py, py) != _add(_mul(_mul(px, px), px), _mul(alpha, px)):
             return None
 
+    one = (1, 0)
+    return certificate_fields(
+        beta=beta, k=k, primes=primes, rows=rows, alpha=alpha,
+        genuine=True, im_gamma_squared=gamma2[1],
+        point=((x, one), (y, one)), point_cm=((x_cm, one), (y_cm, one)),
+        candidates=SELMER_CANDIDATES, selmer_dim=2, rank_upper=2,
+        gamma_torsion=(-gamma[1], gamma[0]), torsion_group="Z2xZ2",
+    )
+
+
+def certificate_fields(
+    *, beta: GaussPair, k: int, primes: Sequence[GaussPair], rows: Sequence[str],
+    alpha: GaussPair, genuine: bool, im_gamma_squared: int, point: GaussPoint,
+    point_cm: GaussPoint, candidates: Sequence[tuple[str, tuple[int, ...]]],
+    selmer_dim: int, rank_upper: int, gamma_torsion: GaussPair, torsion_group: str,
+) -> dict:
+    """Every field of a certificate but ``toolchain``, as JSON values.
+
+    It only formats what the caller derived: integers become decimal
+    strings and Gaussian pairs ``{"im", "re"}`` objects.  ``rows`` are the
+    row strings of L, ``candidates`` are (unit, 1-based prime indices) as in
+    ``SELMER_CANDIDATES``, and a point is a ``GaussPoint``.
+    """
     return {
         "L": list(rows),
         "alpha": _gauss_json(alpha),
         "beta": _gauss_json(beta),
         "conclusion": CONCLUSION,
-        "genuine": {"im_gamma_squared": str(gamma2[1]), "value": True},
+        "genuine": {"im_gamma_squared": str(im_gamma_squared), "value": genuine},
         "k": str(k),
-        "point": _point_json(x, y),
-        "point_cm": _point_json(x_cm, y_cm),
+        "point": _point_json(point),
+        "point_cm": _point_json(point_cm),
         "primes": [_gauss_json(p) for p in primes],
-        "rank_upper": "2",
+        "rank_upper": str(rank_upper),
         "selmer_candidates": [
             {"primes": [str(j) for j in indices], "unit": unit}
-            for unit, indices in SELMER_CANDIDATES
+            for unit, indices in candidates
         ],
-        "selmer_dim": "2",
+        "selmer_dim": str(selmer_dim),
         "torsion": {
             "convention": GAMMA_CONVENTION,
-            "gamma": _gauss_json((-gamma[1], gamma[0])),
-            "group": "Z2xZ2",
+            "gamma": _gauss_json(gamma_torsion),
+            "group": torsion_group,
         },
         "version": CERT_VERSION,
     }
@@ -245,7 +275,6 @@ def _gauss_json(z: GaussPair) -> dict:
     return {"im": str(z[1]), "re": str(z[0])}
 
 
-def _point_json(x: GaussPair, y: GaussPair) -> dict:
-    one = {"im": "0", "re": "1"}
-    return {"x": {"den": one, "num": _gauss_json(x)},
-            "y": {"den": one, "num": _gauss_json(y)}}
+def _point_json(point: GaussPoint) -> dict:
+    return {name: {"den": _gauss_json(den), "num": _gauss_json(num)}
+            for name, (num, den) in zip("xy", point)}

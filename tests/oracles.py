@@ -1,8 +1,8 @@
 """Slow reference implementations that the tests compare the package against.
 
 None of these is on a path the package runs; each is either a brute-force
-route to a value the package computes another way, or an enumeration only
-the tests need.
+or second route to a value the package computes another way, or an
+enumeration only the tests need.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator, Union
 
 from qirank import search
-from qirank.certify import CERT_VERSION, Certificate, FailureReport, certify
+from qirank.certify import Certificate, FailureReport, certify
 from qirank.curves import CurvePoint
 from qirank.gaussian import (
     GaussInt,
@@ -23,7 +23,7 @@ from qirank.gaussian import (
 from qirank.primes import factor_primary, is_gaussian_prime, rational_prime_sieve
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 from qirank.selmer import DivisorClass, F2Matrix
-from qirank.verifier import parse_certificate
+from qirank.verifier import CERT_VERSION, parse_certificate
 
 _FOUR = GaussInt(4, 0)
 _THREE_PLUS_2I = GaussInt(3, 2)
@@ -104,6 +104,24 @@ def build_L_by_all_symbols(primes) -> F2Matrix:
             mask |= 1 << i
         rows.append(mask)
     return F2Matrix(tuple(rows), len(ps))
+
+
+def symbol_i(p: GaussLike) -> int:
+    """(i / p) = (-1)**n_p for a primary prime p, via the class invariants."""
+    return -1 if mn_invariants(_require_prime(p)).n % 2 else 1
+
+
+def symbol_one_plus_i(p: GaussLike) -> int:
+    """(1+i / p) = (-1)**m_p for a primary prime p, via the class invariants."""
+    return -1 if mn_invariants(_require_prime(p)).m % 2 else 1
+
+
+def _require_prime(p: GaussLike) -> GaussInt:
+    # mn_invariants rejects a prime that is not primary
+    q = _coerce(p)
+    if not is_gaussian_prime(q):
+        raise ValueError(f"{p} is not a Gaussian prime")
+    return q
 
 
 def mod4_consistency(alpha: GaussLike) -> bool:
@@ -228,7 +246,7 @@ def verify_by_recertify(data: Union[str, bytes, dict, Certificate]) -> bool:
     The route ``verify_certificate`` took before the stand-alone verifier:
     compare the recomputed JSON with the given one, ignoring ``toolchain``.
     """
-    obj = data.to_json_obj() if isinstance(data, Certificate) else parse_certificate(data)
+    obj = parse_certificate(data.to_json_bytes() if isinstance(data, Certificate) else data)
     if obj.get("version") != CERT_VERSION:
         return False
     try:
@@ -239,7 +257,7 @@ def verify_by_recertify(data: Union[str, bytes, dict, Certificate]) -> bool:
     recomputed = certify(beta, k)
     if isinstance(recomputed, FailureReport):
         return False
-    expected = recomputed.to_json_obj()
+    expected = parse_certificate(recomputed.to_json_bytes())
     expected.pop("toolchain")
     given = {key: value for key, value in obj.items() if key != "toolchain"}
     return given == expected

@@ -5,15 +5,16 @@ lines as they complete.  Every tolerance is pinned here; all comparisons
 are exact unless a runtime budget is stated.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
+from qirank import verifier
 from qirank.gaussian import GaussInt, I, ONE_PLUS_I, primary_associate
 from qirank.certify import (
-    CONSTELLATION_MATRICES,
     Certificate,
     certify,
     family_point,
@@ -33,7 +34,7 @@ from qirank.curves import (
     two_torsion_points,
 )
 from qirank.primes import factor_primary, is_gaussian_prime
-from qirank.residues import euler_symbol, mn_invariants, symbol_i, symbol_one_plus_i
+from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import (
     Box,
     TARGET_CLASS,
@@ -42,13 +43,15 @@ from qirank.search import (
     prime_density_stats,
     search_region,
 )
-from qirank.selmer import DivisorClass, selmer_candidate_set
+from qirank.selmer import DivisorClass, F2Matrix, selmer_candidate_set
 
 from oracles import (
     brute_force_symbol,
     mod4_consistency,
     primary_primes_up_to_norm,
     residue_prefilter,
+    symbol_i,
+    symbol_one_plus_i,
     twist_iso_inv,
 )
 
@@ -135,6 +138,7 @@ def test_criterion_4_selmer_reproduction():
     with criterion(4, "Selmer candidate set reproduction on constellations"):
         hits = search_region(Box.centered(48), (-48, 48))
         assert hits
+        matrices = [F2Matrix.from_rows(rows) for rows in verifier.CONSTELLATION_ROWS]
         expected = (
             DivisorClass(False, ()),
             DivisorClass(False, (1, 2, 3, 4)),
@@ -143,7 +147,7 @@ def test_criterion_4_selmer_reproduction():
         )
         for hit in hits:
             report = selmer_candidate_set(hit.primes)
-            assert any(report.matrix == m for m in CONSTELLATION_MATRICES)
+            assert any(report.matrix == m for m in matrices)
             assert report.candidates == expected
             assert report.dim == 2
             assert report.rank_upper == 2
@@ -235,9 +239,13 @@ def test_criterion_8_end_to_end():
         assert (hit.beta, hit.k) == (FROZEN_BETA, FROZEN_K)  # frozen regression
         cert = certify(hit.beta, hit.k)
         assert isinstance(cert, Certificate)
-        assert cert.point == family_point(hit.beta, hit.k)
-        assert not is_torsion(cert.gamma_torsion, cert.point)
-        assert cert.genuine.value
+        obj = json.loads(cert.to_json_bytes())
+        point = family_point(hit.beta, hit.k)
+        gamma_torsion = I * (hit.beta ** 4 + gi(4 * hit.k ** 4))
+        assert obj["point"] == point.to_json()
+        assert obj["torsion"]["gamma"] == gamma_torsion.to_json()
+        assert not is_torsion(gamma_torsion, point)
+        assert obj["genuine"]["value"] is True
         assert verify_certificate(cert)
         assert verify_certificate(cert.to_json_bytes())
 
@@ -258,8 +266,10 @@ def test_criterion_10_symbol_pattern():
         for hit in hits:
             cert = certify(hit.beta, hit.k)
             assert isinstance(cert, Certificate)
-            assert cert.torsion.label == "Z2xZ2"
-            p = cert.primes
+            obj = json.loads(cert.to_json_bytes())
+            assert obj["torsion"]["group"] == "Z2xZ2"
+            p = [GaussInt(int(q["re"]), int(q["im"])) for q in obj["primes"]]
+            assert p == list(hit.primes)
             same = {
                 euler_symbol(p[0], p[3]),
                 euler_symbol(p[1], p[2]),

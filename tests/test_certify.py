@@ -8,22 +8,20 @@ from pathlib import Path
 import pytest
 
 import qirank
+from qirank import verifier
 from qirank.gaussian import GaussInt, I
 from qirank.certify import (
-    CONCLUSION,
-    CONSTELLATION_MATRICES,
-    EXPECTED_CANDIDATES,
     Certificate,
     FailureReport,
     certify,
     family_point,
-    is_genuine,
+    genuine_witness,
     verify_certificate,
 )
-from qirank.curves import on_curve
+from qirank.curves import cm_apply, is_torsion, on_curve, torsion_subgroup
 from qirank.residues import euler_symbol, mn_invariants
-from qirank.search import Box, search_region
-from qirank.selmer import rank_upper_bound
+from qirank.search import Box, constellation_primes, search_region
+from qirank.selmer import DivisorClass, rank_upper_bound, selmer_candidate_set
 from qirank.verifier import parse_certificate
 
 from oracles import class_mask, is_f2_subgroup
@@ -43,20 +41,26 @@ def frozen_cert():
     return cert
 
 
+@pytest.fixture(scope="module")
+def frozen_obj(frozen_cert):
+    return json.loads(frozen_cert.to_json_bytes())
+
+
+def json_primes(obj):
+    return [GaussInt(int(p["re"]), int(p["im"])) for p in obj["primes"]]
+
+
 class TestIsGenuine:
     def test_rational_beta_not_genuine(self):
-        assert not is_genuine(gi(3), 8).value
-        assert is_genuine(gi(3), 8).im_gamma_squared == 0
+        assert genuine_witness(gi(3), 8) == 0
 
     def test_one_plus_i_not_genuine(self):
         # (1+i)^4 = -4 makes beta^4 + 4k^4 rational
-        assert not is_genuine(gi(1, 1), 5).value
+        assert genuine_witness(gi(1, 1), 5) == 0
 
     def test_frozen_hit_genuine(self):
-        w = is_genuine(FROZEN_BETA, FROZEN_K)
-        assert w.value
         gamma = FROZEN_BETA ** 4 + gi(4 * FROZEN_K ** 4)
-        assert w.im_gamma_squared == (gamma * gamma).im != 0
+        assert genuine_witness(FROZEN_BETA, FROZEN_K) == (gamma * gamma).im != 0
 
 
 class TestFamilyPoint:
@@ -76,28 +80,42 @@ class TestFamilyPoint:
 
 class TestExpectedCandidates:
     def test_klein_four_group_of_dimension_two(self):
-        # certify checks only candidates == EXPECTED_CANDIDATES; the group
+        # certify checks only candidates == SELMER_CANDIDATES; the group
         # property, the dimension and the rank bound follow from this constant:
         # a subgroup of four distinct elements has dimension 2
-        masks = [class_mask(c, 4) for c in EXPECTED_CANDIDATES]
+        masks = [
+            class_mask(DivisorClass(unit == "i", indices), 4)
+            for unit, indices in verifier.SELMER_CANDIDATES
+        ]
         assert len(set(masks)) == 4
         assert is_f2_subgroup(masks)
         assert rank_upper_bound(2) == 2
 
 
 class TestCertify:
-    def test_frozen_certificate_contents(self, frozen_cert):
-        cert = frozen_cert
-        assert cert.conclusion == CONCLUSION
-        assert cert.selmer.dim == 2
-        assert cert.selmer.rank_upper == 2
-        assert cert.selmer.candidates == EXPECTED_CANDIDATES
-        assert any(cert.selmer.matrix == m for m in CONSTELLATION_MATRICES)
-        assert cert.torsion.label == "Z2xZ2"
-        assert cert.gamma_torsion == I * (FROZEN_BETA ** 4 + gi(4 * FROZEN_K ** 4))
-        assert cert.alpha == -(FROZEN_BETA ** 4 + gi(4 * FROZEN_K ** 4)) ** 2
-        assert not cert.point.is_infinity
-        assert cert.point_cm.x == -cert.point.x
+    def test_frozen_certificate_contents(self, frozen_obj):
+        obj = frozen_obj
+        gamma = FROZEN_BETA ** 4 + gi(4 * FROZEN_K ** 4)
+        assert obj["conclusion"] == verifier.CONCLUSION
+        # the descent, torsion and point of the same (beta, k), run again
+        report = selmer_candidate_set(constellation_primes(FROZEN_BETA, FROZEN_K))
+        assert (obj["selmer_dim"], report.dim) == ("2", 2)
+        assert (obj["rank_upper"], report.rank_upper) == ("2", 2)
+        assert [(c["unit"], tuple(map(int, c["primes"])))
+                for c in obj["selmer_candidates"]] == list(verifier.SELMER_CANDIDATES)
+        assert report.candidates == tuple(
+            DivisorClass(unit == "i", indices)
+            for unit, indices in verifier.SELMER_CANDIDATES)
+        assert obj["L"] == report.matrix.row_strings()
+        assert tuple(obj["L"]) in verifier.CONSTELLATION_ROWS
+        assert obj["torsion"]["group"] == torsion_subgroup(I * gamma).label == "Z2xZ2"
+        assert obj["torsion"]["gamma"] == (I * gamma).to_json()
+        assert obj["alpha"] == (-(gamma * gamma)).to_json()
+        point = family_point(FROZEN_BETA, FROZEN_K)
+        assert obj["point"] == point.to_json()
+        assert not point.is_infinity and not is_torsion(I * gamma, point)
+        assert obj["point_cm"] == cm_apply(point).to_json()
+        assert cm_apply(point).x == -point.x
 
     def test_k_zero_failure(self):
         failure = certify(gi(7, 2), 0)
@@ -114,13 +132,13 @@ class TestCertify:
         assert isinstance(failure, FailureReport)
         assert "not congruent" in failure.reason
 
-    def test_mn_values_on_certified_primes(self, frozen_cert):
-        for p in frozen_cert.primes:
+    def test_mn_values_on_certified_primes(self, frozen_obj):
+        for p in json_primes(frozen_obj):
             inv = mn_invariants(p)
             assert (inv.m, inv.n) == (0, 1)
 
-    def test_symbol_pattern_on_certified_primes(self, frozen_cert):
-        p = frozen_cert.primes
+    def test_symbol_pattern_on_certified_primes(self, frozen_obj):
+        p = json_primes(frozen_obj)
         same = [
             euler_symbol(p[0], p[3]),
             euler_symbol(p[1], p[2]),
@@ -158,7 +176,7 @@ class TestSerialization:
                 for v in node:
                     walk(v)
 
-        walk(frozen_cert.to_json_obj())
+        walk(json.loads(frozen_cert.to_json_bytes()))
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -199,14 +217,14 @@ class TestVerifyCertificate:
         assert verify_certificate(frozen_cert.to_json_bytes())
 
     def test_tampered_matrix_detected(self, frozen_cert):
-        obj = frozen_cert.to_json_obj()
+        obj = json.loads(frozen_cert.to_json_bytes())
         row = list(obj["L"][0])
         row[1] = "1" if row[1] == "0" else "0"
         obj["L"][0] = "".join(row)
         assert not verify_certificate(obj)
 
     def test_torsion_point_substitution_detected(self, frozen_cert):
-        obj = frozen_cert.to_json_obj()
+        obj = json.loads(frozen_cert.to_json_bytes())
         origin = {
             "x": {"num": {"re": "0", "im": "0"}, "den": {"re": "1", "im": "0"}},
             "y": {"num": {"re": "0", "im": "0"}, "den": {"re": "1", "im": "0"}},
@@ -215,7 +233,7 @@ class TestVerifyCertificate:
         assert not verify_certificate(obj)
 
     def test_wrong_version_rejected(self, frozen_cert):
-        obj = frozen_cert.to_json_obj()
+        obj = json.loads(frozen_cert.to_json_bytes())
         obj["version"] = "999"
         assert not verify_certificate(obj)
 
@@ -228,7 +246,7 @@ class TestVerifyCertificate:
         assert not verify_certificate(obj)
 
     def test_toolchain_field_ignored(self, frozen_cert):
-        obj = frozen_cert.to_json_obj()
+        obj = json.loads(frozen_cert.to_json_bytes())
         obj["toolchain"] = "someone else's build"
         assert verify_certificate(obj)
 

@@ -5,19 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from qirank.gaussian import GaussInt, I, ONE, ONE_PLUS_I, primary_associate
 from qirank.primes import is_gaussian_prime
-from qirank.residues import (
-    MNInvariant,
-    euler_symbol,
-    mn_invariants,
-    symbol_i,
-    symbol_one_plus_i,
-)
+from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 
 from oracles import (
     brute_force_symbol,
     mn_invariants_by_search,
     mod4_consistency,
     primary_primes_up_to_norm,
+    symbol_i,
+    symbol_one_plus_i,
 )
 
 

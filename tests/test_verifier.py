@@ -1,19 +1,19 @@
 """The stand-alone verifier against certify, the F2 engine and euler_symbol."""
 
 import ast
+import collections
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qirank import verifier
+from qirank import __version__, verifier
 from qirank.certify import (
-    CONSTELLATION_MATRICES,
-    EXPECTED_CANDIDATES,
     Certificate,
     FailureReport,
     certify,
@@ -22,9 +22,13 @@ from qirank.certify import (
 from qirank.gaussian import GaussInt
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, search_region
-from qirank.selmer import candidate_classes, rank_upper_bound
+from qirank.selmer import DivisorClass, F2Matrix, candidate_classes, rank_upper_bound
 
 from oracles import verify_by_recertify
+
+# the benchmark's far window: beta within 96 of 2^20(1+i), k in [2^18, 2^18 + 8192]
+FAR_WINDOW_CENTRE, FAR_WINDOW_HALF_WIDTH = 1 << 20, 96
+FAR_WINDOW_K = (1 << 18, (1 << 18) + 8192)
 
 # beta = -1-6i mod 16 near 10^13 with k = 16: every norm is about 2e26
 FAR_BETA = GaussInt(10 ** 13 + (15 - 10 ** 13) % 16, 10 ** 13 + (10 - 10 ** 13) % 16)
@@ -41,7 +45,7 @@ def hits():
 def certificates(hits):
     certs = [certify(h.beta, h.k) for h in hits]
     assert all(isinstance(c, Certificate) for c in certs)
-    return [c.to_json_obj() for c in certs]
+    return [json.loads(c.to_json_bytes()) for c in certs]
 
 
 def outcome(check, obj):
@@ -134,12 +138,80 @@ class TestDifferential:
             assert [mn_invariants(p).n_bar for p in hit.primes] == [1, 1, 1, 1]
 
 
+def far_window(seed):
+    """The far window (seed 0) or a seeded translation of it.
+
+    A translation by multiples of 16 keeps every residue class mod 16.
+    """
+    rng = random.Random(f"far window {seed}")
+    d_re, d_im = (0, 0) if seed == 0 else (
+        16 * rng.randint(-4096, 4096), 16 * rng.randint(-4096, 4096))
+    lo = FAR_WINDOW_CENTRE - FAR_WINDOW_HALF_WIDTH
+    hi = FAR_WINDOW_CENTRE + FAR_WINDOW_HALF_WIDTH
+    return Box(lo + d_re, hi + d_re, lo + d_im, hi + d_im), FAR_WINDOW_K
+
+
+DIFFERENTIAL_REGIONS = {
+    "box256": (Box.centered(256), (-256, 256)),
+    **{f"far{seed}": far_window(seed) for seed in range(3)},
+}
+
+
+def canonical(obj) -> bytes:
+    return json.dumps(
+        obj, sort_keys=True, ensure_ascii=True, separators=(",", ":")).encode("ascii")
+
+
+def failure_kind(result):
+    if not isinstance(result, FailureReport):
+        return "certified"
+    return result.reason.rsplit(" is ", 1)[-1]
+
+
+class TestTwoDerivations:
+    """certify's descent chain against the verifier's own derivation."""
+
+    @pytest.mark.parametrize("region", sorted(DIFFERENTIAL_REGIONS))
+    def test_every_hit_gives_the_expected_bytes(self, region):
+        hits = search_region(*DIFFERENTIAL_REGIONS[region])
+        assert hits
+        for hit in hits:
+            a, b, k = hit.beta.re, hit.beta.im, hit.k
+            cert = certify(hit.beta, k)
+            assert isinstance(cert, Certificate), (a, b, k)
+            expected = verifier.expected_certificate(a, b, k)
+            assert expected is not None, (a, b, k)
+            expected["toolchain"] = f"qirank {__version__}"
+            assert cert.to_json_bytes() == canonical(expected), (a, b, k)
+
+    def test_refusals_agree_on_random_pairs(self):
+        rng = random.Random(16)
+        kinds = collections.Counter()
+        for _ in range(3000):
+            k = rng.choice((0, 8, -8, 16, -16, rng.randint(-300, 300)))
+            if rng.random() < 0.5:
+                # beta in the class the residue pre-filter wants for k = 0 or 8 mod 16
+                cre, cim = (15, 10) if k % 16 == 0 else (7, 2)
+                a, b = 16 * rng.randint(-19, 17) + cre, 16 * rng.randint(-19, 17) + cim
+            else:
+                a, b = rng.randint(-300, 300), rng.randint(-300, 300)
+            result = certify(GaussInt(a, b), k)
+            expected = verifier.expected_certificate(a, b, k)
+            assert isinstance(result, FailureReport) == (expected is None), (a, b, k)
+            kinds[failure_kind(result)] += 1
+        assert set(kinds) == {"certified", "primes not distinct",
+                              "not congruent to -1-6i mod 16", "not a Gaussian prime"}
+
+
 class TestConstants:
-    @pytest.mark.parametrize("matrix", CONSTELLATION_MATRICES)
+    @pytest.mark.parametrize(
+        "matrix", [F2Matrix.from_rows(rows) for rows in verifier.CONSTELLATION_ROWS])
     def test_f2_engine_gives_the_candidate_constant(self, matrix):
         # every n_bar is 1 in the target class
         candidates, dim = candidate_classes(matrix, 0b1111)
-        assert candidates == EXPECTED_CANDIDATES
+        assert candidates == tuple(
+            DivisorClass(unit == "i", indices)
+            for unit, indices in verifier.SELMER_CANDIDATES)
         assert dim == 2
         assert rank_upper_bound(dim) == 2
 
