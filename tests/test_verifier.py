@@ -26,7 +26,7 @@ from qirank.selmer import DivisorClass, F2Matrix, candidate_classes, rank_upper_
 
 from oracles import verify_by_recertify
 
-# the benchmark's far window: beta within 96 of 2^20(1+i), k in [2^18, 2^18 + 8192]
+# perfbench's `far` window: beta within 96 of 2^20(1+i), k in [2^18, 2^18 + 8192]
 FAR_WINDOW_CENTRE, FAR_WINDOW_HALF_WIDTH = 1 << 20, 96
 FAR_WINDOW_K = (1 << 18, (1 << 18) + 8192)
 
