@@ -8,7 +8,10 @@ every lattice point of the box one by one, and whose ``certify`` built each
 certificate from typed Selmer, torsion and point objects, so a change to how
 those forms, counts or certificates are computed that alters a single byte
 of output fails here.  The ``certify`` group writes each certificate to a
-file in a scratch directory and runs ``verify`` on it.
+file in a scratch directory and runs ``verify`` on it.  The ``search`` group
+hashes the hits on stdout and the ``shard_done``/``round_done`` records on
+stderr; it was recorded on a tree whose library functions each converted an
+int argument to a ``GaussInt`` themselves.
 """
 
 import hashlib
@@ -59,6 +62,20 @@ GRIDS = {
     ],
     "selmer": [["selmer", "-1+26i", "-1-6i", "31-6i", "31+26i"]],
     "stats": [["stats", "--box", str(b)] for b in (0, 1, 2, 3, 15, 16, 17, 64, 200)],
+    "search": [
+        ["search", "--box", "64", "--kmax", "64", "--shards", "1"],
+        ["search", "--box", "64", "--kmax", "64", "--shards", "3"],
+        ["search", "--box", "256", "--kmax", "256"],
+        ["search", "--re-min", "-64", "--re-max", "0", "--im-min", "-64",
+         "--im-max", "64", "--kmax", "64"],
+        ["search", "--box", "8", "--expand"],
+        ["search", "--box", "4", "--expand", "--max-radius", "8"],
+        # usage errors
+        ["search", "--box", "64", "--shards", "0"],
+        ["search", "--box", "64", "--kmax", "-1"],
+        ["search", "--re-min", "3", "--re-max", "2", "--im-min", "0",
+         "--im-max", "0", "--kmax", "0"],
+    ],
     "certify": [
         argv
         for n, (beta, k) in enumerate(BOX_64_HITS)
@@ -74,6 +91,7 @@ DIGESTS = {
     "symbol": "53c21f60ed3c643ce93371ce2b4fc716cb3ee35f545846efa85ca0f09ef0d1c3",
     "selmer": "00ba6254b587a6d0fbc826506c2d92db365f250cfe5f9e0b40406bbf77aa6a08",
     "stats": "a69dcb2785d420c6bc7943d8b9b8e12edb2c160d406da14e129035c59ba64d88",
+    "search": "6c2fab9e5d41f653ba0b8c58b01e2528f4e9ef52711a3f9284e01c07f7661004",
     "certify": "016ee6aa31c198c9059dbadd95fee53096901d01d00840fe9c4da84f7b953b44",
 }
 
