@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import __version__, verifier
-from .gaussian import GaussInt, GaussLike, I, _coerce
+from .gaussian import GaussInt, I
 from .curves import CurvePoint, cm_apply, is_torsion, on_curve, torsion_subgroup
 from .search import (
     ConstellationHit,
@@ -53,36 +53,33 @@ class Certificate:
         return self.data
 
 
-def genuine_witness(beta: GaussLike, k: int) -> int:
+def genuine_witness(beta: GaussInt, k: int) -> int:
     """Im((beta^4 + 4k^4)^2): the curve is genuine iff this is nonzero.
 
     When it is zero, (beta^4 + 4k^4)^2 is a rational integer and the curve
     is a base change from Q.
     """
-    b = _coerce(beta)
-    gamma = b ** 4 + GaussInt(4 * k ** 4, 0)
+    gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
     return (gamma * gamma).im
 
 
-def family_point(beta: GaussLike, k: int) -> CurvePoint:
+def family_point(beta: GaussInt, k: int) -> CurvePoint:
     """(4 b^2 k^2, 2i b k (b^4 - 4k^4)), always on y^2 = x^3 - (b^4+4k^4)^2 x."""
-    b = _coerce(beta)
-    x = 4 * (b * b) * (k * k)
-    y = 2 * I * b * k * (b ** 4 - GaussInt(4 * k ** 4, 0))
+    x = 4 * (beta * beta) * (k * k)
+    y = 2 * I * beta * k * (beta ** 4 - GaussInt(4 * k ** 4, 0))
     return CurvePoint.affine(x, y)
 
 
-def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
+def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
     """Run the full verification chain for (beta, k)."""
-    b = _coerce(beta)
-    if any(v.norm() >= MR_DETERMINISTIC_BOUND for v in constellation_primes(b, k)):
+    if any(v.norm() >= MR_DETERMINISTIC_BOUND for v in constellation_primes(beta, k)):
         return FailureReport(
             reason="norm above the deterministic primality bound",
             condition=f"each norm of beta + i^j k(1+i) must be below "
                       f"{MR_DETERMINISTIC_BOUND}, where Miller-Rabin with fixed "
                       f"bases is a proof of primality",
         )
-    result = constellation_at(b, k)
+    result = constellation_at(beta, k)
     if isinstance(result, Rejection):
         return FailureReport(
             reason=result.reason,
@@ -91,9 +88,9 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
         )
     hit: ConstellationHit = result
     # p_1 p_2 p_3 p_4 = gamma is an identity in (beta, k)
-    gamma = b ** 4 + GaussInt(4 * k ** 4, 0)
+    gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
 
-    im_gamma_squared = genuine_witness(b, k)
+    im_gamma_squared = genuine_witness(beta, k)
     if not im_gamma_squared:
         return FailureReport(
             reason="not genuine",
@@ -113,8 +110,7 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
         )
     # the fixed Klein four-group: a subgroup of F2 dimension 2, so the rank
     # bound 2*dim - 2 is 2
-    candidates = tuple(("i" if c.unit_i else "1", c.indices) for c in report.candidates)
-    if candidates != verifier.SELMER_CANDIDATES:
+    if report.candidates != verifier.SELMER_CANDIDATES:
         return FailureReport(
             reason="unexpected Selmer candidate set",
             condition="candidates must be exactly {1, p1p2p3p4, i p1p3, i p2p4}",
@@ -126,7 +122,7 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
     gamma_torsion = I * gamma
     torsion = torsion_subgroup(gamma_torsion)
 
-    point = family_point(b, k)
+    point = family_point(beta, k)
     if not on_curve(alpha, point):
         return FailureReport(
             reason="point not on curve",
@@ -147,11 +143,11 @@ def certify(beta: GaussLike, k: int) -> Union[Certificate, FailureReport]:
         )
 
     fields = verifier.certificate_fields(
-        beta=_pair(b), k=k, primes=[_pair(p) for p in hit.primes], rows=rows,
+        beta=_pair(beta), k=k, primes=[_pair(p) for p in hit.primes], rows=rows,
         alpha=_pair(alpha), genuine=im_gamma_squared != 0,
         im_gamma_squared=im_gamma_squared,
         point=_coordinates(point), point_cm=_coordinates(point_cm),
-        candidates=candidates, selmer_dim=report.dim, rank_upper=report.rank_upper,
+        candidates=report.candidates, selmer_dim=report.dim, rank_upper=report.rank_upper,
         gamma_torsion=_pair(gamma_torsion), torsion_group=torsion.label,
     )
     fields["toolchain"] = f"qirank {__version__}"

@@ -26,6 +26,7 @@ from .primes import factor_primary
 from .residues import euler_symbol, mn_invariants
 from .search import Box, find_first_hit, prime_density_stats, search_region
 from .selmer import selmer_candidate_set
+from .verifier import MAX_CERT_BYTES
 
 # the census sieve holds 2 * box^2 + 1 bytes: about 34 MB at this cap
 STATS_MAX_BOX = 4096
@@ -165,8 +166,7 @@ def _cmd_selmer(args) -> int:
         "L": report.matrix.row_strings(),
         "nbar": list(report.nbar),
         "candidates": [
-            {"unit": "i" if c.unit_i else "1", "primes": list(c.indices)}
-            for c in report.candidates
+            {"unit": unit, "primes": list(indices)} for unit, indices in report.candidates
         ],
         "dim": report.dim,
         "rank_upper": report.rank_upper,
@@ -262,7 +262,8 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.file, "rb") as fh:
-            data = fh.read()
+            # one byte over the cap is enough for the verifier to refuse it
+            data = fh.read(MAX_CERT_BYTES + 1)
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from None
     valid = verify_certificate(data)

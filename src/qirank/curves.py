@@ -1,8 +1,10 @@
 """Exact point arithmetic on y^2 = x^3 + a*x over Q(i).
 
-Curve coefficients are Gaussian integers; point coordinates are exact
-elements of Q(i).  Alongside the chord-tangent group law this module houses
-``scale``, the isomorphism (x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a)
+Curve coefficients are ``GaussInt``s and enter the formulas as they are,
+since ``GaussRat``'s operators take a ``GaussInt``; point coordinates are
+exact elements of Q(i).  Only ``CurvePoint.affine`` (a coordinate) and
+``scale`` (the factor u) also take an int.  Alongside the chord-tangent
+group law this module houses ``scale``, the isomorphism (x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a)
 (for j = 1728 every isomorphism has this form: Silverman, *The Arithmetic
 of Elliptic Curves*, III.1), the complex-multiplication automorphism, the
 2-isogeny pair between E_a and E_(-4a), the twist isomorphism
@@ -21,16 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gaussian import (
-    GaussInt,
-    GaussLike,
-    GaussRat,
-    I,
-    ONE_PLUS_I,
-    RAT_ZERO,
-    _coerce,
-    _coerce_rat,
-)
+from .gaussian import GaussInt, GaussRat, I, ONE, ONE_PLUS_I, RAT_ZERO, _coerce_rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,19 +54,18 @@ class CurvePoint:
 
 INFINITY = CurvePoint(None, None)
 ORIGIN = CurvePoint.affine(0, 0)
-_HALF = GaussRat.of(1, 2)  # phi_dual: E_(16 alpha) -> E_alpha
-_TWIST_U = GaussRat.of(1, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
+_HALF = GaussRat.of(ONE, GaussInt(2, 0))  # phi_dual: E_(16 alpha) -> E_alpha
+_TWIST_U = GaussRat.of(ONE, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
 
 
-def on_curve(alpha: GaussLike, point: CurvePoint) -> bool:
+def on_curve(alpha: GaussInt, point: CurvePoint) -> bool:
     """True iff the point satisfies y^2 = x^3 + alpha*x exactly (O counts)."""
     if point.is_infinity:
         return True
-    a = _coerce_rat(_coerce(alpha))
-    return point.y * point.y == point.x ** 3 + a * point.x
+    return point.y * point.y == point.x ** 3 + point.x * alpha
 
 
-def scale(point: CurvePoint, u: "GaussRat | GaussLike") -> CurvePoint:
+def scale(point: CurvePoint, u: "GaussRat | GaussInt | int") -> CurvePoint:
     """The isomorphism E_a -> E_(u^4 a), (x, y) -> (u^2 x, u^3 y), u nonzero in Q(i)."""
     if point.is_infinity:
         return point
@@ -89,18 +81,17 @@ def negate(point: CurvePoint) -> CurvePoint:
     return CurvePoint(point.x, -point.y)
 
 
-def add(alpha: GaussLike, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+def add(alpha: GaussInt, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """Chord-tangent sum of two points on y^2 = x^3 + alpha*x."""
     if p.is_infinity:
         return q
     if q.is_infinity:
         return p
-    a = _coerce_rat(_coerce(alpha))
     if p.x == q.x:
         if p.y == -q.y:
             return INFINITY
         # doubling; y != 0 here since y = -y was excluded
-        lam = (3 * (p.x * p.x) + a) / (2 * p.y)
+        lam = (3 * (p.x * p.x) + alpha) / (2 * p.y)
     else:
         lam = (q.y - p.y) / (q.x - p.x)
     x3 = lam * lam - p.x - q.x
@@ -108,7 +99,7 @@ def add(alpha: GaussLike, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     return CurvePoint(x3, y3)
 
 
-def scalar_mul(alpha: GaussLike, n: int, point: CurvePoint) -> CurvePoint:
+def scalar_mul(alpha: GaussInt, n: int, point: CurvePoint) -> CurvePoint:
     """n * point by left-to-right double-and-add over the bits of |n|."""
     if n < 0:
         return scalar_mul(alpha, -n, negate(point))
@@ -130,25 +121,24 @@ def cm_apply(point: CurvePoint) -> CurvePoint:
     return CurvePoint(-point.x, point.y * GaussRat.of(I))
 
 
-def phi_forward(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
+def phi_forward(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     """The degree-2 isogeny E_alpha -> E_(-4 alpha).
 
     Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/x^2, y(alpha - x^2)/x^2).
     """
     if point.is_infinity or point == ORIGIN:
         return INFINITY
-    a = _coerce_rat(_coerce(alpha))
     x_sq = point.x * point.x
-    return CurvePoint(point.y * point.y / x_sq, point.y * (a - x_sq) / x_sq)
+    return CurvePoint(point.y * point.y / x_sq, point.y * (alpha - x_sq) / x_sq)
 
 
-def phi_dual(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
+def phi_dual(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     """The dual isogeny E_(-4 alpha) -> E_alpha: phi_forward, then scale by 1/2.
 
     Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/(4x^2), -y(4 alpha + x^2)/(8x^2)).
     Composing with phi_forward is duplication on E_alpha.
     """
-    return scale(phi_forward(-4 * _coerce(alpha), point), _HALF)
+    return scale(phi_forward(-4 * alpha, point), _HALF)
 
 
 def twist_iso(point: CurvePoint) -> CurvePoint:
@@ -164,12 +154,11 @@ class TorsionGroup:
     points: tuple[CurvePoint, ...]
 
 
-def two_torsion_points(gamma: GaussLike) -> tuple[CurvePoint, ...]:
+def two_torsion_points(gamma: GaussInt) -> tuple[CurvePoint, ...]:
     """The four 2-torsion points {O, (0,0), (gamma*i, 0), (-gamma*i, 0)} of E_(gamma^2)."""
-    g = _coerce(gamma)
-    if not g:
+    if not gamma:
         raise ValueError("gamma = 0 gives a singular curve")
-    gi_ = g * I
+    gi_ = gamma * I
     return (
         INFINITY,
         ORIGIN,
@@ -187,7 +176,7 @@ _ORDER4_POINTS = (
 )
 
 
-def torsion_subgroup(gamma: GaussLike) -> TorsionGroup:
+def torsion_subgroup(gamma: GaussInt) -> TorsionGroup:
     """The torsion subgroup of E_(gamma^2)(Q(i)), gamma square-free and nonzero.
 
     Square-freeness is not checked: ``certify`` passes a product of four
@@ -198,13 +187,12 @@ def torsion_subgroup(gamma: GaussLike) -> TorsionGroup:
     would need sqrt(3) in Q(i), and a further order-4 point sqrt(2), and
     neither 3 nor 2 is a square in Q(i).
     """
-    g = _coerce(gamma)
-    if g == I or g == -I:
-        return TorsionGroup("Z2xZ4", two_torsion_points(g) + _ORDER4_POINTS)
-    return TorsionGroup("Z2xZ2", two_torsion_points(g))
+    if gamma == I or gamma == -I:
+        return TorsionGroup("Z2xZ4", two_torsion_points(gamma) + _ORDER4_POINTS)
+    return TorsionGroup("Z2xZ2", two_torsion_points(gamma))
 
 
-def is_torsion(gamma: GaussLike, point: CurvePoint) -> bool:
+def is_torsion(gamma: GaussInt, point: CurvePoint) -> bool:
     """Torsion membership of a point on E_(gamma^2), gamma square-free and nonzero.
 
     Neither the point lying on the curve nor gamma being square-free is
@@ -212,7 +200,6 @@ def is_torsion(gamma: GaussLike, point: CurvePoint) -> bool:
     y = 0; for gamma = +/-i membership is checked against the explicit
     8-point set.
     """
-    g = _coerce(gamma)
-    if g == I or g == -I:
-        return point in torsion_subgroup(g).points
+    if gamma == I or gamma == -I:
+        return point in torsion_subgroup(gamma).points
     return point.is_infinity or point.y == RAT_ZERO

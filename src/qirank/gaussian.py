@@ -7,6 +7,11 @@ curve points).  All values are immutable and safe to share across threads.
 Normal forms are read off the element, not searched for: ``odd_part``
 strips the powers of 1+i in one pass, and the unit that makes an odd
 element primary comes from its residue mod 4.
+
+A Gaussian argument is a ``GaussInt``, here and in every other module; the
+CLI parses each one at the boundary.  Only the arithmetic operators of the
+two types also take an int (``_coerce``), as Python's mixed arithmetic
+needs (``2 * I``, ``gaussint + gaussrat``).
 """
 
 from __future__ import annotations
@@ -157,35 +162,31 @@ def _coerce(x: GaussLike) -> GaussInt | None:
     return None
 
 
-def divmod_nearest(n: GaussLike, d: GaussLike) -> tuple[GaussInt, GaussInt]:
+def divmod_nearest(n: GaussInt, d: GaussInt) -> tuple[GaussInt, GaussInt]:
     """Euclidean division n = q*d + r with norm(r) <= norm(d)/2.
 
     q is the exact quotient n/d with each coordinate rounded to the nearest
     integer, ties resolved to the even integer, so the result is fully
     deterministic.
     """
-    a, b = _coerce(n), _coerce(d)
-    if a is None or b is None:
-        raise TypeError("divmod_nearest expects GaussInt or int operands")
-    nd = b.norm()
+    nd = d.norm()
     if nd == 0:
         raise ZeroDivisionError("division by zero in Z[i]")
-    t = a * b.conj()
+    t = n * d.conj()
     q = GaussInt(_round_half_even(t.re, nd), _round_half_even(t.im, nd))
-    return q, a - q * b
+    return q, n - q * d
 
 
-def divides(d: GaussLike, a: GaussLike) -> bool:
+def divides(d: GaussInt, a: GaussInt) -> bool:
     """True iff d | a in Z[i] (d != 0)."""
-    dd, aa = _coerce(d), _coerce(a)
-    nd = dd.norm()
+    nd = d.norm()
     if nd == 0:
         raise ZeroDivisionError("zero divides only zero")
-    t = aa * dd.conj()
+    t = a * d.conj()
     return t.re % nd == 0 and t.im % nd == 0
 
 
-def exact_div(a: GaussLike, d: GaussLike) -> GaussInt:
+def exact_div(a: GaussInt, d: GaussInt) -> GaussInt:
     """Quotient a/d, raising if d does not divide a exactly."""
     q, r = divmod_nearest(a, d)
     if r:
@@ -193,13 +194,12 @@ def exact_div(a: GaussLike, d: GaussLike) -> GaussInt:
     return q
 
 
-def odd_part(alpha: GaussLike) -> tuple[int, GaussInt]:
+def odd_part(alpha: GaussInt) -> tuple[int, GaussInt]:
     """(t, u) with alpha = (1+i)**t * u and u odd (alpha != 0)."""
-    a = _coerce(alpha)
-    if not a:
+    if not alpha:
         raise ValueError("odd_part is undefined at zero")
     t = 0
-    re, im = a.re, a.im
+    re, im = alpha.re, alpha.im
     while (re + im) % 2 == 0:
         # division by 1+i: (re+im)/2 + ((im-re)/2) i
         re, im = (re + im) // 2, (im - re) // 2
@@ -216,27 +216,25 @@ _PRIMARY_UNIT = {
 }
 
 
-def is_primary(alpha: GaussLike) -> bool:
+def is_primary(alpha: GaussInt) -> bool:
     """True iff alpha is congruent to 1 mod (1+i)**3."""
-    a = _coerce(alpha)
-    return _PRIMARY_UNIT.get((a.re % 4, a.im % 4)) == 0
+    return _PRIMARY_UNIT.get((alpha.re % 4, alpha.im % 4)) == 0
 
 
-def primary_associate(alpha: GaussLike) -> tuple[GaussInt, int]:
+def primary_associate(alpha: GaussInt) -> tuple[GaussInt, int]:
     """Return (a_plus, s) with alpha = i**s * a_plus and a_plus primary.
 
     Exactly one of the four associates of an odd element is congruent to 1
     mod (1+i)**3, and s is read off alpha's residue mod 4; units normalize
     to (1, s).  Even input, zero included, is an error.
     """
-    a = _coerce(alpha)
-    s = _PRIMARY_UNIT.get((a.re % 4, a.im % 4))
+    s = _PRIMARY_UNIT.get((alpha.re % 4, alpha.im % 4))
     if s is None:
-        raise ValueError(f"{a} is divisible by 1+i; no primary associate exists")
-    return a * I_POWERS[-s], s
+        raise ValueError(f"{alpha} is divisible by 1+i; no primary associate exists")
+    return alpha * I_POWERS[-s], s
 
 
-def canonical_associate(alpha: GaussLike) -> GaussInt:
+def canonical_associate(alpha: GaussInt) -> GaussInt:
     """Unique associate of the form (1+i)**t * u with u primary (alpha != 0).
 
     Writing alpha = i**s (1+i)**t u with u odd, the unit is absorbed and the
@@ -247,9 +245,8 @@ def canonical_associate(alpha: GaussLike) -> GaussInt:
     return ONE_PLUS_I ** t * primary_associate(u)[0]
 
 
-def gcd(alpha: GaussLike, beta: GaussLike) -> GaussInt:
+def gcd(a: GaussInt, b: GaussInt) -> GaussInt:
     """A greatest common divisor in canonical associate form."""
-    a, b = _coerce(alpha), _coerce(beta)
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
     while b:
@@ -258,20 +255,19 @@ def gcd(alpha: GaussLike, beta: GaussLike) -> GaussInt:
     return canonical_associate(a)
 
 
-def mod_pow(base: GaussLike, exponent: int, modulus: GaussLike) -> GaussInt:
+def mod_pow(base: GaussInt, exponent: int, modulus: GaussInt) -> GaussInt:
     """base**exponent reduced modulo modulus via divmod_nearest remainders."""
     if exponent < 0:
         raise ValueError("negative exponent")
-    m = _coerce(modulus)
-    if not m:
+    if not modulus:
         raise ZeroDivisionError("zero modulus")
-    _, acc = divmod_nearest(ONE, m)
-    _, b = divmod_nearest(base, m)
+    _, acc = divmod_nearest(ONE, modulus)
+    _, b = divmod_nearest(base, modulus)
     e = exponent
     while e:
         if e & 1:
-            _, acc = divmod_nearest(acc * b, m)
-        _, b = divmod_nearest(b * b, m)
+            _, acc = divmod_nearest(acc * b, modulus)
+        _, b = divmod_nearest(b * b, modulus)
         e >>= 1
     return acc
 
@@ -289,16 +285,13 @@ class GaussRat:
     den: GaussInt
 
     @classmethod
-    def of(cls, num: GaussLike, den: GaussLike = 1) -> "GaussRat":
-        n, d = _coerce(num), _coerce(den)
-        if n is None or d is None:
-            raise TypeError("GaussRat components must be GaussInt or int")
-        if not d:
+    def of(cls, num: GaussInt, den: GaussInt = ONE) -> "GaussRat":
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if not n:
+        if not num:
             return cls(ZERO, ONE)
-        g = gcd(n, d)
-        n, d = exact_div(n, g), exact_div(d, g)
+        g = gcd(num, den)
+        n, d = exact_div(num, g), exact_div(den, g)
         # rotate by the unit that makes the denominator canonical
         _, s = primary_associate(odd_part(d)[1])
         w = I_POWERS[-s]

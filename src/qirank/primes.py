@@ -25,10 +25,8 @@ from sympy import factorint
 
 from .gaussian import (
     GaussInt,
-    GaussLike,
     I_POWERS,
     ONE_PLUS_I,
-    _coerce,
     divides,
     exact_div,
     gcd,
@@ -83,21 +81,20 @@ def is_rational_prime(n: int) -> bool:
     return is_strong_probable_prime(n, bases)
 
 
-def is_gaussian_prime(alpha: GaussLike) -> bool:
+def is_gaussian_prime(alpha: GaussInt) -> bool:
     """True iff alpha is prime in Z[i].
 
     Split and ramified primes have rational prime norm; inert primes are the
     associates of rational primes q = 3 mod 4.
     """
-    a = _coerce(alpha)
-    n = a.norm()
+    n = alpha.norm()
     if n < 2:
         return False
     if is_rational_prime(n):
         return True
-    if a.re != 0 and a.im != 0:
+    if alpha.re != 0 and alpha.im != 0:
         return False
-    q = abs(a.re or a.im)
+    q = abs(alpha.re or alpha.im)
     return q % 4 == 3 and is_rational_prime(q)
 
 
@@ -144,15 +141,14 @@ def prime_above(p: int) -> GaussInt:
     return gcd(GaussInt(p, 0), GaussInt(sqrt_minus_one_mod(p), 1))
 
 
-def factor_primary(alpha: GaussLike) -> PrimaryFactorization:
+def factor_primary(alpha: GaussInt) -> PrimaryFactorization:
     """Primary factorization of a nonzero alpha with norm below ``MR_DETERMINISTIC_BOUND``."""
-    a = _coerce(alpha)
-    if not a:
+    if not alpha:
         raise ValueError("cannot factor zero")
-    if a.norm() >= MR_DETERMINISTIC_BOUND:
-        raise ValueError(f"the norm of {a} must be below {MR_DETERMINISTIC_BOUND} "
+    if alpha.norm() >= MR_DETERMINISTIC_BOUND:
+        raise ValueError(f"the norm of {alpha} must be below {MR_DETERMINISTIC_BOUND} "
                          f"to be factored")
-    t, u = odd_part(a)
+    t, u = odd_part(alpha)
     factors: list[tuple[GaussInt, int]] = []
     for p, e in sorted(factorint(u.norm()).items()):
         if p % 4 == 3:

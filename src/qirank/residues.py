@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import (
-    GaussInt,
-    GaussLike,
-    ONE,
-    _coerce,
-    divides,
-    mod_pow,
-)
+from .gaussian import GaussInt, ONE, divides, mod_pow
 from .primes import is_gaussian_prime
 
 _GEN_M = GaussInt(1, -4)
@@ -54,32 +47,30 @@ _MN_BY_RESIDUE = {
 }
 
 
-def mn_invariants(alpha: GaussLike) -> MNInvariant:
+def mn_invariants(alpha: GaussInt) -> MNInvariant:
     """The unique (m, n) with alpha = (1-4i)^m (-1-6i)^n mod (1+i)^7.
 
     A lookup on alpha mod 16; a residue outside the table is not primary.
     """
-    a = _coerce(alpha)
     try:
-        return _MN_BY_RESIDUE[a.re % 16, a.im % 16]
+        return _MN_BY_RESIDUE[alpha.re % 16, alpha.im % 16]
     except KeyError:
         raise ValueError(f"{alpha} is not primary") from None
 
 
-def euler_symbol(alpha: GaussLike, p: GaussLike) -> int:
+def euler_symbol(alpha: GaussInt, p: GaussInt) -> int:
     """Gaussian quadratic residue symbol (alpha / p) in {+1, -1}.
 
     Euler criterion: alpha**((Nm(p)-1)/2) mod p, for an odd Gaussian prime p
     not dividing alpha.
     """
-    a, q = _coerce(alpha), _coerce(p)
-    if not is_gaussian_prime(q):
+    if not is_gaussian_prime(p):
         raise ValueError(f"{p} is not a Gaussian prime")
-    if not q.is_odd():
+    if not p.is_odd():
         raise ValueError(f"{p} is even (the symbol needs an odd prime)")
-    if divides(q, a):
+    if divides(p, alpha):
         raise ValueError(f"{p} divides {alpha}")
-    r = mod_pow(a, (q.norm() - 1) // 2, q)
+    r = mod_pow(alpha, (p.norm() - 1) // 2, p)
     if r == ONE:
         return 1
     if r == -ONE:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .gaussian import GaussInt, GaussLike, I_POWERS, ONE_PLUS_I, _coerce
+from .gaussian import GaussInt, I_POWERS, ONE_PLUS_I
 from .primes import is_base2_probable_prime, is_gaussian_prime, rational_prime_sieve
 
 TARGET_CLASS = GaussInt(-1, -6)
@@ -88,25 +88,23 @@ class Rejection:
     reason: str
 
 
-def constellation_primes(beta: GaussLike, k: int) -> tuple[GaussInt, ...]:
+def constellation_primes(beta: GaussInt, k: int) -> tuple[GaussInt, ...]:
     """The four values beta + i^j k (1+i), j = 1..4."""
-    b = _coerce(beta)
-    return tuple(b + off * k for off in OFFSETS)
+    return tuple(beta + off * k for off in OFFSETS)
 
 
-def constellation_at(beta: GaussLike, k: int) -> Union[ConstellationHit, Rejection]:
+def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejection]:
     """Full check of one candidate; a Rejection names the first failed condition."""
-    b = _coerce(beta)
     if k == 0:
         return Rejection("primes not distinct")
-    values = constellation_primes(b, k)
+    values = constellation_primes(beta, k)
     for j, p in enumerate(values, start=1):
         if (p.re - TARGET_CLASS.re) % 16 or (p.im - TARGET_CLASS.im) % 16:
             return Rejection(f"p_{j} = {p} is not congruent to -1-6i mod 16")
     for j, p in enumerate(values, start=1):
         if not is_gaussian_prime(p):
             return Rejection(f"p_{j} = {p} is not a Gaussian prime")
-    return ConstellationHit(beta=b, k=k, primes=values)
+    return ConstellationHit(beta=beta, k=k, primes=values)
 
 
 def _scan_shard(

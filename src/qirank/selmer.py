@@ -13,7 +13,9 @@ u * prod_{j in T} p_j with u in {1, i} is a candidate when L 1_T = u n_bar,
 a condition linear in (1_T, u), so the candidates are one subspace: the
 kernel of [L | n_bar], with bit n the unit.  The candidate conditions depend
 only on the primes.  The dimension of that kernel feeds the rank bound
-2*dim - 2.
+2*dim - 2.  A class is the pair ``(unit, indices)``, unit ``"1"`` or
+``"i"`` and indices the 1-based positions of the primes in T: the form of
+``verifier.SELMER_CANDIDATES`` and of the certificate.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gaussian import GaussInt, GaussLike, _coerce, is_primary
+from .gaussian import GaussInt, is_primary
 from .primes import is_gaussian_prime
 from .residues import euler_symbol, mn_invariants
 
 MAX_DIMENSION = 64  # caps build_L's n(n-1)/2 residue symbols; certify needs N = 4
+
+# a divisor class modulo squares: (unit "1" or "i", 1-based prime indices)
+Candidate = tuple[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +101,7 @@ def _span(basis: Sequence[int]) -> list[int]:
     return masks
 
 
-def build_L(primes: Sequence[GaussLike]) -> F2Matrix:
+def build_L(primes: Sequence[GaussInt]) -> F2Matrix:
     """The symbol matrix of distinct primary primes.
 
     Off-diagonal entry (i, j) is 1 exactly when (p_i / p_j) = -1; the
@@ -120,8 +125,8 @@ def build_L(primes: Sequence[GaussLike]) -> F2Matrix:
     return F2Matrix(tuple(rows), n)
 
 
-def _validated_primes(primes: Sequence[GaussLike]) -> list[GaussInt]:
-    ps = [_coerce(p) for p in primes]
+def _validated_primes(primes: Sequence[GaussInt]) -> list[GaussInt]:
+    ps = list(primes)
     if not ps:
         raise ValueError("need at least one prime")
     if len(ps) > MAX_DIMENSION:
@@ -136,24 +141,13 @@ def _validated_primes(primes: Sequence[GaussLike]) -> list[GaussInt]:
 
 
 @dataclass(frozen=True, slots=True)
-class DivisorClass:
-    """A square-free divisor class modulo squares: unit in {1, i} + a prime subset.
-
-    ``indices`` are 1-based positions into the report's prime list.
-    """
-
-    unit_i: bool
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class SelmerReport:
     """Everything the descent produces for one curve coefficient."""
 
     primes: tuple[GaussInt, ...]
     matrix: F2Matrix
     nbar: tuple[int, ...]
-    candidates: tuple[DivisorClass, ...]
+    candidates: tuple[Candidate, ...]
     dim: int
     rank_upper: int
 
@@ -165,7 +159,7 @@ def rank_upper_bound(dim: int) -> int:
     return 2 * dim - 2
 
 
-def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[DivisorClass, ...], int]:
+def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[Candidate, ...], int]:
     """The candidate classes of L and the n_bar mask, sorted, and their F2 dimension.
 
     A subset T with unit u is a candidate when L 1_T = u n_bar, that is when
@@ -182,19 +176,19 @@ def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[DivisorClass, 
     if len(kernel) > 21:  # at most 2**21 candidates
         raise ValueError("kernel too large to enumerate candidate classes")
     candidates = tuple(
-        DivisorClass(bool(mask >> n), tuple(j + 1 for j in range(n) if (mask >> j) & 1))
+        ("i" if mask >> n else "1", tuple(j + 1 for j in range(n) if (mask >> j) & 1))
         for mask in sorted(_span(kernel))
     )
     return candidates, len(kernel)
 
 
-def selmer_candidate_set(primes: Sequence[GaussLike]) -> SelmerReport:
+def selmer_candidate_set(primes: Sequence[GaussInt]) -> SelmerReport:
     """Candidate divisor classes containing the phi-Selmer group.
 
     ``build_L`` validates the primes; ``candidate_classes`` does the F2 half.
     """
     matrix = build_L(primes)
-    ps = tuple(_coerce(p) for p in primes)
+    ps = tuple(primes)
     nbar = tuple(mn_invariants(p).n_bar for p in ps)
     candidates, dim = candidate_classes(
         matrix, sum(bit << j for j, bit in enumerate(nbar))

@@ -49,6 +49,9 @@ MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # beta.re, beta.im and k have at most 13 digits below the bound
 MAX_DIGITS = 40
 
+# a certificate is under 1.5 KB; longer input is refused before parsing
+MAX_CERT_BYTES = 1 << 20
+
 # row strings of the only two symbol matrices a valid constellation can give
 CONSTELLATION_ROWS = (
     ("1001", "0011", "0110", "1100"),
@@ -65,6 +68,8 @@ GaussPoint = tuple[tuple[GaussPair, GaussPair], tuple[GaussPair, GaussPair]]
 
 def parse_certificate(data: Union[str, bytes, dict]) -> dict:
     """Parse raw certificate JSON into a dict, validating the basic shape."""
+    if isinstance(data, (str, bytes)) and len(data) > MAX_CERT_BYTES:
+        raise ValueError(f"malformed certificate: longer than {MAX_CERT_BYTES} bytes")
     try:
         obj = json.loads(data) if isinstance(data, (str, bytes)) else data
     except RecursionError:

@@ -22,7 +22,7 @@ from qirank.gaussian import (
 )
 from qirank.primes import factor_primary, is_gaussian_prime, rational_prime_sieve
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
-from qirank.selmer import DivisorClass, F2Matrix
+from qirank.selmer import Candidate, F2Matrix
 from qirank.verifier import CERT_VERSION, parse_certificate
 
 _FOUR = GaussInt(4, 0)
@@ -228,10 +228,14 @@ def f2_apply(matrix: F2Matrix, v: int) -> int:
     return sum((bin(r & v).count("1") & 1) << i for i, r in enumerate(matrix.rows))
 
 
-def class_mask(divisor_class: DivisorClass, n: int) -> int:
-    """A candidate class as a bitmask in F2^(n+1): bit n is the unit i, bit j-1 marks p_j."""
-    mask = sum(1 << (j - 1) for j in divisor_class.indices)
-    return mask | (divisor_class.unit_i << n)
+def class_mask(divisor_class: Candidate, n: int) -> int:
+    """A candidate class ``(unit, indices)`` as a bitmask in F2^(n+1).
+
+    Bit n is the unit i, bit j-1 marks p_j.
+    """
+    unit, indices = divisor_class
+    mask = sum(1 << (j - 1) for j in indices)
+    return mask | ((unit == "i") << n)
 
 
 def is_f2_subgroup(masks) -> bool:

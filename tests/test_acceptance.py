@@ -43,7 +43,7 @@ from qirank.search import (
     prime_density_stats,
     search_region,
 )
-from qirank.selmer import DivisorClass, F2Matrix, selmer_candidate_set
+from qirank.selmer import F2Matrix, selmer_candidate_set
 
 from oracles import (
     brute_force_symbol,
@@ -139,12 +139,7 @@ def test_criterion_4_selmer_reproduction():
         hits = search_region(Box.centered(48), (-48, 48))
         assert hits
         matrices = [F2Matrix.from_rows(rows) for rows in verifier.CONSTELLATION_ROWS]
-        expected = (
-            DivisorClass(False, ()),
-            DivisorClass(False, (1, 2, 3, 4)),
-            DivisorClass(True, (1, 3)),
-            DivisorClass(True, (2, 4)),
-        )
+        expected = (("1", ()), ("1", (1, 2, 3, 4)), ("i", (1, 3)), ("i", (2, 4)))
         for hit in hits:
             report = selmer_candidate_set(hit.primes)
             assert any(report.matrix == m for m in matrices)

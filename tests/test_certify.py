@@ -21,7 +21,7 @@ from qirank.certify import (
 from qirank.curves import cm_apply, is_torsion, on_curve, torsion_subgroup
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, constellation_primes, search_region
-from qirank.selmer import DivisorClass, rank_upper_bound, selmer_candidate_set
+from qirank.selmer import rank_upper_bound, selmer_candidate_set
 from qirank.verifier import parse_certificate
 
 from oracles import class_mask, is_f2_subgroup
@@ -83,10 +83,7 @@ class TestExpectedCandidates:
         # certify checks only candidates == SELMER_CANDIDATES; the group
         # property, the dimension and the rank bound follow from this constant:
         # a subgroup of four distinct elements has dimension 2
-        masks = [
-            class_mask(DivisorClass(unit == "i", indices), 4)
-            for unit, indices in verifier.SELMER_CANDIDATES
-        ]
+        masks = [class_mask(c, 4) for c in verifier.SELMER_CANDIDATES]
         assert len(set(masks)) == 4
         assert is_f2_subgroup(masks)
         assert rank_upper_bound(2) == 2
@@ -103,9 +100,7 @@ class TestCertify:
         assert (obj["rank_upper"], report.rank_upper) == ("2", 2)
         assert [(c["unit"], tuple(map(int, c["primes"])))
                 for c in obj["selmer_candidates"]] == list(verifier.SELMER_CANDIDATES)
-        assert report.candidates == tuple(
-            DivisorClass(unit == "i", indices)
-            for unit, indices in verifier.SELMER_CANDIDATES)
+        assert report.candidates == verifier.SELMER_CANDIDATES
         assert obj["L"] == report.matrix.row_strings()
         assert tuple(obj["L"]) in verifier.CONSTELLATION_ROWS
         assert obj["torsion"]["group"] == torsion_subgroup(I * gamma).label == "Z2xZ2"

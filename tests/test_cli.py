@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from sympy import nextprime
 
 from qirank.cli import run
-from qirank.verifier import MR_DETERMINISTIC_BOUND
+from qirank.verifier import MAX_CERT_BYTES, MR_DETERMINISTIC_BOUND
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -261,6 +262,22 @@ class TestCertifyVerify:
         code, lines = run_json(capsys, "verify", str(path))
         assert code == 1
         assert lines == [{"error": "malformed certificate: JSON nested too deeply"}]
+
+    def test_verify_file_one_byte_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_bytes(b" " * (MAX_CERT_BYTES + 1))
+        code, lines = run_json(capsys, "verify", str(path))
+        assert code == 1
+        assert lines == [
+            {"error": f"malformed certificate: longer than {MAX_CERT_BYTES} bytes"}]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_verify_endless_file(self, capsys):
+        # only MAX_CERT_BYTES + 1 bytes are read, so this ends at once
+        code, lines = run_json(capsys, "verify", "/dev/zero")
+        assert code == 1
+        assert lines == [
+            {"error": f"malformed certificate: longer than {MAX_CERT_BYTES} bytes"}]
 
 
 class TestStats:

@@ -309,7 +309,7 @@ class TestIsTorsion:
                 continue
             gamma = I * g0
             p = pt(4 * (b * b) * (k * k), 2 * I * b * k * (b ** 4 - gi(4 * k ** 4)))
-            if p.y == GaussRat.of(0):
+            if p.y == GaussRat.of(gi(0)):
                 continue
             assert on_curve(gamma * gamma, p)
             assert not is_torsion(gamma, p)

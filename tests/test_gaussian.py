@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qirank
 from qirank.gaussian import (
     GaussInt,
     GaussRat,
@@ -294,20 +297,20 @@ class TestGaussRat:
             c = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + ONE * 21)
             assert (a + b) * c == a * c + b * c
             assert a + b == b + a
-            assert a - a == GaussRat.of(0)
+            assert a - a == GaussRat.of(gi(0))
             if b:
                 assert (a / b) * b == a
 
     def test_power(self):
-        half = GaussRat.of(1, 2)
-        assert half ** 2 == GaussRat.of(1, 4)
-        assert half ** -1 == GaussRat.of(2)
+        half = GaussRat.of(ONE, gi(2))
+        assert half ** 2 == GaussRat.of(ONE, gi(4))
+        assert half ** -1 == GaussRat.of(gi(2))
 
     def test_integrality(self):
         # an integral value reduces to denominator 1
         assert GaussRat.of(gi(4, 2), gi(1, 1)).den == ONE
         assert GaussRat.of(gi(4, 2), gi(1, 1)).num == gi(3, -1)
-        assert GaussRat.of(1, 2).den != ONE
+        assert GaussRat.of(ONE, gi(2)).den != ONE
 
     def test_denominator_is_canonical(self):
         rng = random.Random(13)
@@ -319,3 +322,50 @@ class TestGaussRat:
             q = GaussRat.of(n, d)
             assert q.den == canonical_associate(q.den)
             assert n * q.den == q.num * d
+
+
+class TestOneInputType:
+    """Library functions take a GaussInt: no module but ``gaussian`` converts ints.
+
+    Only the arithmetic operators of ``gaussian`` turn an int into a
+    GaussInt (through ``_coerce``), which Python's mixed arithmetic needs.
+    Every other module takes a GaussInt as given, so none of them may name
+    ``_coerce`` or ``GaussLike``, not even in a quoted annotation.
+    """
+
+    FORBIDDEN = {"_coerce", "GaussLike"}
+
+    @staticmethod
+    def names(tree):
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    annotation = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                found |= TestOneInputType.names(annotation)
+        return found
+
+    def test_only_gaussian_names_the_int_route(self):
+        modules = sorted(Path(qirank.__file__).parent.glob("*.py"))
+        assert "gaussian.py" in {m.name for m in modules}
+        offenders = {
+            m.name: sorted(self.names(ast.parse(m.read_text(encoding="utf-8")))
+                           & self.FORBIDDEN)
+            for m in modules if m.name != "gaussian.py"
+        }
+        assert {name: found for name, found in offenders.items() if found} == {}
+
+    def test_the_check_sees_every_form(self):
+        source = (
+            "from .gaussian import _coerce\n"
+            "def f(x: 'GaussInt | GaussLike'): return gaussian._coerce(x)\n"
+        )
+        assert self.names(ast.parse(source)) >= self.FORBIDDEN

@@ -7,7 +7,6 @@ from qirank.gaussian import GaussInt, primary_associate
 from qirank.primes import is_gaussian_prime
 from qirank.residues import mn_invariants
 from qirank.selmer import (
-    DivisorClass,
     F2Matrix,
     build_L,
     candidate_classes,
@@ -111,7 +110,7 @@ def brute_candidates(matrix, nbar):
 
 
 def found(candidates):
-    return [(c.unit_i, sum(1 << (j - 1) for j in c.indices)) for c in candidates]
+    return [(unit == "i", sum(1 << (j - 1) for j in indices)) for unit, indices in candidates]
 
 
 class TestCandidateClasses:
@@ -125,13 +124,13 @@ class TestCandidateClasses:
     def test_identity(self):
         m = F2Matrix.from_rows(["10", "01"])
         assert candidate_classes(m, 0b01) == (
-            (DivisorClass(False, ()), DivisorClass(True, (1,))), 1)
+            (("1", ()), ("i", (1,))), 1)
 
     def test_inconsistent(self):
         # L x = n_bar has no solution: only the unit-1 classes are candidates
         m = F2Matrix.from_rows(["11", "11"])
         assert candidate_classes(m, 0b01) == (
-            (DivisorClass(False, ()), DivisorClass(False, (1, 2))), 1)
+            (("1", ()), ("1", (1, 2))), 1)
 
     def test_against_brute_force_random(self):
         rng = random.Random(41)
@@ -231,10 +230,7 @@ class TestSelmerCandidateSet:
         # -1-6i has n = 1: the i-branch is unsolvable
         report = selmer_candidate_set([gi(-1, -6)])
         assert mn_invariants(gi(-1, -6)).n_bar == 1
-        assert report.candidates == (
-            DivisorClass(False, ()),
-            DivisorClass(False, (1,)),
-        )
+        assert report.candidates == (("1", ()), ("1", (1,)))
         assert report.dim == 1
         assert report.rank_upper == 0
         assert is_group(report)
@@ -243,12 +239,7 @@ class TestSelmerCandidateSet:
         # 1-4i has n = 0: both branches solvable by both vectors
         report = selmer_candidate_set([gi(1, -4)])
         assert mn_invariants(gi(1, -4)).n_bar == 0
-        assert report.candidates == (
-            DivisorClass(False, ()),
-            DivisorClass(False, (1,)),
-            DivisorClass(True, ()),
-            DivisorClass(True, (1,)),
-        )
+        assert report.candidates == (("1", ()), ("1", (1,)), ("i", ()), ("i", (1,)))
         assert report.dim == 2
         assert report.rank_upper == 2
         assert is_group(report)
@@ -287,9 +278,9 @@ class TestSelmerCandidateSet:
         report = selmer_candidate_set(primes)
         matrix = report.matrix
         nbar = sum(bit << j for j, bit in enumerate(report.nbar))
-        for cand in report.candidates:
-            vec = sum(1 << (j - 1) for j in cand.indices)
-            assert f2_apply(matrix, vec) == (nbar if cand.unit_i else 0)
+        for unit, indices in report.candidates:
+            vec = sum(1 << (j - 1) for j in indices)
+            assert f2_apply(matrix, vec) == (nbar if unit == "i" else 0)
 
     def test_full_product_always_candidate(self):
         rng = random.Random(45)
@@ -300,7 +291,7 @@ class TestSelmerCandidateSet:
                 if p not in primes:
                     primes.append(p)
             report = selmer_candidate_set(primes)
-            assert DivisorClass(False, (1, 2, 3)) in report.candidates
+            assert ("1", (1, 2, 3)) in report.candidates
 
     def test_dim_matches_brute_force_span(self):
         rng = random.Random(46)

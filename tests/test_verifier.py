@@ -22,7 +22,7 @@ from qirank.certify import (
 from qirank.gaussian import GaussInt
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, search_region
-from qirank.selmer import DivisorClass, F2Matrix, candidate_classes, rank_upper_bound
+from qirank.selmer import F2Matrix, candidate_classes, rank_upper_bound
 
 from oracles import verify_by_recertify
 
@@ -209,9 +209,7 @@ class TestConstants:
     def test_f2_engine_gives_the_candidate_constant(self, matrix):
         # every n_bar is 1 in the target class
         candidates, dim = candidate_classes(matrix, 0b1111)
-        assert candidates == tuple(
-            DivisorClass(unit == "i", indices)
-            for unit, indices in verifier.SELMER_CANDIDATES)
+        assert candidates == verifier.SELMER_CANDIDATES
         assert dim == 2
         assert rank_upper_bound(dim) == 2
 
@@ -274,6 +272,15 @@ class TestBoundsAndInputs:
         depth = 100_000
         with pytest.raises(ValueError, match="^malformed certificate"):
             verify_certificate("[" * depth + "]" * depth)
+
+    def test_size_cap(self, certificates):
+        data = json.dumps(certificates[0]).encode("ascii")
+        padded = data + b" " * (verifier.MAX_CERT_BYTES - len(data))
+        assert verify_certificate(padded) is True
+        assert verify_certificate(padded.decode("ascii")) is True
+        for over in (padded + b" ", padded.decode("ascii") + " "):
+            with pytest.raises(ValueError, match="^malformed certificate: longer than"):
+                verify_certificate(over)
 
 
 class TestStandAlone:
