@@ -4,12 +4,13 @@ Curve coefficients are ``GaussInt``s and enter the formulas as they are,
 since ``GaussRat``'s operators take a ``GaussInt``; point coordinates are
 exact elements of Q(i).  Only ``CurvePoint.affine`` (a coordinate) and
 ``scale`` (the factor u) also take an int.  Alongside the chord-tangent
-group law this module houses ``scale``, the isomorphism (x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a)
-(for j = 1728 every isomorphism has this form: Silverman, *The Arithmetic
-of Elliptic Curves*, III.1), the complex-multiplication automorphism, the
-2-isogeny pair between E_a and E_(-4a), the twist isomorphism
-E_(-4a) -> E_a, and the torsion classification for congruent number
-curves E_(g^2) with g square-free.
+group law this module houses ``scale``, the isomorphism
+(x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a) (for j = 1728 every
+isomorphism has this form: Silverman, *The Arithmetic of Elliptic Curves*,
+III.1), the complex-multiplication automorphism, the 2-isogeny pair
+between E_a and E_(-4a), the twist isomorphism E_(-4a) -> E_a, and the
+torsion classification for congruent number curves E_(g^2) with g
+square-free.
 
 The functions take their preconditions as given and do not check them
 again: the maps and ``is_torsion`` take points already on their curve, and
