@@ -69,7 +69,7 @@ GRIDS = {
         ["search", "--re-min", "-64", "--re-max", "0", "--im-min", "-64",
          "--im-max", "64", "--kmax", "64"],
         ["search", "--box", "8", "--expand"],
-        ["search", "--box", "4", "--expand", "--max-radius", "8"],
+        ["search", "--box", "1", "--expand"],
         # usage errors
         ["search", "--box", "64", "--shards", "0"],
         ["search", "--box", "64", "--kmax", "-1"],
@@ -91,7 +91,7 @@ DIGESTS = {
     "symbol": "53c21f60ed3c643ce93371ce2b4fc716cb3ee35f545846efa85ca0f09ef0d1c3",
     "selmer": "00ba6254b587a6d0fbc826506c2d92db365f250cfe5f9e0b40406bbf77aa6a08",
     "stats": "a69dcb2785d420c6bc7943d8b9b8e12edb2c160d406da14e129035c59ba64d88",
-    "search": "6c2fab9e5d41f653ba0b8c58b01e2528f4e9ef52711a3f9284e01c07f7661004",
+    "search": "6a492492a1796cf2af30cf6fcdbf1afcffb55286fe61b145b79cd2c0970124c8",
     "certify": "016ee6aa31c198c9059dbadd95fee53096901d01d00840fe9c4da84f7b953b44",
 }
 
