@@ -101,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="worker shards (default: 1)")
     p_search.add_argument("--expand", action="store_true",
                           help="expand the region until a first hit is found")
-    p_search.add_argument("--max-radius", type=int, default=4096,
-                          help="expansion cap used with --expand")
 
     p_cert = sub.add_parser("certify", help="certify one (beta, k) candidate")
     p_cert.add_argument("beta", type=_gauss)
@@ -213,20 +211,8 @@ def _cmd_search(args) -> int:
         if any(b is not None for b in explicit):
             raise UsageError("--expand grows the region from --box; it takes no "
                              "--re-min/--re-max/--im-min/--im-max/--kmax")
-        initial_radius = max(1, args.box)
-        if args.max_radius < initial_radius:
-            raise UsageError(f"--max-radius {args.max_radius} is below the initial "
-                             f"radius {initial_radius}, so nothing would be searched")
-        try:
-            hit = find_first_hit(
-                initial_radius=initial_radius,
-                max_radius=args.max_radius,
-                shards=args.shards,
-                progress=_emit_stderr,
-            )
-        except RuntimeError as exc:
-            _emit({"error": str(exc)})
-            return 1
+        hit = find_first_hit(max(1, args.box), shards=args.shards,
+                             progress=_emit_stderr)
         _emit(_hit_json(hit))
         return 0
     box = _search_box(args)

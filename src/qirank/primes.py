@@ -171,13 +171,19 @@ def factor_primary(alpha: GaussInt) -> PrimaryFactorization:
     return PrimaryFactorization(s=s, t=t, factors=tuple(factors))
 
 
-def rational_prime_sieve(limit: int) -> bytearray:
-    """Bytearray sieve: sieve[n] == 1 iff n is prime, for 0 <= n <= limit."""
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= limit:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-        p += 1
+def rational_prime_sieve(limit: int, start: int = 0) -> bytearray:
+    """Flags for start..limit: sieve[n - start] == 1 iff n is prime.
+
+    The primes up to isqrt(limit) that strike the range come from a sieve
+    of their own, so the memory is that of the range plus its square root.
+    """
+    sieve = bytearray([1]) * (limit + 1 - start)
+    for n in range(start, min(2, limit + 1)):
+        sieve[n - start] = 0
+    root = math.isqrt(limit)
+    small = rational_prime_sieve(root) if root > 1 else b""
+    for p in range(2, root + 1):
+        if small[p]:
+            first = max(p * p, -(-start // p) * p)
+            sieve[first - start :: p] = bytes(len(range(first, limit + 1, p)))
     return sieve

@@ -206,23 +206,21 @@ def search_region(
 
 
 def find_first_hit(
-    initial_radius: int = 32,
-    max_radius: int = 4096,
-    shards: int = 1,
-    progress: Optional[ProgressFn] = None,
+    initial_radius: int, shards: int = 1, progress: Optional[ProgressFn] = None
 ) -> ConstellationHit:
     """First hit of the canonical expanding schedule.
 
     Round r searches beta with max(|re|, |im|) <= R and |k| <= R for
     R = initial_radius * 2**r, and returns the canonically-first hit of the
-    first round that finds any.  Raises RuntimeError when max_radius is
-    exhausted without a hit, ValueError when initial_radius is below 1 (the
-    radius would never grow).
+    first round that finds any.  The loop ends: every round with R >= 16
+    holds (15+10i, 16), so at most ceil(log2(16 / initial_radius)) + 1 <= 5
+    rounds run when initial_radius <= 16, and one round above that.  Raises
+    ValueError when initial_radius is below 1 (the radius would never grow).
     """
     if initial_radius < 1:
         raise ValueError(f"initial_radius must be >= 1, got {initial_radius}")
     radius = initial_radius
-    while radius <= max_radius:
+    while True:
         hits = search_region(
             Box.centered(radius), (-radius, radius), shards=shards, progress=progress
         )
@@ -231,7 +229,6 @@ def find_first_hit(
         if hits:
             return hits[0]
         radius *= 2
-    raise RuntimeError(f"no constellation found up to radius {max_radius}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,16 +278,20 @@ def prime_density_stats(box: Box) -> DensityStats:
     of 1+i (norm 2), which count in the total but lie in no invertible
     class, and are added to the total by hand.  In a row, the b >= 0 of one
     class mod 16 sit at y stepping by 16, and so do the b < 0, at y = -b;
-    each class count of a row is two strided byte counts.
+    each class count of a row is two strided byte counts.  The sieve covers
+    only the norms the box holds, x_lo^2 + y_lo^2 up to x_hi^2 + y_hi^2, and
+    the axis flags come from a sieve up to max(x_hi, y_hi); a box far from
+    the origin still sieves about its width times its distance.
     """
     target = (TARGET_CLASS.re % 16, TARGET_CLASS.im % 16)
     if box.re_max < box.re_min or box.im_max < box.im_min:
         return DensityStats(total_primes=0, class_counts={}, target_class=target)
     x_lo, x_hi = _abs_range(box.re_min, box.re_max)
     y_lo, y_hi = _abs_range(box.im_min, box.im_max)
-    sieve = rational_prime_sieve(max(x_hi, 1) ** 2 + max(y_hi, 1) ** 2)
+    lo = x_lo * x_lo + y_lo * y_lo
+    sieve = rational_prime_sieve(x_hi * x_hi + y_hi * y_hi, lo)
     # axis[q] == 1 iff q and qi are Gaussian primes: q prime, q = 3 mod 4
-    axis = sieve[: max(x_hi, y_hi) + 1]
+    axis = rational_prime_sieve(max(x_hi, y_hi))
     for r in (0, 1, 2):
         axis[r::4] = bytes(len(range(r, len(axis), 4)))
 
@@ -307,9 +308,11 @@ def prime_density_stats(box: Box) -> DensityStats:
         for c in range(16)
     ]
     width = y_hi - y_lo + 1
-    # by parity p of y: the row position of the first such y, and every y^2
+    # by parity p of y: the row position of the first such y, and every
+    # y^2 - lo, so that sieve[x^2 + y^2 - lo] is read as sieve[xx + yy]
     first = [(y_lo - p) % 2 for p in (0, 1)]
-    squares = [[y * y for y in range(y_lo + first[p], y_hi + 1, 2)] for p in (0, 1)]
+    squares = [[y * y - lo for y in range(y_lo + first[p], y_hi + 1, 2)]
+               for p in (0, 1)]
     acc = [[0] * 16 for _ in range(16)]
     for x in range(x_lo, x_hi + 1):
         if x == 0:

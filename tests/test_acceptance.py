@@ -227,7 +227,7 @@ def test_criterion_7_prefilter_soundness():
 def test_criterion_8_end_to_end():
     with criterion(8, "expanding search -> certify -> independent verify"):
         events = []
-        hit = find_first_hit(initial_radius=2, max_radius=64, progress=events.append)
+        hit = find_first_hit(initial_radius=2, progress=events.append)
         rounds = [e for e in events if e["event"] == "round_done"]
         assert len(rounds) >= 2  # expanded and reported progress before success
         assert all("radius" in r for r in rounds)

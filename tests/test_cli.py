@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shlex
 import time
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 from sympy import nextprime
 
-from qirank.cli import run
+from qirank.cli import _build_parser, run
 from qirank.verifier import MAX_CERT_BYTES, MR_DETERMINISTIC_BOUND
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -115,9 +117,7 @@ class TestSearch:
         assert one == four
 
     def test_expand(self, capsys):
-        code, lines = run_json(
-            capsys, "search", "--box", "8", "--expand", "--max-radius", "64"
-        )
+        code, lines = run_json(capsys, "search", "--box", "8", "--expand")
         assert code == 0
         assert lines[0]["k"] == "16"
 
@@ -144,17 +144,6 @@ class TestSearch:
         assert code == 2
         assert len(lines) == 1 and "error" in lines[0]
 
-    def test_expand_rejects_max_radius_below_box(self, capsys, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("find_first_hit must not run")
-
-        monkeypatch.setattr("qirank.cli.find_first_hit", no_search)
-        code, lines = run_json(
-            capsys, "search", "--box", "8", "--expand", "--max-radius", "4"
-        )
-        assert code == 2
-        assert len(lines) == 1 and "--max-radius" in lines[0]["error"]
-
     @pytest.mark.parametrize("argv", [
         ("--box", "-5"),
         ("--box", "16", "--kmax", "-8"),
@@ -163,7 +152,7 @@ class TestSearch:
         ("--re-min", "-5", "--re-max", "5", "--im-min", "10", "--im-max", "0",
          "--kmax", "16"),
         ("--box", "8", "--re-min", "9"),
-        ("--box", "-5", "--expand", "--max-radius", "64"),
+        ("--box", "-5", "--expand"),
     ], ids=["negative-box", "negative-kmax", "re-min-above-re-max",
             "im-min-above-im-max", "override-empties-box", "negative-box-expand"])
     def test_empty_region_is_usage_error(self, capsys, monkeypatch, argv):
@@ -350,8 +339,13 @@ class TestUsageErrors:
         assert "usage: qirank" in capsys.readouterr().out
 
 
+def _readme_cli_section():
+    return README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split(
+        "\n## ", 1)[0]
+
+
 def _readme_cli_examples():
-    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    section = _readme_cli_section()
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.strip()]
 
@@ -371,3 +365,15 @@ class TestReadme:
             assert out, line
             for out_line in out.splitlines():
                 json.loads(out_line)
+
+    def test_names_the_parser_options(self):
+        (commands,) = [action for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        parsed = {
+            option
+            for sub in commands.choices.values()
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert set(re.findall(r"--[a-z][a-z-]*", _readme_cli_section())) == parsed

@@ -11,7 +11,9 @@ of output fails here.  The ``certify`` group writes each certificate to a
 file in a scratch directory and runs ``verify`` on it.  The ``search`` group
 hashes the hits on stdout and the ``shard_done``/``round_done`` records on
 stderr; it was recorded on a tree whose library functions each converted an
-int argument to a ``GaussInt`` themselves.
+int argument to a ``GaussInt`` themselves, and whose ``--expand`` stopped at
+a ``--max-radius`` cap.  Its ``--box 1 --expand`` case runs the longest
+expansion schedule, radii 1 to 16.
 """
 
 import hashlib

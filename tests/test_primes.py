@@ -41,6 +41,24 @@ class TestRationalPrimality:
         assert not is_rational_prime(1729)
 
 
+class TestRangeSieve:
+    def test_small_ranges_match_the_full_sieve(self):
+        for limit in range(60):
+            full = rational_prime_sieve(limit)
+            assert len(full) == limit + 1, limit
+            for start in range(limit + 1):
+                assert rational_prime_sieve(limit, start) == full[start:], (start, limit)
+
+    def test_seeded_ranges_match_the_full_sieve(self):
+        bound = 2 * 10**5
+        full = rational_prime_sieve(bound)
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            start, limit = sorted(rng.randrange(bound) for _ in range(2))
+            assert rational_prime_sieve(limit, start) == full[start : limit + 1], (
+                start, limit)
+
+
 # the strong pseudoprimes to base 2 below 10^6 (OEIS A001262)
 SPSP2_BELOW_1E6 = (
     2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,

@@ -336,19 +336,25 @@ class TestOptimizedInterpreter:
 
 class TestFindFirstHit:
     def test_returns_frozen_hit(self):
-        hit = find_first_hit(initial_radius=32, max_radius=256)
+        hit = find_first_hit(initial_radius=32)
         assert (hit.beta, hit.k) == (FROZEN_BETA, FROZEN_K)
 
-    def test_expands_before_failing(self):
-        events = []
-        with pytest.raises(RuntimeError):
-            find_first_hit(initial_radius=2, max_radius=4, progress=events.append)
-        rounds = [e for e in events if e["event"] == "round_done"]
-        assert [r["radius"] for r in rounds] == [2, 4]
+    def test_every_expansion_ends_at_frozen_hit(self):
+        # every round with radius >= 16 holds the frozen hit, so the
+        # schedule from any start stops at its first radius >= 16
+        for start in range(1, 17):
+            events = []
+            hit = find_first_hit(start, progress=events.append)
+            assert (hit.beta, hit.k) == (FROZEN_BETA, FROZEN_K), start
+            radii = [e["radius"] for e in events if e["event"] == "round_done"]
+            expected = [start]
+            while expected[-1] < 16:
+                expected.append(2 * expected[-1])
+            assert radii == expected, start
 
     @pytest.mark.parametrize("radius", [0, -4])
     def test_rejects_radius_below_one(self, monkeypatch, radius):
-        # a radius below 1 never doubles past max_radius; the stub stops
+        # a radius below 1 never grows to a round with a hit; the stub stops
         # such a loop after a few rounds instead of letting it run forever
         calls = []
 
@@ -360,7 +366,7 @@ class TestFindFirstHit:
 
         monkeypatch.setattr("qirank.search.search_region", few_rounds)
         with pytest.raises(ValueError, match=f"initial_radius must be >= 1, got {radius}"):
-            find_first_hit(initial_radius=radius, max_radius=64)
+            find_first_hit(initial_radius=radius)
         assert calls == []
 
 
@@ -405,8 +411,8 @@ class TestDensityStats:
         assert len(set(per_class)) == 1
 
     def test_empty_box_sieves_nothing(self, monkeypatch):
-        def refuse(limit):
-            raise AssertionError(f"sieved up to {limit} for an empty box")
+        def refuse(limit, start=0):
+            raise AssertionError(f"sieved {start}..{limit} for an empty box")
 
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse)
         for box in (Box(3000, 0, 0, 0), Box(10**5, 0, 0, 0), Box(0, 0, 10**5, 0),
@@ -421,11 +427,11 @@ class TestDensityStats:
             Box(*_census_axis(rng), *_census_axis(rng)) for _ in range(640)
         ]
         # one sieve for every box (sieving each box afresh would take minutes):
-        # each call gets an exact-length copy of its prefix
+        # each call gets an exact-length copy of its range
         full = qirank.search.rational_prime_sieve(2 * 3062**2)
 
-        def prefix(limit):
-            return full[: limit + 1]
+        def prefix(limit, start=0):
+            return full[start : limit + 1]
 
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", prefix)
         monkeypatch.setattr(oracles, "rational_prime_sieve", prefix)
@@ -438,6 +444,24 @@ class TestDensityStats:
             assert 0 not in stats.class_counts.values(), box
             with_norm_two += stats.total_primes > sum(stats.class_counts.values())
         assert 0 < with_norm_two < len(boxes)
+
+    def test_off_centre_box_sieves_only_its_norms(self, monkeypatch):
+        box = Box(3000, 3059, 3000, 3059)
+        entries = []
+        sieve = qirank.search.rational_prime_sieve
+
+        def counted(limit, start=0):
+            flags = sieve(limit, start)
+            entries.append(len(flags))
+            return flags
+
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", counted)
+        stats = prime_density_stats(box)
+        # the norms 2 * 3000^2 .. 2 * 3059^2, and the axis flags up to 3059
+        assert sum(entries) <= 714_963 + 3_060
+        expected = density_by_point(box)
+        assert (stats.total_primes, stats.class_counts) == (
+            expected.total_primes, expected.class_counts)
 
 
 def _census_axis(rng):
