@@ -185,5 +185,5 @@ def rational_prime_sieve(limit: int, start: int = 0) -> bytearray:
     for p in range(2, root + 1):
         if small[p]:
             first = max(p * p, -(-start // p) * p)
-            sieve[first - start :: p] = bytes(len(range(first, limit + 1, p)))
+            sieve[first - start :: p] = bytearray(len(range(first, limit + 1, p)))
     return sieve
