@@ -65,8 +65,8 @@ def genuine_witness(beta: GaussInt, k: int) -> int:
 
 def family_point(beta: GaussInt, k: int) -> CurvePoint:
     """(4 b^2 k^2, 2i b k (b^4 - 4k^4)), always on y^2 = x^3 - (b^4+4k^4)^2 x."""
-    x = 4 * (beta * beta) * (k * k)
-    y = 2 * I * beta * k * (beta ** 4 - GaussInt(4 * k ** 4, 0))
+    x = GaussInt(4 * k * k, 0) * beta * beta
+    y = GaussInt(0, 2 * k) * beta * (beta ** 4 - GaussInt(4 * k ** 4, 0))
     return CurvePoint.affine(x, y)
 
 

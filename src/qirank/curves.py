@@ -1,9 +1,9 @@
 """Exact point arithmetic on y^2 = x^3 + a*x over Q(i).
 
-Curve coefficients are ``GaussInt``s and enter the formulas as they are,
-since ``GaussRat``'s operators take a ``GaussInt``; point coordinates are
-exact elements of Q(i).  Only ``CurvePoint.affine`` (a coordinate) and
-``scale`` (the factor u) also take an int.  Alongside the chord-tangent
+Curve coefficients are ``GaussInt``s, lifted into Q(i) where a formula
+meets a coordinate; point coordinates are exact elements of Q(i).
+``CurvePoint.affine`` builds a point from two ``GaussInt`` coordinates, and
+``scale`` takes its factor u as a ``GaussRat``.  Alongside the chord-tangent
 group law this module houses ``scale``, the isomorphism
 (x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a) (for j = 1728 every
 isomorphism has this form: Silverman, *The Arithmetic of Elliptic Curves*,
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gaussian import GaussInt, GaussRat, I, ONE, ONE_PLUS_I, RAT_ZERO, _coerce_rat
+from .gaussian import GaussInt, GaussRat, I, ONE, ONE_PLUS_I, RAT_ZERO, ZERO
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,17 +35,12 @@ class CurvePoint:
     y: Optional[GaussRat]
 
     @classmethod
-    def affine(cls, x, y) -> "CurvePoint":
-        return cls(_coerce_rat(x), _coerce_rat(y))
+    def affine(cls, x: GaussInt, y: GaussInt) -> "CurvePoint":
+        return cls(GaussRat(x, ONE), GaussRat(y, ONE))
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    def __str__(self) -> str:
-        if self.is_infinity:
-            return "O"
-        return f"({self.x}, {self.y})"
 
     def to_json(self):
         if self.is_infinity:
@@ -54,7 +49,8 @@ class CurvePoint:
 
 
 INFINITY = CurvePoint(None, None)
-ORIGIN = CurvePoint.affine(0, 0)
+ORIGIN = CurvePoint.affine(ZERO, ZERO)
+_THREE = GaussRat(GaussInt(3, 0), ONE)  # add: the tangent slope (3x^2 + a)/(2y)
 _HALF = GaussRat.of(ONE, GaussInt(2, 0))  # phi_dual: E_(16 alpha) -> E_alpha
 _TWIST_U = GaussRat.of(ONE, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
 
@@ -63,14 +59,13 @@ def on_curve(alpha: GaussInt, point: CurvePoint) -> bool:
     """True iff the point satisfies y^2 = x^3 + alpha*x exactly (O counts)."""
     if point.is_infinity:
         return True
-    return point.y * point.y == point.x ** 3 + point.x * alpha
+    return point.y * point.y == point.x ** 3 + point.x * GaussRat(alpha, ONE)
 
 
-def scale(point: CurvePoint, u: "GaussRat | GaussInt | int") -> CurvePoint:
+def scale(point: CurvePoint, u: GaussRat) -> CurvePoint:
     """The isomorphism E_a -> E_(u^4 a), (x, y) -> (u^2 x, u^3 y), u nonzero in Q(i)."""
     if point.is_infinity:
         return point
-    u = _coerce_rat(u)
     u_sq = u * u
     return CurvePoint(u_sq * point.x, u_sq * u * point.y)
 
@@ -92,7 +87,7 @@ def add(alpha: GaussInt, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         if p.y == -q.y:
             return INFINITY
         # doubling; y != 0 here since y = -y was excluded
-        lam = (3 * (p.x * p.x) + alpha) / (2 * p.y)
+        lam = (_THREE * (p.x * p.x) + GaussRat(alpha, ONE)) / (p.y + p.y)
     else:
         lam = (q.y - p.y) / (q.x - p.x)
     x3 = lam * lam - p.x - q.x
@@ -130,7 +125,8 @@ def phi_forward(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     if point.is_infinity or point == ORIGIN:
         return INFINITY
     x_sq = point.x * point.x
-    return CurvePoint(point.y * point.y / x_sq, point.y * (alpha - x_sq) / x_sq)
+    return CurvePoint(point.y * point.y / x_sq,
+                      point.y * (GaussRat(alpha, ONE) - x_sq) / x_sq)
 
 
 def phi_dual(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
@@ -139,7 +135,7 @@ def phi_dual(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/(4x^2), -y(4 alpha + x^2)/(8x^2)).
     Composing with phi_forward is duplication on E_alpha.
     """
-    return scale(phi_forward(-4 * alpha, point), _HALF)
+    return scale(phi_forward(GaussInt(-4, 0) * alpha, point), _HALF)
 
 
 def twist_iso(point: CurvePoint) -> CurvePoint:
@@ -163,8 +159,8 @@ def two_torsion_points(gamma: GaussInt) -> tuple[CurvePoint, ...]:
     return (
         INFINITY,
         ORIGIN,
-        CurvePoint.affine(gi_, 0),
-        CurvePoint.affine(-gi_, 0),
+        CurvePoint.affine(gi_, ZERO),
+        CurvePoint.affine(-gi_, ZERO),
     )
 
 

@@ -9,18 +9,16 @@ strips the powers of 1+i in one pass, and the unit that makes an odd
 element primary comes from its residue mod 4.
 
 A Gaussian argument is a ``GaussInt``, here and in every other module; the
-CLI parses each one at the boundary.  Only the arithmetic operators of the
-two types also take an int (``_coerce``), as Python's mixed arithmetic
-needs (``2 * I``, ``gaussint + gaussrat``).
+CLI parses each one at the boundary.  The arithmetic operators take one
+operand type as well: ``GaussInt`` with ``GaussInt`` and ``GaussRat`` with
+``GaussRat``.  A caller names its constants (``GaussInt(4, 0) * beta``) and
+lifts a ``GaussInt`` into Q(i) with ``GaussRat(z, ONE)``.
 """
 
 from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from typing import Union
-
-GaussLike = Union["GaussInt", int]
 
 _GAUSS_FULL_RE = _re.compile(
     r"""^\s*(?P<re>[+-]?\s*\d+)\s*(?P<im>[+-]\s*\d*)\s*[iI]\s*$"""
@@ -85,37 +83,18 @@ class GaussInt:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def __add__(self, other: GaussLike) -> "GaussInt":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: GaussLike) -> "GaussInt":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __sub__(self, o: "GaussInt") -> "GaussInt":
         return GaussInt(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: GaussLike) -> "GaussInt":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> "GaussInt":
         return GaussInt(-self.re, -self.im)
 
-    def __mul__(self, other: GaussLike) -> "GaussInt":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o: "GaussInt") -> "GaussInt":
         return GaussInt(self.re * o.re - self.im * o.im,
                         self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GaussInt":
         if exponent < 0:
@@ -152,14 +131,6 @@ ONE_PLUS_I = GaussInt(1, 1)
 
 # i**0 .. i**3
 I_POWERS = (ONE, I, GaussInt(-1, 0), GaussInt(0, -1))
-
-
-def _coerce(x: GaussLike) -> GaussInt | None:
-    if isinstance(x, GaussInt):
-        return x
-    if isinstance(x, int):
-        return GaussInt(x, 0)
-    return None
 
 
 def divmod_nearest(n: GaussInt, d: GaussInt) -> tuple[GaussInt, GaussInt]:
@@ -278,7 +249,9 @@ class GaussRat:
 
     The denominator is normalized to canonical associate form
     ((1+i)**t times a primary odd part), which makes equality componentwise
-    and serialization byte-stable.  Construct via ``GaussRat.of``.
+    and serialization byte-stable.  Construct via ``GaussRat.of``; a
+    ``GaussInt`` z is already reduced over ``ONE``, so ``GaussRat(z, ONE)``
+    lifts it.
     """
 
     num: GaussInt
@@ -297,58 +270,25 @@ class GaussRat:
         w = I_POWERS[-s]
         return cls(n * w, d * w)
 
-    def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __add__(self, other: "GaussRat | GaussLike") -> "GaussRat":
-        o = _coerce_rat(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o: "GaussRat") -> "GaussRat":
         return GaussRat.of(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "GaussRat | GaussLike") -> "GaussRat":
-        o = _coerce_rat(other)
-        if o is None:
-            return NotImplemented
+    def __sub__(self, o: "GaussRat") -> "GaussRat":
         return GaussRat.of(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other: "GaussRat | GaussLike") -> "GaussRat":
-        o = _coerce_rat(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.num, self.den)
 
-    def __mul__(self, other: "GaussRat | GaussLike") -> "GaussRat":
-        o = _coerce_rat(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o: "GaussRat") -> "GaussRat":
         return GaussRat.of(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "GaussRat | GaussLike") -> "GaussRat":
-        o = _coerce_rat(other)
-        if o is None:
-            return NotImplemented
+    def __truediv__(self, o: "GaussRat") -> "GaussRat":
         if not o:
             raise ZeroDivisionError("division by zero in Q(i)")
         return GaussRat.of(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other: "GaussRat | GaussLike") -> "GaussRat":
-        o = _coerce_rat(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, exponent: int) -> "GaussRat":
         if exponent < 0:
@@ -362,12 +302,3 @@ class GaussRat:
 
 
 RAT_ZERO = GaussRat(ZERO, ONE)
-
-
-def _coerce_rat(x: "GaussRat | GaussLike") -> GaussRat | None:
-    if isinstance(x, GaussRat):
-        return x
-    g = _coerce(x)
-    if g is None:
-        return None
-    return GaussRat(g, ONE)

@@ -90,7 +90,7 @@ class Rejection:
 
 def constellation_primes(beta: GaussInt, k: int) -> tuple[GaussInt, ...]:
     """The four values beta + i^j k (1+i), j = 1..4."""
-    return tuple(beta + off * k for off in OFFSETS)
+    return tuple(beta + off * GaussInt(k, 0) for off in OFFSETS)
 
 
 def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejection]:

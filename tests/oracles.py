@@ -14,10 +14,9 @@ from qirank.certify import Certificate, FailureReport, certify
 from qirank.curves import CurvePoint
 from qirank.gaussian import (
     GaussInt,
-    GaussLike,
     GaussRat,
+    ONE,
     ONE_PLUS_I,
-    _coerce,
     divides,
 )
 from qirank.primes import factor_primary, is_gaussian_prime, rational_prime_sieve
@@ -31,33 +30,32 @@ _ONE_PLUS_I_CUBED = ONE_PLUS_I ** 3  # -2 + 2i
 _MODULUS_7 = ONE_PLUS_I ** 7  # 8 - 8i
 
 
-def is_primary_by_division(alpha: GaussLike) -> bool:
+def is_primary_by_division(alpha: GaussInt) -> bool:
     """The definition of primary: alpha = 1 mod (1+i)**3, tested by division.
 
     Validates the residue-mod-4 lookup behind ``is_primary`` and
     ``primary_associate``.
     """
-    return divides(_ONE_PLUS_I_CUBED, _coerce(alpha) - 1)
+    return divides(_ONE_PLUS_I_CUBED, alpha - ONE)
 
 
-def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
+def brute_force_symbol(alpha: GaussInt, p: GaussInt) -> int:
     """(alpha / p) by enumerating all squares modulo p.
 
     Only sensible for small norm(p); validates euler_symbol.
     """
-    a, q = _coerce(alpha), _coerce(p)
-    if not is_gaussian_prime(q) or not q.is_odd():
+    if not is_gaussian_prime(p) or not p.is_odd():
         raise ValueError(f"{p} is not an odd Gaussian prime")
-    if divides(q, a):
+    if divides(p, alpha):
         raise ValueError(f"{p} divides {alpha}")
-    n = q.norm()
-    if q.re != 0 and q.im != 0:
-        # split: Z[i]/(q) = F_p via i -> r with q.re + q.im * r = 0 mod p
-        r = (-q.re * pow(q.im, -1, n)) % n
+    n = p.norm()
+    if p.re != 0 and p.im != 0:
+        # split: Z[i]/(p) = F_n via i -> r with p.re + p.im * r = 0 mod n
+        r = (-p.re * pow(p.im, -1, n)) % n
         squares = {x * x % n for x in range(1, n)}
-        return 1 if (a.re + a.im * r) % n in squares else -1
+        return 1 if (alpha.re + alpha.im * r) % n in squares else -1
     # inert: field with q0**2 elements, residues a + bi with 0 <= a, b < q0
-    q0 = abs(q.re or q.im)
+    q0 = abs(p.re or p.im)
     squares = set()
     for x in range(q0):
         for y in range(q0):
@@ -65,26 +63,25 @@ def brute_force_symbol(alpha: GaussLike, p: GaussLike) -> int:
                 continue
             sq = GaussInt(x, y) * GaussInt(x, y)
             squares.add((sq.re % q0, sq.im % q0))
-    return 1 if (a.re % q0, a.im % q0) in squares else -1
+    return 1 if (alpha.re % q0, alpha.im % q0) in squares else -1
 
 
-def mn_invariants_by_search(alpha: GaussLike) -> MNInvariant:
+def mn_invariants_by_search(alpha: GaussInt) -> MNInvariant:
     """(m, n) by trying all 16 products (1-4i)^m (-1-6i)^n modulo (1+i)^7.
 
     Validates the residue table of ``mn_invariants``; the group of primary
     classes mod (1+i)^7 has order 16, so exactly one product must match.
     """
-    a = _coerce(alpha)
-    if not a or not a.is_odd() or not is_primary_by_division(a):
+    if not alpha or not alpha.is_odd() or not is_primary_by_division(alpha):
         raise ValueError(f"{alpha} is not primary")
     hits = [
         MNInvariant(m, n)
         for m in range(4)
         for n in range(4)
-        if divides(_MODULUS_7, a - GaussInt(1, -4) ** m * GaussInt(-1, -6) ** n)
+        if divides(_MODULUS_7, alpha - GaussInt(1, -4) ** m * GaussInt(-1, -6) ** n)
     ]
     if len(hits) != 1:
-        raise AssertionError(f"{len(hits)} pairs (m, n) match {a}")
+        raise AssertionError(f"{len(hits)} pairs (m, n) match {alpha}")
     return hits[0]
 
 
@@ -94,7 +91,7 @@ def build_L_by_all_symbols(primes) -> F2Matrix:
     n(n-1) symbols where ``build_L`` computes one per unordered pair and
     relies on reciprocity for the other.
     """
-    ps = [_coerce(p) for p in primes]
+    ps = list(primes)
     rows = []
     for i, p in enumerate(ps):
         mask = sum(
@@ -106,29 +103,27 @@ def build_L_by_all_symbols(primes) -> F2Matrix:
     return F2Matrix(tuple(rows), len(ps))
 
 
-def symbol_i(p: GaussLike) -> int:
+def symbol_i(p: GaussInt) -> int:
     """(i / p) = (-1)**n_p for a primary prime p, via the class invariants."""
     return -1 if mn_invariants(_require_prime(p)).n % 2 else 1
 
 
-def symbol_one_plus_i(p: GaussLike) -> int:
+def symbol_one_plus_i(p: GaussInt) -> int:
     """(1+i / p) = (-1)**m_p for a primary prime p, via the class invariants."""
     return -1 if mn_invariants(_require_prime(p)).m % 2 else 1
 
 
-def _require_prime(p: GaussLike) -> GaussInt:
+def _require_prime(p: GaussInt) -> GaussInt:
     # mn_invariants rejects a prime that is not primary
-    q = _coerce(p)
-    if not is_gaussian_prime(q):
+    if not is_gaussian_prime(p):
         raise ValueError(f"{p} is not a Gaussian prime")
-    return q
+    return p
 
 
-def mod4_consistency(alpha: GaussLike) -> bool:
+def mod4_consistency(alpha: GaussInt) -> bool:
     """Check alpha = (3+2i)**n_bar mod 4 for primary alpha."""
-    a = _coerce(alpha)
-    inv = mn_invariants(a)
-    return divides(_FOUR, a - _THREE_PLUS_2I ** inv.n_bar)
+    inv = mn_invariants(alpha)
+    return divides(_FOUR, alpha - _THREE_PLUS_2I ** inv.n_bar)
 
 
 def primes_in_box(
@@ -188,12 +183,11 @@ def primary_primes_up_to_norm(bound: int) -> list[GaussInt]:
     return found
 
 
-def is_square(alpha: GaussLike) -> bool:
+def is_square(alpha: GaussInt) -> bool:
     """True iff alpha is a perfect square in Z[i] (zero counts)."""
-    a = _coerce(alpha)
-    if not a:
+    if not alpha:
         return True
-    f = factor_primary(a)
+    f = factor_primary(alpha)
     return f.s % 2 == 0 and f.t % 2 == 0 and all(e % 2 == 0 for _, e in f.factors)
 
 
@@ -201,14 +195,14 @@ _IOTA_X = GaussRat.of(ONE_PLUS_I * ONE_PLUS_I)   # (1+i)^2
 _IOTA_Y = GaussRat.of(ONE_PLUS_I ** 3)           # (1+i)^3
 
 
-def twist_iso_inv(alpha: GaussLike, point: CurvePoint) -> CurvePoint:
+def twist_iso_inv(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     """Inverse of curves.twist_iso: E_alpha -> E_(-4 alpha)."""
     if point.is_infinity:
         return point
     return CurvePoint(point.x * _IOTA_X, point.y * _IOTA_Y)
 
 
-def residue_prefilter(beta: GaussLike, k: int) -> bool:
+def residue_prefilter(beta: GaussInt, k: int) -> bool:
     """The residue test the search kernel steps through, on one pair.
 
     Reads the kernel's own class constants, so a test that proves this equal
@@ -216,9 +210,8 @@ def residue_prefilter(beta: GaussLike, k: int) -> bool:
     """
     if k % 8 != 0 or k == 0:
         return False
-    b = _coerce(beta)
     cls = search._BETA_CLASS_K0 if k % 16 == 0 else search._BETA_CLASS_K8
-    return (b.re % 16, b.im % 16) == cls
+    return (beta.re % 16, beta.im % 16) == cls
 
 
 def f2_apply(matrix: F2Matrix, v: int) -> int:

@@ -344,6 +344,11 @@ def _readme_cli_section():
         "\n## ", 1)[0]
 
 
+def _readme_library_example():
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_cli_examples():
     section = _readme_cli_section()
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
@@ -365,6 +370,11 @@ class TestReadme:
             assert out, line
             for out_line in out.splitlines():
                 json.loads(out_line)
+
+    def test_library_example_runs(self, capsys):
+        exec(_readme_library_example(), {})
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["rank_upper"] == "2"
 
     def test_names_the_parser_options(self):
         (commands,) = [action for action in _build_parser()._actions

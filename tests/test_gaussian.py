@@ -1,4 +1,5 @@
 import ast
+import operator
 import random
 from pathlib import Path
 
@@ -292,9 +293,9 @@ class TestGaussRat:
     def test_field_axioms_random(self):
         rng = random.Random(11)
         for _ in range(100):
-            a = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + ONE * 21)
-            b = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + ONE * 21)
-            c = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + ONE * 21)
+            a = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + gi(21))
+            b = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + gi(21))
+            c = GaussRat.of(random_gauss(rng, 50), random_gauss(rng, 20) + gi(21))
             assert (a + b) * c == a * c + b * c
             assert a + b == b + a
             assert a - a == GaussRat.of(gi(0))
@@ -324,16 +325,33 @@ class TestGaussRat:
             assert n * q.den == q.num * d
 
 
-class TestOneInputType:
-    """Library functions take a GaussInt: no module but ``gaussian`` converts ints.
+class TestOneOperandType:
+    """Each operator takes its own type: an int or the other type is refused."""
 
-    Only the arithmetic operators of ``gaussian`` turn an int into a
-    GaussInt (through ``_coerce``), which Python's mixed arithmetic needs.
-    Every other module takes a GaussInt as given, so none of them may name
-    ``_coerce`` or ``GaussLike``, not even in a quoted annotation.
+    @pytest.mark.parametrize("value, ops, other_type", [
+        (gi(1, 2), (operator.add, operator.sub, operator.mul),
+         GaussRat.of(gi(3, 1), gi(2))),
+        (GaussRat.of(gi(3, 1), gi(2)),
+         (operator.add, operator.sub, operator.mul, operator.truediv), gi(1, 2)),
+    ], ids=["GaussInt", "GaussRat"])
+    def test_operators_refuse_a_foreign_operand(self, value, ops, other_type):
+        for op in ops:
+            for foreign in (2, other_type):
+                for left, right in ((value, foreign), (foreign, value)):
+                    with pytest.raises((TypeError, AttributeError)):
+                        op(left, right)
+
+
+class TestOneInputType:
+    """No module converts an int into a Gaussian value, ``gaussian`` included.
+
+    A Gaussian argument to a library function is a GaussInt, and the
+    arithmetic operators take one operand type, so no module may name
+    ``_coerce``, ``_coerce_rat`` or ``GaussLike``, not even in a quoted
+    annotation.
     """
 
-    FORBIDDEN = {"_coerce", "GaussLike"}
+    FORBIDDEN = {"_coerce", "_coerce_rat", "GaussLike"}
 
     @staticmethod
     def names(tree):
@@ -353,19 +371,19 @@ class TestOneInputType:
                 found |= TestOneInputType.names(annotation)
         return found
 
-    def test_only_gaussian_names_the_int_route(self):
+    def test_no_module_names_the_int_route(self):
         modules = sorted(Path(qirank.__file__).parent.glob("*.py"))
         assert "gaussian.py" in {m.name for m in modules}
         offenders = {
             m.name: sorted(self.names(ast.parse(m.read_text(encoding="utf-8")))
                            & self.FORBIDDEN)
-            for m in modules if m.name != "gaussian.py"
+            for m in modules
         }
         assert {name: found for name, found in offenders.items() if found} == {}
 
     def test_the_check_sees_every_form(self):
         source = (
             "from .gaussian import _coerce\n"
-            "def f(x: 'GaussInt | GaussLike'): return gaussian._coerce(x)\n"
+            "def f(x: 'GaussInt | GaussLike'): return gaussian._coerce_rat(x)\n"
         )
         assert self.names(ast.parse(source)) >= self.FORBIDDEN

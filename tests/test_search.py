@@ -61,8 +61,8 @@ class TestConstellationPrimes:
             b = GaussInt(rng.randint(-50, 50), rng.randint(-50, 50))
             k = rng.randint(-50, 50)
             p1, p2, p3, p4 = constellation_primes(b, k)
-            assert p1 + p3 == 2 * b
-            assert p2 + p4 == 2 * b
+            assert p1 + p3 == b + b
+            assert p2 + p4 == b + b
             assert p1 - p4 == gi(-2 * k)
 
     def test_product_identity(self):
