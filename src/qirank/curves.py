@@ -36,6 +36,8 @@ class CurvePoint:
 
     @classmethod
     def affine(cls, x: GaussInt, y: GaussInt) -> "CurvePoint":
+        if type(x) is not GaussInt or type(y) is not GaussInt:
+            raise TypeError(f"affine coordinates must be GaussInts, not {x!r}, {y!r}")
         return cls(GaussRat(x, ONE), GaussRat(y, ONE))
 
     @property

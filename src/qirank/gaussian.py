@@ -13,6 +13,11 @@ CLI parses each one at the boundary.  The arithmetic operators take one
 operand type as well: ``GaussInt`` with ``GaussInt`` and ``GaussRat`` with
 ``GaussRat``.  A caller names its constants (``GaussInt(4, 0) * beta``) and
 lifts a ``GaussInt`` into Q(i) with ``GaussRat(z, ONE)``.
+
+``mod_pow``, ``gcd`` and ``exact_div`` work on pairs of ints and build a
+``GaussInt`` only for their result; each remainder is the one nearest division
+(ties to even) gives.  ``tests/oracles.py`` keeps that division and the
+``GaussInt`` routes (``*_by_division``) the tests compare the three with.
 """
 
 from __future__ import annotations
@@ -25,15 +30,6 @@ _GAUSS_FULL_RE = _re.compile(
 )
 _GAUSS_IMAG_RE = _re.compile(r"""^\s*(?P<im>[+-]?\s*\d*)\s*[iI]\s*$""")
 _GAUSS_REAL_RE = _re.compile(r"""^\s*(?P<re>[+-]?\s*\d+)\s*$""")
-
-
-def _round_half_even(a: int, b: int) -> int:
-    """Round a/b to the nearest integer, ties to the even integer.  b > 0."""
-    q, r = divmod(a, b)
-    twice = 2 * r
-    if twice > b or (twice == b and q % 2 == 1):
-        q += 1
-    return q
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,19 +129,14 @@ ONE_PLUS_I = GaussInt(1, 1)
 I_POWERS = (ONE, I, GaussInt(-1, 0), GaussInt(0, -1))
 
 
-def divmod_nearest(n: GaussInt, d: GaussInt) -> tuple[GaussInt, GaussInt]:
-    """Euclidean division n = q*d + r with norm(r) <= norm(d)/2.
-
-    q is the exact quotient n/d with each coordinate rounded to the nearest
-    integer, ties resolved to the even integer, so the result is fully
-    deterministic.
-    """
-    nd = d.norm()
-    if nd == 0:
-        raise ZeroDivisionError("division by zero in Z[i]")
-    t = n * d.conj()
-    q = GaussInt(_round_half_even(t.re, nd), _round_half_even(t.im, nd))
-    return q, n - q * d
+def _rem(x: int, y: int, c: int, d: int, nd: int) -> tuple[int, int]:
+    """(x + yi) mod (c + di), nd = c^2 + d^2 > 0, as an int pair; 2 Nm(r) <= nd."""
+    # the parts of (x + yi)(c - di)/nd round half to even: up iff 2r + (q & 1) > nd
+    qr, rr = divmod(x * c + y * d, nd)
+    qi, ri = divmod(y * c - x * d, nd)
+    qr += 2 * rr + (qr & 1) > nd
+    qi += 2 * ri + (qi & 1) > nd
+    return x - qr * c + qi * d, y - qr * d - qi * c
 
 
 def divides(d: GaussInt, a: GaussInt) -> bool:
@@ -158,11 +149,15 @@ def divides(d: GaussInt, a: GaussInt) -> bool:
 
 
 def exact_div(a: GaussInt, d: GaussInt) -> GaussInt:
-    """Quotient a/d, raising if d does not divide a exactly."""
-    q, r = divmod_nearest(a, d)
-    if r:
+    """a/d on ints, raising if d does not divide a (oracle: exact_div_by_division)."""
+    nd = d.norm()
+    if nd == 0:
+        raise ZeroDivisionError("division by zero in Z[i]")
+    qr, rr = divmod(a.re * d.re + a.im * d.im, nd)
+    qi, ri = divmod(a.im * d.re - a.re * d.im, nd)
+    if rr or ri:
         raise ValueError(f"{a} is not divisible by {d}")
-    return q
+    return GaussInt(qr, qi)
 
 
 def odd_part(alpha: GaussInt) -> tuple[int, GaussInt]:
@@ -217,30 +212,33 @@ def canonical_associate(alpha: GaussInt) -> GaussInt:
 
 
 def gcd(a: GaussInt, b: GaussInt) -> GaussInt:
-    """A greatest common divisor in canonical associate form."""
+    """A canonical-associate gcd by Euclid on int pairs (oracle: gcd_by_division)."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        _, r = divmod_nearest(a, b)
-        a, b = b, r
-    return canonical_associate(a)
+    x, y, c, d = a.re, a.im, b.re, b.im
+    while c or d:
+        x, y, (c, d) = c, d, _rem(x, y, c, d, c * c + d * d)
+    return canonical_associate(GaussInt(x, y))
 
 
 def mod_pow(base: GaussInt, exponent: int, modulus: GaussInt) -> GaussInt:
-    """base**exponent reduced modulo modulus via divmod_nearest remainders."""
+    """base**exponent modulo modulus on int pairs (oracle: mod_pow_by_division)."""
     if exponent < 0:
         raise ValueError("negative exponent")
     if not modulus:
         raise ZeroDivisionError("zero modulus")
-    _, acc = divmod_nearest(ONE, modulus)
-    _, b = divmod_nearest(base, modulus)
+    c, d = modulus.re, modulus.im
+    nd = modulus.norm()
+    ax, ay = _rem(1, 0, c, d, nd)
+    bx, by = _rem(base.re, base.im, c, d, nd)
     e = exponent
     while e:
         if e & 1:
-            _, acc = divmod_nearest(acc * b, modulus)
-        _, b = divmod_nearest(b * b, modulus)
+            ax, ay = _rem(ax * bx - ay * by, ax * by + ay * bx, c, d, nd)
         e >>= 1
-    return acc
+        if e:
+            bx, by = _rem(bx * bx - by * by, 2 * bx * by, c, d, nd)
+    return GaussInt(ax, ay)
 
 
 @dataclass(frozen=True, slots=True)

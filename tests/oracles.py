@@ -17,6 +17,7 @@ from qirank.gaussian import (
     GaussRat,
     ONE,
     ONE_PLUS_I,
+    canonical_associate,
     divides,
 )
 from qirank.primes import factor_primary, is_gaussian_prime, rational_prime_sieve
@@ -28,6 +29,69 @@ _FOUR = GaussInt(4, 0)
 _THREE_PLUS_2I = GaussInt(3, 2)
 _ONE_PLUS_I_CUBED = ONE_PLUS_I ** 3  # -2 + 2i
 _MODULUS_7 = ONE_PLUS_I ** 7  # 8 - 8i
+
+
+def _round_half_even(a: int, b: int) -> int:
+    """Round a/b to the nearest integer, ties to the even integer.  b > 0."""
+    q, r = divmod(a, b)
+    twice = 2 * r
+    if twice > b or (twice == b and q % 2 == 1):
+        q += 1
+    return q
+
+
+def divmod_nearest(n: GaussInt, d: GaussInt) -> tuple[GaussInt, GaussInt]:
+    """Euclidean division n = q*d + r with norm(r) <= norm(d)/2.
+
+    q is the exact quotient n/d with each coordinate rounded to the nearest
+    integer, ties resolved to the even integer, so the result is fully
+    deterministic.  The int-pair remainder behind ``gaussian.mod_pow`` and
+    ``gaussian.gcd`` must equal this one, ties included.
+    """
+    nd = d.norm()
+    if nd == 0:
+        raise ZeroDivisionError("division by zero in Z[i]")
+    t = n * d.conj()
+    q = GaussInt(_round_half_even(t.re, nd), _round_half_even(t.im, nd))
+    return q, n - q * d
+
+
+def exact_div_by_division(a: GaussInt, d: GaussInt) -> GaussInt:
+    """Quotient a/d as the quotient of nearest division; validates ``exact_div``."""
+    q, r = divmod_nearest(a, d)
+    if r:
+        raise ValueError(f"{a} is not divisible by {d}")
+    return q
+
+
+def gcd_by_division(a: GaussInt, b: GaussInt) -> GaussInt:
+    """Euclid on ``GaussInt`` values with ``divmod_nearest``; validates ``gcd``."""
+    if not a and not b:
+        raise ValueError("gcd(0, 0) is undefined")
+    while b:
+        _, r = divmod_nearest(a, b)
+        a, b = b, r
+    return canonical_associate(a)
+
+
+def mod_pow_by_division(base: GaussInt, exponent: int, modulus: GaussInt) -> GaussInt:
+    """base**exponent modulo modulus on ``GaussInt`` values; validates ``mod_pow``.
+
+    Square and multiply, each product reduced by ``divmod_nearest``.
+    """
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    if not modulus:
+        raise ZeroDivisionError("zero modulus")
+    _, acc = divmod_nearest(ONE, modulus)
+    _, b = divmod_nearest(base, modulus)
+    e = exponent
+    while e:
+        if e & 1:
+            _, acc = divmod_nearest(acc * b, modulus)
+        _, b = divmod_nearest(b * b, modulus)
+        e >>= 1
+    return acc
 
 
 def is_primary_by_division(alpha: GaussInt) -> bool:

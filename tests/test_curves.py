@@ -62,6 +62,20 @@ def random_square_free(rng, bound=30):
             return g
 
 
+class TestAffine:
+    @pytest.mark.parametrize("x, y", [
+        (I, 0), (0, I), (1, 1), (GaussRat.of(I), I), (I, GaussRat.of(I)), (I, 1.0),
+    ])
+    def test_refuses_a_coordinate_that_is_not_a_gauss_int(self, x, y):
+        with pytest.raises(TypeError, match="must be GaussInts"):
+            CurvePoint.affine(x, y)
+
+    def test_lifts_both_coordinates_into_q_i(self):
+        p = CurvePoint.affine(I, gi(0))
+        assert p == CurvePoint(GaussRat.of(I), GaussRat.of(gi(0)))
+        assert p in two_torsion_points(gi(1))
+
+
 class TestOnCurve:
     def test_known_values(self):
         assert on_curve(gi(-25), pt(gi(4), gi(0, -6)))

@@ -4,18 +4,20 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qirank
 from qirank.gaussian import (
     GaussInt,
     GaussRat,
     I,
+    I_POWERS,
     ONE,
     ONE_PLUS_I,
+    ZERO,
+    _rem,
     canonical_associate,
     divides,
-    divmod_nearest,
     exact_div,
     gcd,
     is_primary,
@@ -25,7 +27,13 @@ from qirank.gaussian import (
 )
 from qirank.verifier import _read_beta_k
 
-from oracles import is_primary_by_division
+from oracles import (
+    divmod_nearest,
+    exact_div_by_division,
+    gcd_by_division,
+    is_primary_by_division,
+    mod_pow_by_division,
+)
 
 
 def gi(re, im=0):
@@ -239,6 +247,115 @@ class TestModPow:
         with pytest.raises(ZeroDivisionError):
             mod_pow(gi(2), 3, gi(0))
 
+    def test_tie_rounds_to_even(self):
+        # 5/(1+i) = 5/2 - 5i/2: both parts tie and round to 2, leaving 1
+        assert mod_pow(gi(5), 1, ONE_PLUS_I) == ONE
+
+
+# operands up to 2^80 with either sign; moduli of odd norm, of even norm, and
+# the powers of 1+i times a unit, where nearest division ties most often
+_PARTS = st.integers(-2 ** 80, 2 ** 80)
+_GAUSS = st.builds(GaussInt, _PARTS, _PARTS)
+_ODD_MODULI = _GAUSS.filter(lambda z: z.is_odd())
+_EVEN_MODULI = st.builds(
+    lambda z, t: z * ONE_PLUS_I ** t,
+    st.builds(GaussInt, st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 40, 2 ** 40)),
+    st.integers(1, 80),
+).filter(bool)
+_RAMIFIED = st.builds(lambda u, t: u * ONE_PLUS_I ** t,
+                      st.sampled_from(I_POWERS), st.integers(0, 160))
+_MODULI = st.one_of(_ODD_MODULI, _EVEN_MODULI, _RAMIFIED)
+
+
+def pair(z):
+    return z.re, z.im
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIntPairRoutes:
+    """``mod_pow``, ``gcd`` and ``exact_div`` on int pairs against their oracles.
+
+    The oracles are the ``GaussInt`` routes through ``divmod_nearest``; every
+    value, and every error's type and message, must be the same.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GAUSS, _MODULI)
+    def test_remainder_is_nearest_division(self, n, m):
+        assert _rem(n.re, n.im, m.re, m.im, m.norm()) == pair(divmod_nearest(n, m)[1])
+
+    def test_remainder_on_ties(self):
+        # every residue of a box modulo the associates of (1+i)^t, t <= 6,
+        # and modulo 2 + 4i: one or both parts of the quotient tie
+        ties = 0
+        moduli = [u * ONE_PLUS_I ** t for u in I_POWERS for t in range(1, 7)]
+        for m in moduli + [gi(2, 4), gi(-4, 2)]:
+            nd = m.norm()
+            for x in range(-12, 13):
+                for y in range(-12, 13):
+                    n = gi(x, y)
+                    assert _rem(x, y, m.re, m.im, nd) == pair(divmod_nearest(n, m)[1])
+                    t = n * m.conj()
+                    ties += (2 * t.re % (2 * nd) == nd) + (2 * t.im % (2 * nd) == nd)
+        assert ties > 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(_GAUSS, st.integers(0, 2 ** 64), _MODULI)
+    @example(gi(5), 1, ONE_PLUS_I)
+    @example(gi(-3, 7), 2 ** 64, gi(2))
+    def test_mod_pow(self, base, exponent, modulus):
+        assert mod_pow(base, exponent, modulus) == mod_pow_by_division(base, exponent, modulus)
+
+    @given(_GAUSS, st.integers(-2 ** 64, 2 ** 64), st.one_of(_MODULI, st.just(ZERO)))
+    @example(gi(2), -1, ZERO)
+    @example(gi(2), 0, ZERO)
+    @example(gi(2), -1, ONE)
+    def test_mod_pow_errors(self, base, exponent, modulus):
+        if exponent >= 0 and modulus:
+            exponent = -exponent - 1
+        expected = outcome(mod_pow_by_division, base, exponent, modulus)
+        assert expected in ((ValueError, "negative exponent"),
+                            (ZeroDivisionError, "zero modulus"))
+        assert outcome(mod_pow, base, exponent, modulus) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_GAUSS, st.just(ZERO)), st.one_of(_GAUSS, st.just(ZERO)),
+           st.one_of(_MODULI, st.just(ONE)))
+    @example(ZERO, ZERO, ONE)
+    @example(gi(5), gi(3, 1), ONE)
+    def test_gcd(self, a, b, common):
+        # a common factor of even norm makes the chain run through ties
+        a, b = a * common, b * common
+        assert outcome(gcd, a, b) == outcome(gcd_by_division, a, b)
+
+    def test_gcd_of_zeros(self):
+        assert outcome(gcd, ZERO, ZERO) == (ValueError, "gcd(0, 0) is undefined")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GAUSS, _MODULI)
+    def test_exact_div_of_a_multiple(self, q, d):
+        assert exact_div(q * d, d) == exact_div_by_division(q * d, d) == q
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GAUSS, st.one_of(_MODULI, st.just(ZERO)))
+    @example(gi(5), ONE_PLUS_I)
+    @example(gi(5), ZERO)
+    def test_exact_div_any_pair(self, a, d):
+        assert outcome(exact_div, a, d) == outcome(exact_div_by_division, a, d)
+
+    def test_exact_div_errors(self):
+        assert outcome(exact_div, gi(5), ONE_PLUS_I) == (
+            ValueError, "5 is not divisible by 1+i")
+        assert outcome(exact_div, gi(5), ZERO) == (
+            ZeroDivisionError, "division by zero in Z[i]")
+
 
 class TestParseFormat:
     @pytest.mark.parametrize(
@@ -342,6 +459,38 @@ class TestOneOperandType:
                         op(left, right)
 
 
+def source_names(tree):
+    """Every name a module's source defines, imports, reads or quotes in an annotation."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                annotation = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            found |= source_names(annotation)
+    return found
+
+
+def package_offenders(forbidden):
+    """The forbidden names each module of the package uses, ``gaussian`` included."""
+    modules = sorted(Path(qirank.__file__).parent.glob("*.py"))
+    assert "gaussian.py" in {m.name for m in modules}
+    offenders = {
+        m.name: sorted(source_names(ast.parse(m.read_text(encoding="utf-8"))) & forbidden)
+        for m in modules
+    }
+    return {name: found for name, found in offenders.items() if found}
+
+
 class TestOneInputType:
     """No module converts an int into a Gaussian value, ``gaussian`` included.
 
@@ -353,37 +502,40 @@ class TestOneInputType:
 
     FORBIDDEN = {"_coerce", "_coerce_rat", "GaussLike"}
 
-    @staticmethod
-    def names(tree):
-        found = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.alias):
-                found.add(node.name.rsplit(".", 1)[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                try:
-                    annotation = ast.parse(node.value, mode="eval")
-                except SyntaxError:
-                    continue
-                found |= TestOneInputType.names(annotation)
-        return found
-
     def test_no_module_names_the_int_route(self):
-        modules = sorted(Path(qirank.__file__).parent.glob("*.py"))
-        assert "gaussian.py" in {m.name for m in modules}
-        offenders = {
-            m.name: sorted(self.names(ast.parse(m.read_text(encoding="utf-8")))
-                           & self.FORBIDDEN)
-            for m in modules
-        }
-        assert {name: found for name, found in offenders.items() if found} == {}
+        assert package_offenders(self.FORBIDDEN) == {}
 
     def test_the_check_sees_every_form(self):
         source = (
             "from .gaussian import _coerce\n"
             "def f(x: 'GaussInt | GaussLike'): return gaussian._coerce_rat(x)\n"
         )
-        assert self.names(ast.parse(source)) >= self.FORBIDDEN
+        assert source_names(ast.parse(source)) >= self.FORBIDDEN
+
+
+class TestEuclidInOracles:
+    """Nearest division on ``GaussInt`` values lives only in ``tests/oracles.py``.
+
+    ``mod_pow``, ``gcd`` and ``exact_div`` reduce on int pairs, so no module
+    of the package defines, imports or calls ``divmod_nearest`` or
+    ``_round_half_even``.
+    """
+
+    FORBIDDEN = {"divmod_nearest", "_round_half_even"}
+
+    def test_no_module_names_the_euclid_route(self):
+        assert package_offenders(self.FORBIDDEN) == {}
+
+    def test_the_check_sees_every_form(self):
+        assert source_names(ast.parse("def divmod_nearest(n, d): pass\n")) >= {
+            "divmod_nearest"}
+        assert source_names(ast.parse("class _round_half_even: pass\n")) >= {
+            "_round_half_even"}
+        assert source_names(ast.parse(
+            "from .gaussian import divmod_nearest as dm\n"
+            "r = gaussian._round_half_even(1, 2)\n"
+        )) >= self.FORBIDDEN
+
+    def test_the_oracles_define_it(self):
+        oracles = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+        assert source_names(ast.parse(oracles)) >= self.FORBIDDEN
