@@ -54,10 +54,18 @@ class Certificate:
 
 
 def genuine_witness(beta: GaussInt, k: int) -> int:
-    """Im((beta^4 + 4k^4)^2): the curve is genuine iff this is nonzero.
+    """Im(gamma^2) for gamma = beta^4 + 4k^4: nonzero on every genuine curve.
 
-    When it is zero, (beta^4 + 4k^4)^2 is a rational integer and the curve
-    is a base change from Q.
+    When it is zero, gamma^2 is a rational integer and the curve is a base
+    change from Q.  Nonzero is necessary, not sufficient.  The curve
+    y^2 = x^3 - gamma^2 x is a base change from Q iff gamma lies in
+    (Q* u iQ*) Q(i)*^2, since its twists are classified by Q(i)*/Q(i)*^4;
+    gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) = -216 and lies there.  What
+    makes a constellation's curve genuine is its class: gamma = p_1 p_2 p_3
+    p_4, and each conj(p_j) is primary and congruent to 15+6i mod 16, not
+    15+10i, so no conj(p_j) is associate to any p_i.  The primes that divide
+    gamma to an odd power are then not closed under conjugation, as they are
+    for every element of (Q* u iQ*) Q(i)*^2.
     """
     gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
     return (gamma * gamma).im

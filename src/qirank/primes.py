@@ -53,7 +53,9 @@ def is_base2_probable_prime(n: int) -> bool:
     """First primality stage: trial division up to 97, then a strong base-2 test.
 
     True for every prime.  False proves n composite (or below 2); True
-    proves n prime only below 101^2.  The cache matters: a search meets the
+    proves n prime only below 101^2.  ``is_rational_prime`` runs it first.
+    Of the search kernels only the pair loop, for windows too far out to
+    sieve, calls it directly; the cache serves that loop, which meets the
     same norm for many k.
     """
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:

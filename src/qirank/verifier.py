@@ -15,8 +15,13 @@ The paper's 2-isogeny descent makes the rank-2 claim a finite check:
   the 13 bases of ``MR_BASES`` proves that below ``MR_DETERMINISTIC_BOUND``;
   larger norms are refused;
 * gamma = beta^4 + 4k^4 = p_1 p_2 p_3 p_4 (an identity in a, b, k, so it
-  is not checked), and Im(gamma^2) != 0, so
-  y^2 = x^3 - gamma^2 x is not a base change from Q;
+  is not checked), and y^2 = x^3 - gamma^2 x is not a base change from Q.
+  It would be iff gamma lay in (Q* u iQ*) Q(i)*^2, whose elements have
+  their odd-exponent primes closed under conjugation.  Those of gamma are
+  the p_j, and each conj(p_j) is primary and congruent to 15+6i mod 16, so
+  it is associate to no p_i.  The recorded witness Im(gamma^2) != 0 says
+  only that gamma^2 is not rational, which is necessary, not sufficient:
+  gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) = -216 and is a base change;
 * the pairwise residue symbols give the matrix L, which must be one of the
   two ``CONSTELLATION_ROWS``.  The class -1-6i mod 16 fixes every n_bar to 1,
   and for both matrices the Selmer candidates are then the Klein four-group

@@ -259,6 +259,19 @@ _IOTA_X = GaussRat.of(ONE_PLUS_I * ONE_PLUS_I)   # (1+i)^2
 _IOTA_Y = GaussRat.of(ONE_PLUS_I ** 3)           # (1+i)^3
 
 
+def is_base_change(gamma: GaussInt) -> bool:
+    """Whether y^2 = x^3 - gamma^2 x over Q(i) is a base change from Q.
+
+    Twists of j = 1728 are classified by Q(i)*/Q(i)*^4, so it is one iff
+    gamma lies in (Q* u iQ*) Q(i)*^2: iff 1+i divides gamma to an even power
+    and the primary primes dividing it to an odd power are closed under
+    conjugation (a rational prime is inert, or the product of conjugates).
+    """
+    f = factor_primary(gamma)
+    odd = {p for p, e in f.factors if e % 2}
+    return f.t % 2 == 0 and {p.conj() for p in odd} == odd
+
+
 def twist_iso_inv(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     """Inverse of curves.twist_iso: E_alpha -> E_(-4 alpha)."""
     if point.is_infinity:

@@ -9,7 +9,7 @@ import pytest
 
 import qirank
 from qirank import verifier
-from qirank.gaussian import GaussInt, I
+from qirank.gaussian import GaussInt, GaussRat, I, I_POWERS, ONE
 from qirank.certify import (
     Certificate,
     FailureReport,
@@ -18,13 +18,13 @@ from qirank.certify import (
     genuine_witness,
     verify_certificate,
 )
-from qirank.curves import cm_apply, is_torsion, on_curve, torsion_subgroup
+from qirank.curves import CurvePoint, cm_apply, is_torsion, on_curve, scale, torsion_subgroup
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, constellation_primes, search_region
 from qirank.selmer import rank_upper_bound, selmer_candidate_set
 from qirank.verifier import parse_certificate
 
-from oracles import class_mask, is_f2_subgroup
+from oracles import class_mask, is_base_change, is_f2_subgroup
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16
@@ -61,6 +61,31 @@ class TestIsGenuine:
     def test_frozen_hit_genuine(self):
         gamma = FROZEN_BETA ** 4 + gi(4 * FROZEN_K ** 4)
         assert genuine_witness(FROZEN_BETA, FROZEN_K) == (gamma * gamma).im != 0
+
+    def test_witness_is_only_necessary(self):
+        # gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) != 0, yet -gamma^2 =
+        # -9 (1+2i)^4, so scaling by 1+2i maps y^2 = x^3 - 9x onto the curve
+        gamma, u = gi(-9, 12), gi(1, 2)
+        assert gamma == gi(3) * u * u
+        assert (gamma * gamma).im == -216
+        assert -(gamma * gamma) == gi(-9) * u ** 4
+        for x in (0, 3, -3):
+            point = scale(CurvePoint.affine(gi(x), gi(0)), GaussRat(u, ONE))
+            assert on_curve(-(gamma * gamma), point)
+        assert is_base_change(gamma)
+        # -1-6i is prime and its conjugate is not an associate; 2 = -i(1+i)^2
+        assert not is_base_change(gi(-1, -6)) and not is_base_change(gi(1, 1))
+        assert is_base_change(gi(2)) and is_base_change(gi(3) * gi(-1, -6) * gi(-1, 6))
+
+    def test_constellation_class_proves_genuine(self):
+        # no conj(p_j) is associate to any p_i, so the odd-exponent primes of
+        # gamma = p_1 p_2 p_3 p_4 are not closed under conjugation
+        hits = search_region(Box.centered(256), (-256, 256))
+        assert len(hits) == 178
+        for hit in hits:
+            associates = {u * p for u in I_POWERS for p in hit.primes}
+            assert not any(p.conj() in associates for p in hit.primes), hit
+            assert not is_base_change(hit.beta ** 4 + gi(4 * hit.k ** 4)), hit
 
 
 class TestFamilyPoint:

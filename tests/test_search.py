@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import qirank.search
 from qirank.certify import certify
 from qirank.gaussian import GaussInt
+from qirank.primes import is_rational_prime, rational_prime_sieve
 from qirank.search import (
     Box,
     ConstellationHit,
@@ -20,6 +21,8 @@ from qirank.search import (
     TARGET_CLASS,
     _BETA_CLASS_K0,
     _BETA_CLASS_K8,
+    _join_rows,
+    _scan_pairs,
     _scan_shard,
     constellation_at,
     constellation_primes,
@@ -184,6 +187,77 @@ KERNEL_REGIONS = [
 ]
 
 
+def shard_args(box, k_range):
+    """The one shard of a region, as search_region hands it to a kernel."""
+    return (box.re_min, box.re_max, box.im_min, box.im_max, *k_range)
+
+
+def in_order(hits):
+    return sorted(hits, key=ConstellationHit.sort_key)
+
+
+class EveryNumberPrime:
+    """A sieve stand-in that flags every number of any range as prime."""
+
+    def __getitem__(self, index):
+        return 1
+
+
+class ExactFlags:
+    """The flags of start, start + 1, ... read one at a time from is_rational_prime."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def __getitem__(self, index):
+        return int(is_rational_prime(self.start + index))
+
+
+def exact_sieve(limit, start=0):
+    """rational_prime_sieve, or lazy exact flags for a range too long to hold.
+
+    The window near 2^20 of KERNEL_REGIONS spans about 2.8e9 norms, of which
+    the join reads about 2000.
+    """
+    if limit - start < 1 << 22:
+        return rational_prime_sieve(limit, start)
+    return ExactFlags(start)
+
+
+def refuse_sieve(limit, start=0):
+    raise AssertionError(f"sieved {start}..{limit}")
+
+
+def refuse_pairs(args):
+    raise AssertionError(f"pair loop on {args}")
+
+
+def counting(checked):
+    """constellation_at, appending each (beta, k) it is asked about to checked."""
+
+    def counted(beta, k):
+        checked.append((beta, k))
+        return constellation_at(beta, k)
+
+    return counted
+
+
+def assert_kernels_agree(args):
+    """The join and the pair loop give the same hits and counts on one shard.
+
+    The join's rows are exact, so every pair it hands to constellation_at
+    has four prime values in the target class: it checks hits only.
+    """
+    checked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qirank.search, "constellation_at", counting(checked))
+        joined = _join_rows(args)
+    pairs = _scan_pairs(args)
+    assert (in_order(joined[0]), *joined[1:]) == (in_order(pairs[0]), *pairs[1:]), args
+    assert len(checked) == len(joined[0]), args
+    return pairs
+
+
 class TestScanKernel:
     @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
     def test_matches_brute_force(self, box, k_range, count):
@@ -195,20 +269,32 @@ class TestScanKernel:
     @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
     def test_norm_filter_is_only_an_optimisation(self, monkeypatch, box, k_range, count):
         # with a stage that passes everything, constellation_at sees every
-        # residue-passing pair and must still give the same hits
-        expected = search_region(box, k_range)
-        checked = []
-
-        def counted(beta, k):
-            checked.append((beta, k))
-            return constellation_at(beta, k)
-
-        monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
-        monkeypatch.setattr(qirank.search, "constellation_at", counted)
+        # residue-passing pair of the pair loop and must still give the same hits
         records = []
-        assert search_region(box, k_range, progress=records.append) == expected
+        expected = search_region(box, k_range, progress=records.append)
+        checked = []
+        monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
+        monkeypatch.setattr(qirank.search, "constellation_at", counting(checked))
+        hits, _, passes = _scan_pairs(shard_args(box, k_range))
+        assert in_order(hits) == expected
         assert len(expected) == count
-        assert len(checked) == sum(r["filter_pass"] for r in records)
+        assert len(checked) == passes == sum(r["filter_pass"] for r in records)
+
+    @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
+    def test_prime_rows_are_only_an_optimisation(self, monkeypatch, box, k_range, count):
+        # with a sieve that says every number is prime, every row is full, so
+        # constellation_at sees every residue-passing pair of the join
+        records = []
+        expected = search_region(box, k_range, progress=records.append)
+        checked = []
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve",
+                            lambda limit, start=0: EveryNumberPrime())
+        monkeypatch.setattr(qirank.search, "constellation_at", counting(checked))
+        hits, _, passes = _join_rows(shard_args(box, k_range))
+        assert in_order(hits) == expected
+        assert len(expected) == count
+        assert passes == sum(r["filter_pass"] for r in records)
+        assert len(set(checked)) == len(checked) == passes
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -224,9 +310,9 @@ class TestScanKernel:
         cre, cim = _BETA_CLASS_K0 if k % 16 == 0 else _BETA_CLASS_K8
         a, b = 16 * u + cre, 16 * v + cim
         hits, candidates, passes = _scan_shard((a, a, b, b, k, k))
-        is_hit = isinstance(constellation_at(GaussInt(a, b), k), ConstellationHit)
+        result = constellation_at(GaussInt(a, b), k)
         assert (candidates, passes) == (1, 1)
-        assert hits == ([(a, b, k)] if is_hit else [])
+        assert hits == ([result] if isinstance(result, ConstellationHit) else [])
 
     def test_wide_k_range_is_streamed(self):
         tracemalloc.start()
@@ -251,6 +337,92 @@ class TestScanKernel:
             _, candidates, passes = _scan_shard(region)
             assert candidates == len(betas) * len(ks)
             assert passes == sum(residue_prefilter(b, k) for b in betas for k in ks)
+
+
+# (shard args, hit count by brute_force_region): empty boxes and k ranges,
+# one point, one column and one row, boxes that are negative or off-centre,
+# k ranges that leave out 0 or straddle it unevenly
+KERNEL_EDGE_CASES = [
+    ((5, 4, -64, 64, -64, 64), 0),
+    ((-64, 64, 9, 8, -64, 64), 0),
+    ((-64, 64, -64, 64, 1, 7), 0),
+    ((-64, 64, -64, 64, 0, 0), 0),
+    ((15, 15, 10, 10, 16, 16), 1),
+    ((15, 15, -200, 200, -200, 200), 4),
+    ((-200, 200, 10, 10, -200, 200), 4),
+    ((-200, -100, -150, -50, 8, 200), 5),
+    ((-120, 40, -90, 70, -24, 300), 12),
+    ((500, 560, -700, -640, -40, 16), 0),
+    ((-300, -200, 250, 350, -300, -8), 3),
+    ((-300, -200, -300, -200, -200, -8), 2),
+]
+
+
+class TestJoinKernel:
+    @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
+    def test_matches_pair_loop_on_kernel_regions(self, monkeypatch, box, k_range, count):
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", exact_sieve)
+        hits, _, _ = assert_kernels_agree(shard_args(box, k_range))
+        assert len(hits) == count
+
+    @pytest.mark.parametrize("args, count", KERNEL_EDGE_CASES)
+    def test_matches_pair_loop_on_edge_cases(self, args, count):
+        hits, _, _ = assert_kernels_agree(args)
+        assert len(hits) == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        re_lo=st.integers(-300, 300), re_width=st.integers(-3, 48),
+        im_lo=st.integers(-300, 300), im_width=st.integers(-3, 48),
+        k_lo=st.integers(-300, 300), k_width=st.integers(-20, 200),
+    )
+    def test_matches_pair_loop_on_small_regions(
+            self, re_lo, re_width, im_lo, im_width, k_lo, k_width):
+        assert_kernels_agree((re_lo, re_lo + re_width, im_lo, im_lo + im_width,
+                              k_lo, k_lo + k_width))
+
+    def test_search_origin_takes_the_join(self, monkeypatch):
+        # box = k = 256 sieves its window's norms once, about 8 per pair
+        sieved = []
+
+        def recorded(limit, start=0):
+            sieved.append((start, limit))
+            return rational_prime_sieve(limit, start)
+
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", recorded)
+        monkeypatch.setattr(qirank.search, "_scan_pairs", refuse_pairs)
+        hits, _, passes = _scan_shard(shard_args(Box.centered(256), (-256, 256)))
+        assert (len(hits), passes) == (178, 65536)
+        assert len(sieved) == 1
+        start, limit = sieved[0]
+        assert limit - start + 1 <= 8 * passes
+
+
+FAR = 1 << 20
+
+
+class TestBoundedMemory:
+    def test_far_window_never_sieves(self, monkeypatch):
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        hits = search_region(Box(FAR - 96, FAR + 96, FAR - 96, FAR + 96),
+                             (1 << 18, (1 << 18) + 8192))
+        assert hits
+
+    def test_off_centre_window_never_sieves(self, monkeypatch):
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        _, candidates, passes = _scan_shard((2936, 3064, 2936, 3064, -64, 64))
+        assert (candidates, passes) == (129 * 129 * 16, 1024)
+
+    def test_near_origin_over_the_cap_takes_the_pair_loop(self, monkeypatch):
+        # box = k = 1500 has about 1.4 sieve entries per pair, but its
+        # 17.9e6 norms are over the cap; box = k = 1024 (8.4e6) is under it
+        chosen = []
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        monkeypatch.setattr(qirank.search, "_scan_pairs", lambda args: chosen.append("pairs"))
+        monkeypatch.setattr(qirank.search, "_join_rows", lambda args: chosen.append("join"))
+        for radius in (1500, 1024):
+            _scan_shard(shard_args(Box.centered(radius), (-radius, radius)))
+        assert chosen == ["pairs", "join"]
 
 
 class TestWorkerPool:
