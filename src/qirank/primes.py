@@ -54,9 +54,10 @@ def is_base2_probable_prime(n: int) -> bool:
 
     True for every prime.  False proves n composite (or below 2); True
     proves n prime only below 101^2.  ``is_rational_prime`` runs it first.
-    Of the search kernels only the pair loop, for windows too far out to
-    sieve, calls it directly; the cache serves that loop, which meets the
-    same norm for many k.
+    Two search kernels call it directly, for windows too far out to sieve:
+    the pair loop, and the sieve along k on the k that its strikes leave.
+    The cache serves both, since one value belongs to the pairs of several
+    beta of a shard.
     """
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return n in _SMALL_PRIMES

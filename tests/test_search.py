@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import qirank.search
 from qirank.certify import certify
 from qirank.gaussian import GaussInt
-from qirank.primes import is_rational_prime, rational_prime_sieve
+from qirank.primes import is_base2_probable_prime, is_rational_prime, rational_prime_sieve
 from qirank.search import (
     Box,
     ConstellationHit,
@@ -21,9 +22,14 @@ from qirank.search import (
     TARGET_CLASS,
     _BETA_CLASS_K0,
     _BETA_CLASS_K8,
+    _SIEVE_TABLE,
     _join_rows,
+    _join_window,
+    _k_mask,
     _scan_pairs,
     _scan_shard,
+    _shard_ranges,
+    _sieve_k,
     constellation_at,
     constellation_primes,
     find_first_hit,
@@ -423,6 +429,163 @@ class TestBoundedMemory:
         for radius in (1500, 1024):
             _scan_shard(shard_args(Box.centered(radius), (-radius, radius)))
         assert chosen == ["pairs", "join"]
+
+
+# the far workload's window at seed 0, and its k range
+FAR_BOX = Box(FAR - 96, FAR + 96, FAR - 96, FAR + 96)
+FAR_K = (1 << 18, (1 << 18) + 8192)
+
+
+def translated(box, u, v):
+    return Box(box.re_min + 16 * u, box.re_max + 16 * u,
+               box.im_min + 16 * v, box.im_max + 16 * v)
+
+
+def assert_sieve_agrees(args):
+    """The sieve and the pair loop give the same hits and counts on one shard,
+    and hand constellation_at the same pairs."""
+    sieved, paired = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qirank.search, "constellation_at", counting(sieved))
+        result = _sieve_k(args)
+        patch.setattr(qirank.search, "constellation_at", counting(paired))
+        pairs = _scan_pairs(args)
+    assert (in_order(result[0]), *result[1:]) == (in_order(pairs[0]), *pairs[1:]), args
+    assert Counter(sieved) == Counter(paired), args
+    return pairs
+
+
+# (shard args, hit count by brute_force_region) on the window of
+# KERNEL_REGIONS near 2^20, which
+# holds 1048519+1048626i with k = +-280: k ranges that straddle 0 unevenly,
+# that are all negative, that start off their class, and k classes with
+# one k or none; one point, one column, one row and an empty box
+NEAR = (1048512, 1048543, 1048608, 1048639)
+SIEVE_EDGE_CASES = [
+    ((*NEAR, -300, 290), 2),
+    ((*NEAR, -40, 600), 1),
+    ((*NEAR, -600, -8), 1),
+    ((*NEAR, -283, -1), 1),
+    ((*NEAR, 3, 300), 1),
+    ((*NEAR, 5, 287), 1),
+    ((*NEAR, 280, 280), 1),
+    ((*NEAR, -280, -273), 1),
+    ((*NEAR, 272, 279), 0),
+    ((*NEAR, 281, 287), 0),
+    ((*NEAR, -7, 7), 0),
+    ((1048519, 1048519, 1048626, 1048626, -4000, 4000), 2),
+    ((1048519, 1048519, 1048500, 1048700, -300, 300), 2),
+    ((1048400, 1048600, 1048626, 1048626, -300, 300), 2),
+    ((1048543, 1048512, *NEAR[2:], -300, 300), 0),
+]
+
+
+class TestSieveKernel:
+    @pytest.mark.parametrize("u, v, count", [(0, 0, 10), (2, -1, 12), (-2, 2, 8)])
+    def test_matches_pair_loop_on_far_windows(self, u, v, count):
+        hits, _, passes = assert_sieve_agrees(shard_args(translated(FAR_BOX, u, v), FAR_K))
+        assert (len(hits), passes) == (count, 147600)
+
+    @pytest.mark.parametrize("args, count", SIEVE_EDGE_CASES)
+    def test_matches_pair_loop_on_edge_cases(self, args, count):
+        hits, _, _ = assert_sieve_agrees(args)
+        assert len(hits) == count
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        re_lo=st.integers(40000, 1 << 24), re_sign=st.sampled_from((-1, 1)),
+        re_width=st.integers(-3, 40), im_lo=st.integers(-(1 << 24), 1 << 24),
+        im_width=st.integers(-3, 40),
+        k_lo=st.integers(-3000, 3000), k_width=st.integers(-20, 4000),
+    )
+    def test_matches_pair_loop_at_large_norms(
+            self, re_lo, re_sign, re_width, im_lo, im_width, k_lo, k_width):
+        re_lo = re_sign * re_lo - (re_width if re_sign < 0 else 0)
+        args = (re_lo, re_lo + re_width, im_lo, im_lo + im_width, k_lo, k_lo + k_width)
+        window = _join_window(_shard_ranges(args))
+        assert window is None or window[2] >= 1 << 30
+        assert_sieve_agrees(args)
+
+    @pytest.mark.parametrize("args", [
+        shard_args(*KERNEL_REGIONS[2][:2]),
+        # holds 1048623+1048570i, k = 2^18 + 16, of the far window
+        shard_args(Box(FAR + 32, FAR + 63, FAR - 16, FAR + 15), (1 << 18, (1 << 18) + 1024)),
+    ])
+    def test_sieve_is_only_an_optimisation(self, monkeypatch, args):
+        # with no prime to strike and a stage that passes everything,
+        # constellation_at sees every residue-passing pair of the sieve
+        expected = in_order(_scan_pairs(args)[0])
+        checked = []
+        monkeypatch.setattr(qirank.search, "_SIEVE_TABLE", ())
+        monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
+        monkeypatch.setattr(qirank.search, "constellation_at", counting(checked))
+        hits, _, passes = _sieve_k(args)
+        assert in_order(hits) == expected
+        assert expected
+        assert len(set(checked)) == len(checked) == passes
+
+    @pytest.mark.parametrize("ell", [entry[0] for entry in _SIEVE_TABLE])
+    def test_struck_iff_the_prime_divides_a_norm(self, monkeypatch, ell):
+        # over ell consecutive k of a class, every k mod ell occurs once
+        monkeypatch.setattr(qirank.search, "_SIEVE_TABLE",
+                            tuple(e for e in _SIEVE_TABLE if e[0] == ell))
+        rng = random.Random(ell)
+        for _ in range(200):
+            a, b = rng.randint(-(1 << 40), 1 << 40), rng.randint(-(1 << 40), 1 << 40)
+            ks = range(rng.randint(-(1 << 20), 1 << 20), 1 << 21, 16)[:ell]
+            flags = _k_mask(a, b, ks)
+            for k, flag in zip(ks, flags):
+                divides = any(p.norm() % ell == 0
+                              for p in constellation_primes(GaussInt(a, b), k))
+                assert flag == (not divides), (a, b, k, ell)
+
+    def test_table_primes_are_split_and_tried_by_the_stage(self):
+        # a struck norm above its prime then has a factor that the stage's
+        # trial division finds, and _scan_shard bounds norms by the last prime
+        primes = [entry[0] for entry in _SIEVE_TABLE]
+        assert primes == sorted(primes) == list(qirank.search._SIEVE_PRIMES)
+        for ell in primes:
+            assert ell % 4 == 1 and ell in qirank.primes._SMALL_PRIMES
+
+    def test_wide_k_range_far_out_is_streamed(self, monkeypatch):
+        # one residue-passing beta near 2^20 and 2e6 k: its k class is
+        # sieved in two blocks, and each holds hits
+        args = (1048519, 1048519, 1048626, 1048626, -10**6, 10**6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qirank.search, "_scan_pairs", refuse_pairs)
+            tracemalloc.start()
+            try:
+                result = _scan_shard(args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 10**6
+        # the pair loop's stage would cache about 10^5 norms of this test
+        monkeypatch.setattr(qirank.search, "is_base2_probable_prime",
+                            is_base2_probable_prime.__wrapped__)
+        pairs = _scan_pairs(args)
+        assert (in_order(result[0]), *result[1:]) == (in_order(pairs[0]), *pairs[1:])
+        assert [hit.k for hit in in_order(result[0])] == [
+            s * k for k in (280, 121960, 274840, 545160, 587240, 686600, 833000) for s in (1, -1)]
+        assert result[1:] == (250000, 125000)
+
+class TestKernelChoice:
+    @pytest.mark.parametrize("args, kernel", [
+        (shard_args(FAR_BOX, FAR_K), "sieve"),
+        *[(shard_args(sub, FAR_K), "sieve") for sub in FAR_BOX.split_re(2)],
+        (shard_args(Box.centered(256), (-256, 256)), "join"),
+        (shard_args(FAR_BOX, (1 << 18, (1 << 18) + 256)), "pairs"),
+        # long in k but near the origin: the window holds norms below 41
+        (shard_args(Box(15, 15, 10, 10), (-4096, 4096)), "pairs"),
+    ])
+    def test_kernel_from_shape(self, monkeypatch, args, kernel):
+        chosen = []
+        for name, label in (("_join_rows", "join"), ("_sieve_k", "sieve"),
+                            ("_scan_pairs", "pairs")):
+            monkeypatch.setattr(qirank.search, name,
+                                lambda args, label=label: chosen.append(label))
+        _scan_shard(args)
+        assert chosen == [kernel]
 
 
 class TestWorkerPool:
