@@ -54,8 +54,9 @@ def is_base2_probable_prime(n: int) -> bool:
 
     True for every prime.  False proves n composite (or below 2); True
     proves n prime only below 101^2.  ``is_rational_prime`` runs it first.
-    Two search kernels call it directly, for windows too far out to sieve:
-    the pair loop, and the sieve along k on the k that its strikes leave.
+    Two search kernels call it directly, for windows too far out for the
+    join to sieve their norms: the pair loop, and the sieve along k on the
+    k that its strikes leave.
     The cache serves both, since one value belongs to the pairs of several
     beta of a shard.
     """

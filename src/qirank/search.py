@@ -235,6 +235,7 @@ def _scan_shard(
             return _sieve_k(args)
     return _scan_pairs(args)
 
+
 def _scan_pairs(
     args: tuple[int, int, int, int, int, int]
 ) -> tuple[list[ConstellationHit], int, int]:

@@ -456,10 +456,10 @@ def assert_sieve_agrees(args):
 
 
 # (shard args, hit count by brute_force_region) on the window of
-# KERNEL_REGIONS near 2^20, which
-# holds 1048519+1048626i with k = +-280: k ranges that straddle 0 unevenly,
-# that are all negative, that start off their class, and k classes with
-# one k or none; one point, one column, one row and an empty box
+# KERNEL_REGIONS near 2^20, which holds 1048519+1048626i with k = +-280:
+# k ranges that straddle 0 unevenly, that are all negative, that start off
+# their class or hold no k but 0, and k classes with one k or none; one
+# point, one column, one row and an empty box
 NEAR = (1048512, 1048543, 1048608, 1048639)
 SIEVE_EDGE_CASES = [
     ((*NEAR, -300, 290), 2),
@@ -568,6 +568,7 @@ class TestSieveKernel:
         assert [hit.k for hit in in_order(result[0])] == [
             s * k for k in (280, 121960, 274840, 545160, 587240, 686600, 833000) for s in (1, -1)]
         assert result[1:] == (250000, 125000)
+
 
 class TestKernelChoice:
     @pytest.mark.parametrize("args, kernel", [
