@@ -8,17 +8,18 @@ test suite; the scan steps beta through those classes directly.  The norm
 pre-filter then asks that the four norms be prime.  It is exact: a value
 congruent to -1-6i mod 16 has real part 15 and imaginary part 10 mod 16,
 both nonzero, so it is a Gaussian prime iff its norm is a rational prime.
-Three kernels apply it.  Near the origin, ``_join_rows`` sieves every norm
-of the shard's window once and joins rows of prime flags as big-int bitsets.
-Far from the origin, on long k ranges, ``_sieve_k`` first strikes, for each
-beta, the k at which a split prime up to 41 divides one of the four norms.
-Elsewhere ``_scan_pairs`` runs no sieve.  The last two test each pair that
-is left with the first primality stage, ``is_base2_probable_prime`` (trial
-division up to 97 and one strong base-2 test), which never rejects a prime.
-All three remain optimizations only: every pair that passes them still gets
-the full ``constellation_at`` check (direct congruences and the full
-primality test).  Sharded searches merge deterministically, so output never
-depends on the shard count.
+Three kernels apply it, each a generator of the pairs that pass its filter:
+``_join_rows`` sieves every norm of the shard's window once and joins rows
+of prime flags as big-int bitsets; ``_sieve_k`` strikes, for each beta, the
+k at which a split prime up to 41 divides one of the four norms, and tests
+the rest with the first primality stage, ``is_base2_probable_prime`` (trial
+division up to 97 and one strong base-2 test, which never rejects a prime);
+``_scan_pairs`` tests every pair with that stage.  ``_scan_shard`` chooses
+the kernel, counts the shard's pairs, and gives every pair that a kernel
+yields the full ``constellation_at`` check (direct congruences and the full
+primality test), so the kernels remain optimizations only.  Sharded
+searches merge deterministically, so output never depends on the shard
+count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .gaussian import GaussInt, I_POWERS, ONE_PLUS_I
 from .primes import (
@@ -171,17 +172,6 @@ def _shard_ranges(args: tuple[int, int, int, int, int, int]) -> list[tuple[range
     ]
 
 
-def _shard_counts(
-    args: tuple[int, int, int, int, int, int], classes: list[tuple[range, range, range]]
-) -> tuple[int, int]:
-    """(candidates, residue-passing pairs) of a shard, from range lengths."""
-    re_lo, re_hi, im_lo, im_hi = args[:4]
-    k_counts = [len(ks) - (0 in ks) for _, _, ks in classes]
-    candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * sum(k_counts)
-    passes = sum(len(res) * len(ims) * n for (res, ims, _), n in zip(classes, k_counts))
-    return candidates, passes
-
-
 def _join_window(
     classes: list[tuple[range, range, range]]
 ) -> Optional[tuple[range, range, int, int]]:
@@ -211,35 +201,47 @@ def _scan_shard(
 ) -> tuple[list[ConstellationHit], int, int]:
     """Worker: scan one sub-box; returns (hits, candidates, filter passes).
 
-    Only residue-passing pairs are visited, and their counts come from
-    range lengths.  Three kernels give the same hits.  ``_join_rows`` runs
-    when the sieve of the norms that the shard's values cover is small: at
-    most _JOIN_MAX_ENTRIES entries and _JOIN_ENTRIES_PER_PAIR per pair,
-    which holds close to the origin.  Otherwise ``_sieve_k`` runs when each
-    k class holds at least _SIEVE_MIN_K values and every norm of the window
-    is above the largest prime of _SIEVE_TABLE, as for long k ranges far
-    from the origin.  ``_scan_pairs`` runs in every other case.  The choice
-    reads range endpoints alone, before anything is allocated.  Each
-    kernel hands every pair that passes its norm filter to
-    ``constellation_at`` and returns the hits that it built, in no fixed
-    order; the order is left to the caller.
+    Only residue-passing pairs are visited, and the counts come from range
+    lengths.  A shard with no pair runs no kernel.  Otherwise one kernel
+    yields the pairs that pass its norm filter, and all three yield the
+    same pairs.  ``_join_rows`` runs when the sieve of the norms that the
+    shard's values cover is small: at most _JOIN_MAX_ENTRIES entries and
+    _JOIN_ENTRIES_PER_PAIR per pair, which holds close to the origin.
+    Otherwise ``_sieve_k`` runs when each k class holds at least
+    _SIEVE_MIN_K values and every norm of the window is above the largest
+    prime of _SIEVE_TABLE, as for long k ranges far from the origin.
+    ``_scan_pairs`` runs in every other case.  The choice reads range
+    endpoints alone, before anything is allocated.  Each pair yielded gets
+    ``constellation_at``, and the hits are kept in the kernel's order; the
+    canonical order is left to the caller.
     """
+    re_lo, re_hi, im_lo, im_hi = args[:4]
     classes = _shard_ranges(args)
+    k_counts = [len(ks) - (0 in ks) for _, _, ks in classes]
+    candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * sum(k_counts)
+    passes = sum(len(res) * len(ims) * n for (res, ims, _), n in zip(classes, k_counts))
+    hits: list[ConstellationHit] = []
     window = _join_window(classes)
-    if window is not None:
-        _, _, lo, hi = window
-        entries, passes = hi - lo + 1, _shard_counts(args, classes)[1]
-        if entries <= _JOIN_MAX_ENTRIES and entries <= _JOIN_ENTRIES_PER_PAIR * passes:
-            return _join_rows(args)
-        if lo > _SIEVE_PRIMES[-1] and all(len(ks) >= _SIEVE_MIN_K for _, _, ks in classes):
-            return _sieve_k(args)
-    return _scan_pairs(args)
+    if window is None:
+        return hits, candidates, passes
+    with_beta = [c for c in classes if c[0] and c[1]]
+    _, _, lo, hi = window
+    entries = hi - lo + 1
+    if entries <= _JOIN_MAX_ENTRIES and entries <= _JOIN_ENTRIES_PER_PAIR * passes:
+        survivors = _join_rows(with_beta, window)
+    elif lo > _SIEVE_PRIMES[-1] and all(len(ks) >= _SIEVE_MIN_K for _, _, ks in classes):
+        survivors = _sieve_k(with_beta)
+    else:
+        survivors = _scan_pairs(with_beta)
+    for a, b, k in survivors:
+        result = constellation_at(GaussInt(a, b), k)
+        if isinstance(result, ConstellationHit):
+            hits.append(result)
+    return hits, candidates, passes
 
 
-def _scan_pairs(
-    args: tuple[int, int, int, int, int, int]
-) -> tuple[list[ConstellationHit], int, int]:
-    """The pair loop: each residue-passing pair tests its four norms.
+def _scan_pairs(classes: list[tuple[range, range, range]]) -> Iterator[tuple[int, int, int]]:
+    """The pair loop: yields each pair (a, b, k) whose four norms pass the stage.
 
     A pair needs the norms of its four values, (a -+ k)^2 + (b +- k)^2 in
     j-order, to pass the first primality stage, ``is_base2_probable_prime``
@@ -248,13 +250,8 @@ def _scan_pairs(
     outer loop, so the im-parts (b +- k)^2 are computed once per k.  Its
     memory does not grow with the region.
     """
-    classes = _shard_ranges(args)
-    candidates, passes = _shard_counts(args, classes)
-    hits: list[ConstellationHit] = []
     stage = is_base2_probable_prime
     for res, ims, ks in classes:
-        if not res or not ims:
-            continue
         for k in ks:
             if k == 0:
                 continue
@@ -265,15 +262,12 @@ def _scan_pairs(
                 for b, bp2, bm2 in columns:
                     if (stage(am2 + bp2) and stage(am2 + bm2)
                             and stage(ap2 + bm2) and stage(ap2 + bp2)):
-                        result = constellation_at(GaussInt(a, b), k)
-                        if isinstance(result, ConstellationHit):
-                            hits.append(result)
-    return hits, candidates, passes
+                        yield a, b, k
 
 
 def _join_rows(
-    args: tuple[int, int, int, int, int, int]
-) -> tuple[list[ConstellationHit], int, int]:
+    classes: list[tuple[range, range, range]], window: tuple[range, range, int, int]
+) -> Iterator[tuple[int, int, int]]:
     """The join: exact prime rows over the shard's window, ANDed per (k, b).
 
     One ``rational_prime_sieve`` covers the window's norms.  ``rows[i]`` is
@@ -281,16 +275,10 @@ def _join_rows(
     which for a value on the target sublattice (both parts nonzero) is iff
     the value is a Gaussian prime.  For fixed (k, b), M = row[b+k] & row[b-k]
     holds both im-parts; the a whose four norms are prime are the bits of
-    (M >> s_-) & (M >> s_+), with s_-+ = (a_0 -+ k - x_0) / 16, and each gets
-    ``constellation_at``.  The sieve has as many entries as the window has
+    (M >> s_-) & (M >> s_+), with s_-+ = (a_0 -+ k - x_0) / 16, and each
+    (a, b, k) is yielded.  The sieve has as many entries as the window has
     norms, so ``_scan_shard`` calls this only under its cap.
     """
-    classes = _shard_ranges(args)
-    candidates, passes = _shard_counts(args, classes)
-    hits: list[ConstellationHit] = []
-    window = _join_window(classes)
-    if window is None:
-        return hits, candidates, passes
     xs, ys, lo, hi = window
     sieve = rational_prime_sieve(hi, lo)
     x_norms = [x * x - lo for x in reversed(xs)]  # the last x is the top bit
@@ -301,8 +289,6 @@ def _join_rows(
     del sieve
     x0, y0 = xs[0], ys[0]
     for res, ims, ks in classes:
-        if not res or not ims:
-            continue
         a0 = res[0]
         full = (1 << len(res)) - 1
         for k in ks:
@@ -316,10 +302,7 @@ def _join_rows(
                 while passing:
                     low = passing & -passing
                     passing ^= low
-                    result = constellation_at(GaussInt(a0 + 16 * low.bit_length() - 16, b), k)
-                    if isinstance(result, ConstellationHit):
-                        hits.append(result)
-    return hits, candidates, passes
+                    yield a0 + 16 * low.bit_length() - 16, b, k
 
 
 def _k_mask(a: int, b: int, ks: range) -> bytes:
@@ -340,9 +323,7 @@ def _k_mask(a: int, b: int, ks: range) -> bytes:
     return flags.to_bytes(n, "little")
 
 
-def _sieve_k(
-    args: tuple[int, int, int, int, int, int]
-) -> tuple[list[ConstellationHit], int, int]:
+def _sieve_k(classes: list[tuple[range, range, range]]) -> Iterator[tuple[int, int, int]]:
     """The sieve along k: per beta, the k where a small split prime divides
     one of the four norms are struck before any norm is tested.
 
@@ -353,16 +334,11 @@ def _sieve_k(
     the window is above 41; the stage, whose trial division covers every
     table prime, rejects each struck pair too.  Each unstruck k then tests
     its four norms with ``is_base2_probable_prime`` in j-order, as the pair
-    loop does, so ``constellation_at`` gets exactly the pairs that it gets
-    from the pair loop.  Memory is one block's flags.
+    loop does, so this yields exactly the pairs that the pair loop yields.
+    Memory is one block's flags.
     """
-    classes = _shard_ranges(args)
-    candidates, passes = _shard_counts(args, classes)
-    hits: list[ConstellationHit] = []
     stage = is_base2_probable_prime
     for res, ims, ks in classes:
-        if not res or not ims:
-            continue
         for start in range(0, len(ks), _SIEVE_BLOCK):
             block = ks[start : start + _SIEVE_BLOCK]
             for a in res:
@@ -374,10 +350,7 @@ def _sieve_k(
                         bm2, bp2 = (b - k) * (b - k), (b + k) * (b + k)
                         if (stage(am2 + bp2) and stage(am2 + bm2)
                                 and stage(ap2 + bm2) and stage(ap2 + bp2)):
-                            result = constellation_at(GaussInt(a, b), k)
-                            if isinstance(result, ConstellationHit):
-                                hits.append(result)
-    return hits, candidates, passes
+                            yield a, b, k
 
 
 ProgressFn = Callable[[dict], None]

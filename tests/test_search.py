@@ -183,6 +183,14 @@ def brute_force_region(box, k_range):
     return hits
 
 
+def brute_force_counts(args):
+    """Oracle: (candidates, residue-passing pairs) of a shard, pair by pair."""
+    betas = [GaussInt(a, b) for a in range(args[0], args[1] + 1)
+             for b in range(args[2], args[3] + 1)]
+    ks = [k for k in range(args[4], args[5] + 1) if k % 8 == 0 and k]
+    return len(betas) * len(ks), sum(residue_prefilter(b, k) for b in betas for k in ks)
+
+
 # (beta box, k range, hit count): the origin; an off-origin box whose hits
 # 135-110i (k = +-56) and 111-150i (k = -80) cover both k classes and negative
 # k; a window near 2^20 holding 1048519+1048626i, k = +-280
@@ -194,12 +202,35 @@ KERNEL_REGIONS = [
 
 
 def shard_args(box, k_range):
-    """The one shard of a region, as search_region hands it to a kernel."""
+    """The one shard of a region, as search_region hands it to _scan_shard."""
     return (box.re_min, box.re_max, box.im_min, box.im_max, *k_range)
+
+
+def kernel_input(args):
+    """The classes that hold pairs, and the window, as _scan_shard hands them
+    to a kernel."""
+    classes = _shard_ranges(args)
+    return [c for c in classes if c[0] and c[1]], _join_window(classes)
+
+
+def pair_count(classes):
+    """The residue-passing pairs of a shard's classes, from range lengths."""
+    return sum(len(res) * len(ims) * (len(ks) - (0 in ks)) for res, ims, ks in classes)
 
 
 def in_order(hits):
     return sorted(hits, key=ConstellationHit.sort_key)
+
+
+def proven(survivors):
+    """constellation_at over the (a, b, k) a kernel yields: the hits, in
+    canonical order."""
+    return in_order(
+        result
+        for a, b, k in survivors
+        for result in [constellation_at(GaussInt(a, b), k)]
+        if isinstance(result, ConstellationHit)
+    )
 
 
 class EveryNumberPrime:
@@ -234,34 +265,21 @@ def refuse_sieve(limit, start=0):
     raise AssertionError(f"sieved {start}..{limit}")
 
 
-def refuse_pairs(args):
-    raise AssertionError(f"pair loop on {args}")
-
-
-def counting(checked):
-    """constellation_at, appending each (beta, k) it is asked about to checked."""
-
-    def counted(beta, k):
-        checked.append((beta, k))
-        return constellation_at(beta, k)
-
-    return counted
+def refuse_pairs(classes):
+    raise AssertionError(f"pair loop on {classes}")
 
 
 def assert_kernels_agree(args):
-    """The join and the pair loop give the same hits and counts on one shard.
+    """The join yields exactly the pairs of the pair loop's hits on one shard.
 
-    The join's rows are exact, so every pair it hands to constellation_at
-    has four prime values in the target class: it checks hits only.
+    The join's rows are exact, so every pair it yields has four prime values
+    in the target class: it yields hits only.  Returns the hits.
     """
-    checked = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qirank.search, "constellation_at", counting(checked))
-        joined = _join_rows(args)
-    pairs = _scan_pairs(args)
-    assert (in_order(joined[0]), *joined[1:]) == (in_order(pairs[0]), *pairs[1:]), args
-    assert len(checked) == len(joined[0]), args
-    return pairs
+    classes, window = kernel_input(args)
+    hits = proven(_scan_pairs(classes))
+    joined = list(_join_rows(classes, window)) if window else []
+    assert sorted(joined) == sorted((h.beta.re, h.beta.im, h.k) for h in hits), args
+    return hits
 
 
 class TestScanKernel:
@@ -274,33 +292,28 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
     def test_norm_filter_is_only_an_optimisation(self, monkeypatch, box, k_range, count):
-        # with a stage that passes everything, constellation_at sees every
-        # residue-passing pair of the pair loop and must still give the same hits
+        # with a stage that passes everything, the pair loop yields every
+        # residue-passing pair, and constellation_at must still give the same hits
         records = []
         expected = search_region(box, k_range, progress=records.append)
-        checked = []
         monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
-        monkeypatch.setattr(qirank.search, "constellation_at", counting(checked))
-        hits, _, passes = _scan_pairs(shard_args(box, k_range))
-        assert in_order(hits) == expected
+        survivors = list(_scan_pairs(kernel_input(shard_args(box, k_range))[0]))
+        assert proven(survivors) == expected
         assert len(expected) == count
-        assert len(checked) == passes == sum(r["filter_pass"] for r in records)
+        assert len(set(survivors)) == len(survivors) == sum(r["filter_pass"] for r in records)
 
     @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
     def test_prime_rows_are_only_an_optimisation(self, monkeypatch, box, k_range, count):
         # with a sieve that says every number is prime, every row is full, so
-        # constellation_at sees every residue-passing pair of the join
+        # the join yields every residue-passing pair
         records = []
         expected = search_region(box, k_range, progress=records.append)
-        checked = []
         monkeypatch.setattr(qirank.search, "rational_prime_sieve",
                             lambda limit, start=0: EveryNumberPrime())
-        monkeypatch.setattr(qirank.search, "constellation_at", counting(checked))
-        hits, _, passes = _join_rows(shard_args(box, k_range))
-        assert in_order(hits) == expected
+        survivors = list(_join_rows(*kernel_input(shard_args(box, k_range))))
+        assert proven(survivors) == expected
         assert len(expected) == count
-        assert passes == sum(r["filter_pass"] for r in records)
-        assert len(set(checked)) == len(checked) == passes
+        assert len(set(survivors)) == len(survivors) == sum(r["filter_pass"] for r in records)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -337,12 +350,7 @@ class TestScanKernel:
             region = (re_lo, re_lo + rng.randint(-3, 40),
                       im_lo, im_lo + rng.randint(-3, 40),
                       k_lo, k_lo + rng.randint(-20, 120))
-            betas = [GaussInt(a, b) for a in range(region[0], region[1] + 1)
-                     for b in range(region[2], region[3] + 1)]
-            ks = [k for k in range(region[4], region[5] + 1) if k % 8 == 0 and k]
-            _, candidates, passes = _scan_shard(region)
-            assert candidates == len(betas) * len(ks)
-            assert passes == sum(residue_prefilter(b, k) for b in betas for k in ks)
+            assert _scan_shard(region)[1:] == brute_force_counts(region)
 
 
 # (shard args, hit count by brute_force_region): empty boxes and k ranges,
@@ -368,12 +376,12 @@ class TestJoinKernel:
     @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
     def test_matches_pair_loop_on_kernel_regions(self, monkeypatch, box, k_range, count):
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", exact_sieve)
-        hits, _, _ = assert_kernels_agree(shard_args(box, k_range))
+        hits = assert_kernels_agree(shard_args(box, k_range))
         assert len(hits) == count
 
     @pytest.mark.parametrize("args, count", KERNEL_EDGE_CASES)
     def test_matches_pair_loop_on_edge_cases(self, args, count):
-        hits, _, _ = assert_kernels_agree(args)
+        hits = assert_kernels_agree(args)
         assert len(hits) == count
 
     @settings(max_examples=200, deadline=None)
@@ -424,8 +432,10 @@ class TestBoundedMemory:
         # 17.9e6 norms are over the cap; box = k = 1024 (8.4e6) is under it
         chosen = []
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
-        monkeypatch.setattr(qirank.search, "_scan_pairs", lambda args: chosen.append("pairs"))
-        monkeypatch.setattr(qirank.search, "_join_rows", lambda args: chosen.append("join"))
+        monkeypatch.setattr(qirank.search, "_scan_pairs",
+                            lambda classes: chosen.append("pairs") or ())
+        monkeypatch.setattr(qirank.search, "_join_rows",
+                            lambda classes, window: chosen.append("join") or ())
         for radius in (1500, 1024):
             _scan_shard(shard_args(Box.centered(radius), (-radius, radius)))
         assert chosen == ["pairs", "join"]
@@ -442,17 +452,12 @@ def translated(box, u, v):
 
 
 def assert_sieve_agrees(args):
-    """The sieve and the pair loop give the same hits and counts on one shard,
-    and hand constellation_at the same pairs."""
-    sieved, paired = [], []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qirank.search, "constellation_at", counting(sieved))
-        result = _sieve_k(args)
-        patch.setattr(qirank.search, "constellation_at", counting(paired))
-        pairs = _scan_pairs(args)
-    assert (in_order(result[0]), *result[1:]) == (in_order(pairs[0]), *pairs[1:]), args
-    assert Counter(sieved) == Counter(paired), args
-    return pairs
+    """The sieve and the pair loop yield the same pairs on one shard.
+    Returns the hits."""
+    classes, _ = kernel_input(args)
+    sieved = Counter(_sieve_k(classes))
+    assert sieved == Counter(_scan_pairs(classes)), args
+    return proven(sieved)
 
 
 # (shard args, hit count by brute_force_region) on the window of
@@ -483,12 +488,13 @@ SIEVE_EDGE_CASES = [
 class TestSieveKernel:
     @pytest.mark.parametrize("u, v, count", [(0, 0, 10), (2, -1, 12), (-2, 2, 8)])
     def test_matches_pair_loop_on_far_windows(self, u, v, count):
-        hits, _, passes = assert_sieve_agrees(shard_args(translated(FAR_BOX, u, v), FAR_K))
-        assert (len(hits), passes) == (count, 147600)
+        args = shard_args(translated(FAR_BOX, u, v), FAR_K)
+        hits = assert_sieve_agrees(args)
+        assert (len(hits), pair_count(kernel_input(args)[0])) == (count, 147600)
 
     @pytest.mark.parametrize("args, count", SIEVE_EDGE_CASES)
     def test_matches_pair_loop_on_edge_cases(self, args, count):
-        hits, _, _ = assert_sieve_agrees(args)
+        hits = assert_sieve_agrees(args)
         assert len(hits) == count
 
     @settings(max_examples=150, deadline=None)
@@ -513,16 +519,15 @@ class TestSieveKernel:
     ])
     def test_sieve_is_only_an_optimisation(self, monkeypatch, args):
         # with no prime to strike and a stage that passes everything,
-        # constellation_at sees every residue-passing pair of the sieve
-        expected = in_order(_scan_pairs(args)[0])
-        checked = []
+        # the sieve yields every residue-passing pair
+        classes, _ = kernel_input(args)
+        expected = proven(_scan_pairs(classes))
         monkeypatch.setattr(qirank.search, "_SIEVE_TABLE", ())
         monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
-        monkeypatch.setattr(qirank.search, "constellation_at", counting(checked))
-        hits, _, passes = _sieve_k(args)
-        assert in_order(hits) == expected
+        survivors = list(_sieve_k(classes))
+        assert proven(survivors) == expected
         assert expected
-        assert len(set(checked)) == len(checked) == passes
+        assert len(set(survivors)) == len(survivors) == pair_count(classes)
 
     @pytest.mark.parametrize("ell", [entry[0] for entry in _SIEVE_TABLE])
     def test_struck_iff_the_prime_divides_a_norm(self, monkeypatch, ell):
@@ -563,8 +568,7 @@ class TestSieveKernel:
         # the pair loop's stage would cache about 10^5 norms of this test
         monkeypatch.setattr(qirank.search, "is_base2_probable_prime",
                             is_base2_probable_prime.__wrapped__)
-        pairs = _scan_pairs(args)
-        assert (in_order(result[0]), *result[1:]) == (in_order(pairs[0]), *pairs[1:])
+        assert in_order(result[0]) == proven(_scan_pairs(kernel_input(args)[0]))
         assert [hit.k for hit in in_order(result[0])] == [
             s * k for k in (280, 121960, 274840, 545160, 587240, 686600, 833000) for s in (1, -1)]
         assert result[1:] == (250000, 125000)
@@ -584,9 +588,36 @@ class TestKernelChoice:
         for name, label in (("_join_rows", "join"), ("_sieve_k", "sieve"),
                             ("_scan_pairs", "pairs")):
             monkeypatch.setattr(qirank.search, name,
-                                lambda args, label=label: chosen.append(label))
+                                lambda *_, label=label: chosen.append(label) or ())
         _scan_shard(args)
         assert chosen == [kernel]
+
+
+class TestShardDriver:
+    @pytest.mark.parametrize("args, kernel", [
+        (shard_args(Box.centered(32), (-32, 32)), "_join_rows"),
+        ((1048519, 1048519, 1048626, 1048626, -1100, 1100), "_sieve_k"),
+        ((2936, 2968, 2936, 2968, -64, 64), "_scan_pairs"),
+    ])
+    def test_proves_what_the_kernel_yields(self, monkeypatch, args, kernel):
+        # the counts come from the shard, not from the kernel, and only the
+        # pairs that the kernel yields reach constellation_at
+        def stub(*_):
+            yield 15, 10, 16
+            yield -1, -6, 16
+
+        def counted(beta, k):
+            checked.append((beta, k))
+            return constellation_at(beta, k)
+
+        checked = []
+        monkeypatch.setattr(qirank.search, kernel, stub)
+        monkeypatch.setattr(qirank.search, "constellation_at", counted)
+        hits, candidates, passes = _scan_shard(args)
+        assert checked == [(GaussInt(15, 10), 16), (GaussInt(-1, -6), 16)]
+        assert [(hit.beta, hit.k, hit.primes) for hit in hits] == [
+            (FROZEN_BETA, FROZEN_K, FROZEN_PRIMES)]
+        assert (candidates, passes) == brute_force_counts(args)
 
 
 class TestWorkerPool:
