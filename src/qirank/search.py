@@ -220,10 +220,9 @@ def _scan_shard(
     k_counts = [len(ks) - (0 in ks) for _, _, ks in classes]
     candidates = len(range(re_lo, re_hi + 1)) * len(range(im_lo, im_hi + 1)) * sum(k_counts)
     passes = sum(len(res) * len(ims) * n for (res, ims, _), n in zip(classes, k_counts))
-    hits: list[ConstellationHit] = []
     window = _join_window(classes)
     if window is None:
-        return hits, candidates, passes
+        return [], candidates, passes
     with_beta = [c for c in classes if c[0] and c[1]]
     _, _, lo, hi = window
     entries = hi - lo + 1
@@ -233,6 +232,7 @@ def _scan_shard(
         survivors = _sieve_k(with_beta)
     else:
         survivors = _scan_pairs(with_beta)
+    hits: list[ConstellationHit] = []
     for a, b, k in survivors:
         result = constellation_at(GaussInt(a, b), k)
         if isinstance(result, ConstellationHit):
