@@ -1,4 +1,5 @@
-"""Gaussian prime testing, factorization into primary primes, a prime sieve.
+"""Gaussian prime testing, factorization into primary primes, a prime sieve
+over an arithmetic progression.
 
 Rational primality comes in two stages.  ``is_base2_probable_prime`` is the
 cheap one: trial division by the primes up to 97, as one gcd, then one
@@ -48,17 +49,13 @@ _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _TRIAL_BOUND = 101 * 101
 
 
-@lru_cache(maxsize=1 << 20)
 def is_base2_probable_prime(n: int) -> bool:
     """First primality stage: trial division up to 97, then a strong base-2 test.
 
     True for every prime.  False proves n composite (or below 2); True
-    proves n prime only below 101^2.  ``is_rational_prime`` runs it first.
-    Two search kernels call it directly, for windows too far out for the
-    join to sieve their norms: the pair loop, and the sieve along k on the
-    k that its strikes leave.
-    The cache serves both, since one value belongs to the pairs of several
-    beta of a shard.
+    proves n prime only below 101^2.  ``is_rational_prime`` runs it first,
+    and the search's sieve along k runs it on the k that its strikes leave.
+    It keeps no cache, so its memory does not grow with the values tested.
     """
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return n in _SMALL_PRIMES
@@ -175,19 +172,26 @@ def factor_primary(alpha: GaussInt) -> PrimaryFactorization:
     return PrimaryFactorization(s=s, t=t, factors=tuple(factors))
 
 
-def rational_prime_sieve(limit: int, start: int = 0) -> bytearray:
-    """Flags for start..limit: sieve[n - start] == 1 iff n is prime.
+def rational_prime_sieve(limit: int, start: int = 0, step: int = 1) -> bytearray:
+    """Flags for start, start + step, ... up to limit: sieve[i] == 1 iff
+    start + i * step is prime.
 
-    The primes up to isqrt(limit) that strike the range come from a sieve
-    of their own, so the memory is that of the range plus its square root.
+    start must be coprime to step, so that no prime dividing step divides a
+    value.  The census sieves with step 1, and the search's join with step
+    32 on the norms = 5 mod 32, the only ones its values have.  The primes
+    up to isqrt(limit) that strike the range come from a sieve of their
+    own, so the memory is that of the range plus its square root.
     """
-    sieve = bytearray([1]) * (limit + 1 - start)
-    for n in range(start, min(2, limit + 1)):
-        sieve[n - start] = 0
+    sieve = bytearray([1]) * len(range(start, limit + 1, step))
+    for n in range(start, min(2, limit + 1), step):
+        sieve[(n - start) // step] = 0
     root = math.isqrt(limit)
     small = rational_prime_sieve(root) if root > 1 else b""
     for p in range(2, root + 1):
-        if small[p]:
-            first = max(p * p, -(-start // p) * p)
-            sieve[first - start :: p] = bytearray(len(range(first, limit + 1, p)))
+        if small[p] and step % p:
+            # the least i with start + i * step >= max(p^2, start), and the
+            # i = -start / step mod p whose values p divides
+            least = -(-(max(p * p, start) - start) // step)
+            first = least + (-start * pow(step, -1, p) - least) % p
+            sieve[first::p] = bytearray(len(range(first, len(sieve), p)))
     return sieve

@@ -8,15 +8,15 @@ test suite; the scan steps beta through those classes directly.  The norm
 pre-filter then asks that the four norms be prime.  It is exact: a value
 congruent to -1-6i mod 16 has real part 15 and imaginary part 10 mod 16,
 both nonzero, so it is a Gaussian prime iff its norm is a rational prime.
-Three kernels apply it, each a generator of the pairs that pass its filter:
-``_join_rows`` sieves every norm of the shard's window once and joins rows
-of prime flags as big-int bitsets; ``_sieve_k`` strikes, for each beta, the
-k at which a split prime up to 41 divides one of the four norms, and tests
-the rest with the first primality stage, ``is_base2_probable_prime`` (trial
-division up to 97 and one strong base-2 test, which never rejects a prime);
-``_scan_pairs`` tests every pair with that stage.  ``_scan_shard`` chooses
-the kernel, counts the shard's pairs, and gives every pair that a kernel
-yields the full ``constellation_at`` check (direct congruences and the full
+Its norm is also 5 mod 32.  Two kernels apply the filter, each a generator
+of the pairs that pass it: ``_join_rows`` sieves the norms = 5 mod 32 of
+the shard's window once and joins rows of prime flags as big-int bitsets;
+``_sieve_k`` strikes, for each beta, the k at which a split prime up to 41
+divides one of the four norms, and tests the rest with the first primality
+stage, ``is_base2_probable_prime`` (trial division up to 97 and one strong
+base-2 test, which never rejects a prime).  ``_scan_shard`` chooses the
+kernel, counts the shard's pairs, and gives every pair that a kernel yields
+the full ``constellation_at`` check (direct congruences and the full
 primality test), so the kernels remain optimizations only.  Sharded
 searches merge deterministically, so output never depends on the shard
 count.
@@ -119,25 +119,20 @@ def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejectio
     return ConstellationHit(beta=beta, k=k, primes=values)
 
 
-# The join sieves every norm of its window, so it is chosen only when that
-# sieve is small: at most _JOIN_MAX_ENTRIES entries (16 MiB of flags), and at
-# most _JOIN_ENTRIES_PER_PAIR per residue-passing pair.  Over 24 square boxes
-# of radius 64-512 with |k| up to 16-256, centred up to 2000 from the origin
-# (cold caches, one core of a 2-vCPU VM), the join ran 1.2-3.8x faster than
-# the pair loop at 8-62 entries per pair, and 0.1-0.9x as fast from 83 up.
+# The join sieves the norms = 5 mod 32 of its window, so it is chosen only
+# when that sieve is small: at most _JOIN_MAX_ENTRIES entries (16 MiB of
+# flags, which covers a window about the origin with norms up to about
+# 2^29), and at most _JOIN_ENTRIES_PER_PAIR per residue-passing pair.  Both
+# caps were set when the sieve held every norm of the window: over 24 square
+# boxes of radius 64-512 with |k| up to 16-256, centred up to 2000 from the
+# origin (cold caches, one core of a 2-vCPU VM), the join then ran 1.2-3.8x
+# faster than a loop testing each pair with the stage at 8-62 entries per
+# pair, and 0.1-0.9x as fast from 83 up.  Counted in entries of one per 32
+# norms, the same caps admit windows 32 times as wide.
 _JOIN_MAX_ENTRIES = 1 << 24
 _JOIN_ENTRIES_PER_PAIR = 64
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-# The sieve along k is chosen, where the join is not, when each k class of
-# the shard holds at least _SIEVE_MIN_K values and every norm of its window
-# is above the largest table prime.  Over 13 boxes (17x17 to 193x193,
-# centred at 3000, 1e5, 2^20 and 2^30, k symmetric or from 2^18; cold
-# caches, in-process, best of 5, one core of a 2-vCPU VM), the sieve took
-# 0.41-2.54x the pair loop's time at 16 k per class (7 boxes slower),
-# 0.28-1.36x at 32 (2 slower), 0.21-1.00x at 48 and 0.20-0.82x at 64; the
-# worst box was 193x193 at 3000, and a shard of the far window read 0.53x.
-_SIEVE_MIN_K = 64
 _SIEVE_BLOCK = 1 << 16
 # For each split prime ell below, the value (a + s1 k) + (b + s2 k)i of a
 # pair, with (s1, s2) = i^j (1+i), has a prime factor above ell iff
@@ -146,7 +141,9 @@ _SIEVE_BLOCK = 1 << 16
 # r is not +-1).  Per ell, the table holds 1/16 and the eight pairs
 # (r, 1 / (16 (s1 - r s2))), so that the k = k_0 + 16t struck are those with
 # t = (r b - a) / (16 (s1 - r s2)) - k_0 / 16 mod ell.  Every ell is below
-# 97, so a struck norm above ell also fails the first primality stage.
+# 97, so a struck norm above ell also fails the first primality stage.  A
+# norm equal to ell is prime: of the values on the target sublattice, only
+# -1-6i has such a norm, 37.
 _SIEVE_PRIMES = (5, 13, 17, 29, 37, 41)
 _SIEVE_TABLE = tuple(
     (ell, pow(16, -1, ell), tuple(
@@ -176,10 +173,12 @@ def _join_window(
     classes: list[tuple[range, range, range]]
 ) -> Optional[tuple[range, range, int, int]]:
     """(xs, ys, lo, hi): the re and im ranges, by 16, that hold every value of
-    every pair, and the least and greatest norm over them.
+    every pair, a least norm and the greatest norm over them.
 
     Each value (a -+ k, b +- k) lies on the sublattice re = 15, im = 10 mod 16,
-    within |k| <= K of its beta; None when the shard has no pair.
+    within |k| <= K of its beta, so its norm is 1 + 4 = 5 mod 32, and lo is
+    the least number = 5 mod 32 at or above the least norm over the ranges.
+    None when the shard has no pair.
     """
     spans = []
     for res, ims, ks in classes:
@@ -192,8 +191,9 @@ def _join_window(
     x_min, x_max, y_min, y_max = min(x_los), max(x_his), min(y_los), max(y_his)
     x_lo, x_hi = _abs_range(x_min, x_max)
     y_lo, y_hi = _abs_range(y_min, y_max)
+    lo = x_lo * x_lo + y_lo * y_lo
     return (range(x_min, x_max + 1, 16), range(y_min, y_max + 1, 16),
-            x_lo * x_lo + y_lo * y_lo, x_hi * x_hi + y_hi * y_hi)
+            lo + (5 - lo) % 32, x_hi * x_hi + y_hi * y_hi)
 
 
 def _scan_shard(
@@ -203,15 +203,12 @@ def _scan_shard(
 
     Only residue-passing pairs are visited, and the counts come from range
     lengths.  A shard with no pair runs no kernel.  Otherwise one kernel
-    yields the pairs that pass its norm filter, and all three yield the
-    same pairs.  ``_join_rows`` runs when the sieve of the norms that the
-    shard's values cover is small: at most _JOIN_MAX_ENTRIES entries and
-    _JOIN_ENTRIES_PER_PAIR per pair, which holds close to the origin.
-    Otherwise ``_sieve_k`` runs when each k class holds at least
-    _SIEVE_MIN_K values and every norm of the window is above the largest
-    prime of _SIEVE_TABLE, as for long k ranges far from the origin.
-    ``_scan_pairs`` runs in every other case.  The choice reads range
-    endpoints alone, before anything is allocated.  Each pair yielded gets
+    yields the pairs that pass its norm filter.  ``_join_rows`` runs when
+    the sieve of the norms = 5 mod 32 that the shard's values cover is
+    small: at most _JOIN_MAX_ENTRIES entries and _JOIN_ENTRIES_PER_PAIR per
+    pair, which holds close to the origin.  ``_sieve_k`` runs in every other
+    case: far from the origin, and near it over the cap.  The choice reads
+    range endpoints alone, before anything is allocated.  Each pair yielded gets
     ``constellation_at``, and the hits are kept in the kernel's order; the
     canonical order is left to the caller.
     """
@@ -225,13 +222,11 @@ def _scan_shard(
         return [], candidates, passes
     with_beta = [c for c in classes if c[0] and c[1]]
     _, _, lo, hi = window
-    entries = hi - lo + 1
+    entries = (hi - lo) // 32 + 1
     if entries <= _JOIN_MAX_ENTRIES and entries <= _JOIN_ENTRIES_PER_PAIR * passes:
         survivors = _join_rows(with_beta, window)
-    elif lo > _SIEVE_PRIMES[-1] and all(len(ks) >= _SIEVE_MIN_K for _, _, ks in classes):
-        survivors = _sieve_k(with_beta)
     else:
-        survivors = _scan_pairs(with_beta)
+        survivors = _sieve_k(with_beta, lo)
     hits: list[ConstellationHit] = []
     for a, b, k in survivors:
         result = constellation_at(GaussInt(a, b), k)
@@ -240,52 +235,30 @@ def _scan_shard(
     return hits, candidates, passes
 
 
-def _scan_pairs(classes: list[tuple[range, range, range]]) -> Iterator[tuple[int, int, int]]:
-    """The pair loop: yields each pair (a, b, k) whose four norms pass the stage.
-
-    A pair needs the norms of its four values, (a -+ k)^2 + (b +- k)^2 in
-    j-order, to pass the first primality stage, ``is_base2_probable_prime``
-    (exact for values in the target class, see the module docstring),
-    tested on plain ints with the first failure ending the pair.  k is the
-    outer loop, so the im-parts (b +- k)^2 are computed once per k.  Its
-    memory does not grow with the region.
-    """
-    stage = is_base2_probable_prime
-    for res, ims, ks in classes:
-        for k in ks:
-            if k == 0:
-                continue
-            columns = [(b, (b + k) * (b + k), (b - k) * (b - k)) for b in ims]
-            for a in res:
-                am2 = (a - k) * (a - k)
-                ap2 = (a + k) * (a + k)
-                for b, bp2, bm2 in columns:
-                    if (stage(am2 + bp2) and stage(am2 + bm2)
-                            and stage(ap2 + bm2) and stage(ap2 + bp2)):
-                        yield a, b, k
-
-
 def _join_rows(
     classes: list[tuple[range, range, range]], window: tuple[range, range, int, int]
 ) -> Iterator[tuple[int, int, int]]:
     """The join: exact prime rows over the shard's window, ANDed per (k, b).
 
-    One ``rational_prime_sieve`` covers the window's norms.  ``rows[i]`` is
-    one int for y = y_0 + 16i: bit j is set iff (x_0 + 16j)^2 + y^2 is prime,
-    which for a value on the target sublattice (both parts nonzero) is iff
-    the value is a Gaussian prime.  For fixed (k, b), M = row[b+k] & row[b-k]
+    One ``rational_prime_sieve`` covers the window's norms = 5 mod 32, the
+    only norms its values have, and holds the flag of a norm n at
+    (n - lo) / 32.  ``rows[i]`` is one int for y = y_0 + 16i: bit j is set
+    iff (x_0 + 16j)^2 + y^2 is prime, which for a value on the target
+    sublattice (both parts nonzero) is iff the value is a Gaussian prime.
+    For fixed (k, b), M = row[b+k] & row[b-k]
     holds both im-parts; the a whose four norms are prime are the bits of
     (M >> s_-) & (M >> s_+), with s_-+ = (a_0 -+ k - x_0) / 16, and each
-    (a, b, k) is yielded.  The sieve has as many entries as the window has
-    norms, so ``_scan_shard`` calls this only under its cap.
+    (a, b, k) is yielded.  The sieve has an entry for every 32nd norm of the
+    window, so ``_scan_shard`` calls this only under its cap.
     """
     xs, ys, lo, hi = window
-    sieve = rational_prime_sieve(hi, lo)
+    sieve = rational_prime_sieve(hi, lo, 32)
     x_norms = [x * x - lo for x in reversed(xs)]  # the last x is the top bit
     rows = []
     for y in ys:
         yy = y * y
-        rows.append(int(bytes([sieve[xx + yy] for xx in x_norms]).translate(_BIT_CHARS), 2))
+        flags = bytes([sieve[(xx + yy) >> 5] for xx in x_norms])
+        rows.append(int(flags.translate(_BIT_CHARS), 2))
     del sieve
     x0, y0 = xs[0], ys[0]
     for res, ims, ks in classes:
@@ -305,16 +278,17 @@ def _join_rows(
                     yield a0 + 16 * low.bit_length() - 16, b, k
 
 
-def _k_mask(a: int, b: int, ks: range) -> bytes:
-    """One byte per k of ks (stepping by 16): 0 iff a prime of _SIEVE_TABLE
-    divides the norm of one of the four values of (a + bi, k).
+def _k_mask(a: int, b: int, ks: range, table: tuple) -> bytes:
+    """One byte per k of ks (stepping by 16): 0 iff a prime of table, a
+    subset of _SIEVE_TABLE, divides the norm of one of the four values of
+    (a + bi, k).
 
     Per prime ell, a row of ell flags has the struck t mod ell cleared, and
     its repeats over ks are ANDed in as one little-endian int.
     """
     n = len(ks)
     flags = int.from_bytes(b"\x01" * n, "little")
-    for ell, inv16, roots in _SIEVE_TABLE:
+    for ell, inv16, roots in table:
         shift = ks[0] * inv16
         row = bytearray(b"\x01") * ell
         for r, c in roots:
@@ -323,27 +297,31 @@ def _k_mask(a: int, b: int, ks: range) -> bytes:
     return flags.to_bytes(n, "little")
 
 
-def _sieve_k(classes: list[tuple[range, range, range]]) -> Iterator[tuple[int, int, int]]:
+def _sieve_k(
+    classes: list[tuple[range, range, range]], lo: int
+) -> Iterator[tuple[int, int, int]]:
     """The sieve along k: per beta, the k where a small split prime divides
     one of the four norms are struck before any norm is tested.
 
     For each beta = a + bi of a class and each block of at most
     _SIEVE_BLOCK k of its k class, ``_k_mask`` strikes the k at which a prime
-    of _SIEVE_TABLE divides a norm.  Such a norm is composite when it is
-    above the prime, so ``_scan_shard`` calls this only when every norm of
-    the window is above 41; the stage, whose trial division covers every
-    table prime, rejects each struck pair too.  Each unstruck k then tests
-    its four norms with ``is_base2_probable_prime`` in j-order, as the pair
-    loop does, so this yields exactly the pairs that the pair loop yields.
-    Memory is one block's flags.
+    of _SIEVE_TABLE divides a norm.  Such a norm is composite unless it is
+    the prime itself, which on the target sublattice happens only for 37,
+    the norm of -1-6i; so 37 is left out when lo, the window's least norm,
+    is at most 37.  The stage, whose trial division covers every table
+    prime, rejects each struck pair too.  Each unstruck k then tests its
+    four norms with ``is_base2_probable_prime`` in j-order, so this yields
+    exactly the pairs whose four norms pass the stage.  Memory is one
+    block's flags.
     """
     stage = is_base2_probable_prime
+    table = _SIEVE_TABLE if lo > 37 else tuple(e for e in _SIEVE_TABLE if e[0] != 37)
     for res, ims, ks in classes:
         for start in range(0, len(ks), _SIEVE_BLOCK):
             block = ks[start : start + _SIEVE_BLOCK]
             for a in res:
                 for b in ims:
-                    for k in compress(block, _k_mask(a, b, block)):
+                    for k in compress(block, _k_mask(a, b, block, table)):
                         if k == 0:
                             continue
                         am2, ap2 = (a - k) * (a - k), (a + k) * (a + k)

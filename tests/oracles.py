@@ -20,7 +20,12 @@ from qirank.gaussian import (
     canonical_associate,
     divides,
 )
-from qirank.primes import factor_primary, is_gaussian_prime, rational_prime_sieve
+from qirank.primes import (
+    factor_primary,
+    is_base2_probable_prime,
+    is_gaussian_prime,
+    rational_prime_sieve,
+)
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 from qirank.selmer import Candidate, F2Matrix
 from qirank.verifier import CERT_VERSION, parse_certificate
@@ -289,6 +294,32 @@ def residue_prefilter(beta: GaussInt, k: int) -> bool:
         return False
     cls = search._BETA_CLASS_K0 if k % 16 == 0 else search._BETA_CLASS_K8
     return (beta.re % 16, beta.im % 16) == cls
+
+
+def scan_pairs(classes: list[tuple[range, range, range]]) -> Iterator[tuple[int, int, int]]:
+    """The pair loop: yields each pair (a, b, k) whose four norms pass the stage.
+
+    A pair needs the norms of its four values, (a -+ k)^2 + (b +- k)^2 in
+    j-order, to pass the first primality stage, ``is_base2_probable_prime``
+    (exact for values in the target class, see the ``qirank.search`` docstring),
+    tested on plain ints with the first failure ending the pair.  k is the
+    outer loop, so the im-parts (b +- k)^2 are computed once per k.  Its
+    memory does not grow with the region.  The search's sieve along k must
+    yield exactly its pairs, and the join exactly the pairs of its hits.
+    """
+    stage = is_base2_probable_prime
+    for res, ims, ks in classes:
+        for k in ks:
+            if k == 0:
+                continue
+            columns = [(b, (b + k) * (b + k), (b - k) * (b - k)) for b in ims]
+            for a in res:
+                am2 = (a - k) * (a - k)
+                ap2 = (a + k) * (a + k)
+                for b, bp2, bm2 in columns:
+                    if (stage(am2 + bp2) and stage(am2 + bm2)
+                            and stage(ap2 + bm2) and stage(ap2 + bp2)):
+                        yield a, b, k
 
 
 def f2_apply(matrix: F2Matrix, v: int) -> int:

@@ -58,6 +58,20 @@ class TestRangeSieve:
             assert rational_prime_sieve(limit, start) == full[start : limit + 1], (
                 start, limit)
 
+    def test_stepped_progressions_match_is_rational_prime(self):
+        # the join sieves the norms 5 + 32i; starts below p^2 leave p itself
+        # flagged prime, and start = 5 holds 5 and 37
+        rng = random.Random(20261020)
+        cases = [(5, length) for length in range(0, 1200, 37)]
+        cases += [(5 + 32 * rng.randrange(bound), rng.randrange(20000))
+                  for bound in (400, 10**6) for _ in range(150)]
+        cases += [(5 + 32 * rng.randrange(10**9), 0) for _ in range(50)]
+        for start, length in cases:
+            limit = start + length
+            expected = bytes(is_rational_prime(n) for n in range(start, limit + 1, 32))
+            assert rational_prime_sieve(limit, start, 32) == expected, (start, limit)
+        assert rational_prime_sieve(37, 5, 32) == b"\x01\x01"
+
 
 # the strong pseudoprimes to base 2 below 10^6 (OEIS A001262)
 SPSP2_BELOW_1E6 = (
@@ -69,15 +83,12 @@ SPSP2_BELOW_1E6 = (
 )
 PRIMES_TO_97 = math.prod(p for p in range(2, 98) if all(p % q for q in range(2, p)))
 
-# the uncached stage, so that a million lookups do not fill the search's cache
-stage = is_base2_probable_prime.__wrapped__
-
 
 class TestBase2Stage:
     def test_agrees_with_sieve_but_for_pseudoprimes_without_small_factors(self):
         limit = 10 ** 6
         sieve = rational_prime_sieve(limit)
-        wrong = [n for n in range(limit + 1) if stage(n) != bool(sieve[n])]
+        wrong = [n for n in range(limit + 1) if is_base2_probable_prime(n) != bool(sieve[n])]
         assert wrong == [n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_97) == 1]
 
     @settings(max_examples=150, deadline=None)
@@ -86,12 +97,12 @@ class TestBase2Stage:
         # sympy finds the prime, so that the check does not go through the stage
         p = nextprime((1 << exponent) + offset)
         assert is_rational_prime(p)
-        assert stage(p)
+        assert is_base2_probable_prime(p)
 
     @pytest.mark.parametrize("n", [1373653, 25326001, 3215031751, 2152302898747])
     def test_pseudoprimes_pass_only_the_stage(self, n):
         assert math.gcd(n, PRIMES_TO_97) == 1
-        assert stage(n)
+        assert is_base2_probable_prime(n)
         assert not is_rational_prime(n)
 
     @pytest.mark.parametrize("n", [2047, 3277, 4033])
@@ -100,7 +111,7 @@ class TestBase2Stage:
             raise AssertionError("strong test reached")
 
         monkeypatch.setattr(qirank.primes, "is_strong_probable_prime", no_strong_test)
-        assert not stage(n)
+        assert not is_base2_probable_prime(n)
 
 
 class TestIsGaussianPrime:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import qirank.search
 from qirank.certify import certify
 from qirank.gaussian import GaussInt
-from qirank.primes import is_base2_probable_prime, is_rational_prime, rational_prime_sieve
+from qirank.primes import is_rational_prime, rational_prime_sieve
 from qirank.search import (
     Box,
     ConstellationHit,
@@ -26,7 +26,6 @@ from qirank.search import (
     _join_rows,
     _join_window,
     _k_mask,
-    _scan_pairs,
     _scan_shard,
     _shard_ranges,
     _sieve_k,
@@ -38,7 +37,7 @@ from qirank.search import (
 )
 
 import oracles
-from oracles import density_by_point, residue_prefilter
+from oracles import density_by_point, residue_prefilter, scan_pairs
 
 # first hit of the canonical expanding schedule; frozen regression constant
 FROZEN_BETA = GaussInt(15, 10)
@@ -241,32 +240,41 @@ class EveryNumberPrime:
 
 
 class ExactFlags:
-    """The flags of start, start + 1, ... read one at a time from is_rational_prime."""
+    """The flags of start, start + step, ... read one at a time from is_rational_prime."""
 
-    def __init__(self, start):
+    def __init__(self, start, step):
         self.start = start
+        self.step = step
 
     def __getitem__(self, index):
-        return int(is_rational_prime(self.start + index))
+        return int(is_rational_prime(self.start + index * self.step))
 
 
-def exact_sieve(limit, start=0):
+def exact_sieve(limit, start=0, step=1):
     """rational_prime_sieve, or lazy exact flags for a range too long to hold.
 
-    The window near 2^20 of KERNEL_REGIONS spans about 2.8e9 norms, of which
-    the join reads about 2000.
+    The window near 2^20 of KERNEL_REGIONS spans about 2.8e9 norms, 8.7e7
+    of them = 5 mod 32, of which the join reads about 2000.
     """
-    if limit - start < 1 << 22:
-        return rational_prime_sieve(limit, start)
-    return ExactFlags(start)
+    if len(range(start, limit + 1, step)) < 1 << 22:
+        return rational_prime_sieve(limit, start, step)
+    return ExactFlags(start, step)
 
 
-def refuse_sieve(limit, start=0):
-    raise AssertionError(f"sieved {start}..{limit}")
+def refuse_sieve(limit, start=0, step=1):
+    raise AssertionError(f"sieved {start}..{limit} by {step}")
 
 
-def refuse_pairs(classes):
-    raise AssertionError(f"pair loop on {classes}")
+def refuse_sieve_k(classes, lo):
+    raise AssertionError(f"sieve along k on {classes}")
+
+
+def sieve_input(args):
+    """The classes that hold pairs, and the window's least norm, as
+    _scan_shard hands them to the sieve along k; any least norm serves a
+    shard with no pair."""
+    classes, window = kernel_input(args)
+    return classes, window[2] if window else 0
 
 
 def assert_kernels_agree(args):
@@ -276,7 +284,7 @@ def assert_kernels_agree(args):
     in the target class: it yields hits only.  Returns the hits.
     """
     classes, window = kernel_input(args)
-    hits = proven(_scan_pairs(classes))
+    hits = proven(scan_pairs(classes))
     joined = list(_join_rows(classes, window)) if window else []
     assert sorted(joined) == sorted((h.beta.re, h.beta.im, h.k) for h in hits), args
     return hits
@@ -292,12 +300,14 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("box, k_range, count", KERNEL_REGIONS)
     def test_norm_filter_is_only_an_optimisation(self, monkeypatch, box, k_range, count):
-        # with a stage that passes everything, the pair loop yields every
-        # residue-passing pair, and constellation_at must still give the same hits
+        # with no prime to strike and a stage that passes everything, the
+        # sieve along k yields every residue-passing pair, and
+        # constellation_at must still give the same hits
         records = []
         expected = search_region(box, k_range, progress=records.append)
+        monkeypatch.setattr(qirank.search, "_SIEVE_TABLE", ())
         monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
-        survivors = list(_scan_pairs(kernel_input(shard_args(box, k_range))[0]))
+        survivors = list(_sieve_k(*sieve_input(shard_args(box, k_range))))
         assert proven(survivors) == expected
         assert len(expected) == count
         assert len(set(survivors)) == len(survivors) == sum(r["filter_pass"] for r in records)
@@ -309,7 +319,7 @@ class TestScanKernel:
         records = []
         expected = search_region(box, k_range, progress=records.append)
         monkeypatch.setattr(qirank.search, "rational_prime_sieve",
-                            lambda limit, start=0: EveryNumberPrime())
+                            lambda limit, start=0, step=1: EveryNumberPrime())
         survivors = list(_join_rows(*kernel_input(shard_args(box, k_range))))
         assert proven(survivors) == expected
         assert len(expected) == count
@@ -396,20 +406,38 @@ class TestJoinKernel:
                               k_lo, k_lo + k_width))
 
     def test_search_origin_takes_the_join(self, monkeypatch):
-        # box = k = 256 sieves its window's norms once, about 8 per pair
+        # box = k = 256 sieves its window's norms = 5 mod 32 once, about one
+        # for every 4 pairs
         sieved = []
 
-        def recorded(limit, start=0):
-            sieved.append((start, limit))
-            return rational_prime_sieve(limit, start)
+        def recorded(limit, start=0, step=1):
+            sieved.append((start, limit, step))
+            return rational_prime_sieve(limit, start, step)
 
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", recorded)
-        monkeypatch.setattr(qirank.search, "_scan_pairs", refuse_pairs)
+        monkeypatch.setattr(qirank.search, "_sieve_k", refuse_sieve_k)
         hits, _, passes = _scan_shard(shard_args(Box.centered(256), (-256, 256)))
         assert (len(hits), passes) == (178, 65536)
         assert len(sieved) == 1
-        start, limit = sieved[0]
-        assert limit - start + 1 <= 8 * passes
+        start, limit, step = sieved[0]
+        assert (start % 32, step) == (5, 32)
+        assert 3 * len(range(start, limit + 1, step)) <= passes
+
+    def test_near_origin_under_the_cap_takes_the_join(self, monkeypatch):
+        # box 3000 with |k| <= 16 has 18.2e6 norms, over the cap, but only
+        # 568 000 of them are = 5 mod 32
+        sieved = []
+
+        def recorded(limit, start=0, step=1):
+            sieved.append(len(range(start, limit + 1, step)))
+            return rational_prime_sieve(limit, start, step)
+
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", recorded)
+        monkeypatch.setattr(qirank.search, "_sieve_k", refuse_sieve_k)
+        args = shard_args(Box.centered(3000), (-16, 16))
+        hits, _, _ = _scan_shard(args)
+        assert len(sieved) == 1 and sieved[0] <= 1 << 24
+        assert in_order(hits) == proven(scan_pairs(kernel_input(args)[0]))
 
 
 FAR = 1 << 20
@@ -427,18 +455,19 @@ class TestBoundedMemory:
         _, candidates, passes = _scan_shard((2936, 3064, 2936, 3064, -64, 64))
         assert (candidates, passes) == (129 * 129 * 16, 1024)
 
-    def test_near_origin_over_the_cap_takes_the_pair_loop(self, monkeypatch):
-        # box = k = 1500 has about 1.4 sieve entries per pair, but its
-        # 17.9e6 norms are over the cap; box = k = 1024 (8.4e6) is under it
+    def test_near_origin_over_the_cap_takes_the_sieve(self, monkeypatch):
+        # box = k = 9000 has about 0.02 sieve entries per pair, but its
+        # 20.3e6 norms = 5 mod 32 are over the cap; box = k = 8000 (16.0e6)
+        # is under it
         chosen = []
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
-        monkeypatch.setattr(qirank.search, "_scan_pairs",
-                            lambda classes: chosen.append("pairs") or ())
+        monkeypatch.setattr(qirank.search, "_sieve_k",
+                            lambda classes, lo: chosen.append("sieve") or ())
         monkeypatch.setattr(qirank.search, "_join_rows",
                             lambda classes, window: chosen.append("join") or ())
-        for radius in (1500, 1024):
+        for radius in (9000, 8000):
             _scan_shard(shard_args(Box.centered(radius), (-radius, radius)))
-        assert chosen == ["pairs", "join"]
+        assert chosen == ["sieve", "join"]
 
 
 # the far workload's window at seed 0, and its k range
@@ -454,9 +483,9 @@ def translated(box, u, v):
 def assert_sieve_agrees(args):
     """The sieve and the pair loop yield the same pairs on one shard.
     Returns the hits."""
-    classes, _ = kernel_input(args)
-    sieved = Counter(_sieve_k(classes))
-    assert sieved == Counter(_scan_pairs(classes)), args
+    classes, lo = sieve_input(args)
+    sieved = Counter(_sieve_k(classes, lo))
+    assert sieved == Counter(scan_pairs(classes)), args
     return proven(sieved)
 
 
@@ -520,25 +549,24 @@ class TestSieveKernel:
     def test_sieve_is_only_an_optimisation(self, monkeypatch, args):
         # with no prime to strike and a stage that passes everything,
         # the sieve yields every residue-passing pair
-        classes, _ = kernel_input(args)
-        expected = proven(_scan_pairs(classes))
+        classes, lo = sieve_input(args)
+        expected = proven(scan_pairs(classes))
         monkeypatch.setattr(qirank.search, "_SIEVE_TABLE", ())
         monkeypatch.setattr(qirank.search, "is_base2_probable_prime", lambda n: True)
-        survivors = list(_sieve_k(classes))
+        survivors = list(_sieve_k(classes, lo))
         assert proven(survivors) == expected
         assert expected
         assert len(set(survivors)) == len(survivors) == pair_count(classes)
 
     @pytest.mark.parametrize("ell", [entry[0] for entry in _SIEVE_TABLE])
-    def test_struck_iff_the_prime_divides_a_norm(self, monkeypatch, ell):
+    def test_struck_iff_the_prime_divides_a_norm(self, ell):
         # over ell consecutive k of a class, every k mod ell occurs once
-        monkeypatch.setattr(qirank.search, "_SIEVE_TABLE",
-                            tuple(e for e in _SIEVE_TABLE if e[0] == ell))
+        table = [e for e in _SIEVE_TABLE if e[0] == ell]
         rng = random.Random(ell)
         for _ in range(200):
             a, b = rng.randint(-(1 << 40), 1 << 40), rng.randint(-(1 << 40), 1 << 40)
             ks = range(rng.randint(-(1 << 20), 1 << 20), 1 << 21, 16)[:ell]
-            flags = _k_mask(a, b, ks)
+            flags = _k_mask(a, b, ks, table)
             for k, flag in zip(ks, flags):
                 divides = any(p.norm() % ell == 0
                               for p in constellation_primes(GaussInt(a, b), k))
@@ -546,29 +574,46 @@ class TestSieveKernel:
 
     def test_table_primes_are_split_and_tried_by_the_stage(self):
         # a struck norm above its prime then has a factor that the stage's
-        # trial division finds, and _scan_shard bounds norms by the last prime
+        # trial division finds
         primes = [entry[0] for entry in _SIEVE_TABLE]
         assert primes == sorted(primes) == list(qirank.search._SIEVE_PRIMES)
         for ell in primes:
             assert ell % 4 == 1 and ell in qirank.primes._SMALL_PRIMES
 
+    def test_only_minus_one_minus_six_i_has_a_table_prime_norm(self):
+        # a value with norm up to 41 has both parts in -6..6; every value of
+        # the target sublattice has norm 5 mod 32
+        primes = [entry[0] for entry in _SIEVE_TABLE]
+        values = [GaussInt(x, y) for x in range(-47, 48) for y in range(-47, 48)
+                  if congruent_mod16(GaussInt(x, y))]
+        assert {v.norm() % 32 for v in values} == {5}
+        assert [v for v in values if v.norm() in primes] == [TARGET_CLASS]
+        assert TARGET_CLASS.norm() == 37
+
+    def test_keeps_the_hit_with_a_value_of_norm_37(self, monkeypatch):
+        # near the origin and short in beta, so the join is over its entries
+        # per pair; the value -1-6i of (15+10i, 16) has the table prime 37 as
+        # its norm, so 37 strikes nothing here
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        args = (15, 15, 10, 10, 16, 1136)
+        hits, candidates, passes = _scan_shard(args)
+        assert (hits[0].beta, hits[0].k) == (FROZEN_BETA, FROZEN_K)
+        assert in_order(hits) == brute_force_region(Box(*args[:4]), args[4:])
+        assert (candidates, passes) == brute_force_counts(args)
+
     def test_wide_k_range_far_out_is_streamed(self, monkeypatch):
         # one residue-passing beta near 2^20 and 2e6 k: its k class is
         # sieved in two blocks, and each holds hits
         args = (1048519, 1048519, 1048626, 1048626, -10**6, 10**6)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qirank.search, "_scan_pairs", refuse_pairs)
-            tracemalloc.start()
-            try:
-                result = _scan_shard(args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        tracemalloc.start()
+        try:
+            result = _scan_shard(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 10**6
-        # the pair loop's stage would cache about 10^5 norms of this test
-        monkeypatch.setattr(qirank.search, "is_base2_probable_prime",
-                            is_base2_probable_prime.__wrapped__)
-        assert in_order(result[0]) == proven(_scan_pairs(kernel_input(args)[0]))
+        assert in_order(result[0]) == proven(scan_pairs(kernel_input(args)[0]))
         assert [hit.k for hit in in_order(result[0])] == [
             s * k for k in (280, 121960, 274840, 545160, 587240, 686600, 833000) for s in (1, -1)]
         assert result[1:] == (250000, 125000)
@@ -579,14 +624,13 @@ class TestKernelChoice:
         (shard_args(FAR_BOX, FAR_K), "sieve"),
         *[(shard_args(sub, FAR_K), "sieve") for sub in FAR_BOX.split_re(2)],
         (shard_args(Box.centered(256), (-256, 256)), "join"),
-        (shard_args(FAR_BOX, (1 << 18, (1 << 18) + 256)), "pairs"),
-        # long in k but near the origin: the window holds norms below 41
-        (shard_args(Box(15, 15, 10, 10), (-4096, 4096)), "pairs"),
+        (shard_args(FAR_BOX, (1 << 18, (1 << 18) + 256)), "sieve"),
+        # long in k but near the origin: the window holds -1-6i, of norm 37
+        (shard_args(Box(15, 15, 10, 10), (-4096, 4096)), "sieve"),
     ])
     def test_kernel_from_shape(self, monkeypatch, args, kernel):
         chosen = []
-        for name, label in (("_join_rows", "join"), ("_sieve_k", "sieve"),
-                            ("_scan_pairs", "pairs")):
+        for name, label in (("_join_rows", "join"), ("_sieve_k", "sieve")):
             monkeypatch.setattr(qirank.search, name,
                                 lambda *_, label=label: chosen.append(label) or ())
         _scan_shard(args)
@@ -597,7 +641,7 @@ class TestShardDriver:
     @pytest.mark.parametrize("args, kernel", [
         (shard_args(Box.centered(32), (-32, 32)), "_join_rows"),
         ((1048519, 1048519, 1048626, 1048626, -1100, 1100), "_sieve_k"),
-        ((2936, 2968, 2936, 2968, -64, 64), "_scan_pairs"),
+        ((2936, 2968, 2936, 2968, -64, 64), "_sieve_k"),
     ])
     def test_proves_what_the_kernel_yields(self, monkeypatch, args, kernel):
         # the counts come from the shard, not from the kernel, and only the
