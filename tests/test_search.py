@@ -594,9 +594,14 @@ class TestSieveKernel:
         # near the origin and short in beta, so the join is over its entries
         # per pair; the value -1-6i of (15+10i, 16) has the table prime 37 as
         # its norm, so 37 strikes nothing here
+        least_norms = []
+        sieve_k = qirank.search._sieve_k
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        monkeypatch.setattr(qirank.search, "_sieve_k",
+                            lambda classes, lo: least_norms.append(lo) or sieve_k(classes, lo))
         args = (15, 15, 10, 10, 16, 1136)
         hits, candidates, passes = _scan_shard(args)
+        assert len(least_norms) == 1 and least_norms[0] <= 37
         assert (hits[0].beta, hits[0].k) == (FROZEN_BETA, FROZEN_K)
         assert in_order(hits) == brute_force_region(Box(*args[:4]), args[4:])
         assert (candidates, passes) == brute_force_counts(args)
