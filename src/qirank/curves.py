@@ -58,10 +58,16 @@ _TWIST_U = GaussRat.of(ONE, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
 
 
 def on_curve(alpha: GaussInt, point: CurvePoint) -> bool:
-    """True iff the point satisfies y^2 = x^3 + alpha*x exactly (O counts)."""
+    """True iff the point satisfies y^2 = x^3 + alpha*x exactly (O counts).
+
+    With x = xn/xd and y = yn/yd the test is yn^2 xd^3 = yd^2 (xn^3 + alpha xn xd^2),
+    cross-multiplied in Z[i]: no fraction is reduced (oracle: on_curve_by_rationals).
+    """
     if point.is_infinity:
         return True
-    return point.y * point.y == point.x ** 3 + point.x * GaussRat(alpha, ONE)
+    xn, xd, yn, yd = point.x.num, point.x.den, point.y.num, point.y.den
+    xd_sq = xd * xd
+    return yn * yn * xd_sq * xd == yd * yd * xn * (xn * xn + alpha * xd_sq)
 
 
 def scale(point: CurvePoint, u: GaussRat) -> CurvePoint:

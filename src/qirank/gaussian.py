@@ -22,6 +22,7 @@ lifts a ``GaussInt`` into Q(i) with ``GaussRat(z, ONE)``.
 
 from __future__ import annotations
 
+import math as _math
 import re as _re
 from dataclasses import dataclass
 
@@ -222,13 +223,24 @@ def gcd(a: GaussInt, b: GaussInt) -> GaussInt:
 
 
 def mod_pow(base: GaussInt, exponent: int, modulus: GaussInt) -> GaussInt:
-    """base**exponent modulo modulus on int pairs (oracle: mod_pow_by_division)."""
+    """base**exponent modulo modulus on int pairs (oracle: mod_pow_by_division).
+
+    A modulus m = c + di of odd norm N with gcd(c, d) = 1 (every split prime)
+    takes one integer ``pow``: a + bi -> a + b*r mod N, r = -c/d mod N, maps
+    Z[i]/(m) onto Z/N, its kernel holding m with index N.  For odd N nearest
+    division never ties, so its remainder depends only on the class and is
+    the one the square-and-multiply loop returns; every other modulus runs
+    that loop.
+    """
     if exponent < 0:
         raise ValueError("negative exponent")
     if not modulus:
         raise ZeroDivisionError("zero modulus")
     c, d = modulus.re, modulus.im
     nd = modulus.norm()
+    if nd & 1 and _math.gcd(c, d) == 1:
+        r = -c * pow(d, -1, nd)
+        return GaussInt(*_rem(pow((base.re + base.im * r) % nd, exponent, nd), 0, c, d, nd))
     ax, ay = _rem(1, 0, c, d, nd)
     bx, by = _rem(base.re, base.im, c, d, nd)
     e = exponent
