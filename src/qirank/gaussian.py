@@ -18,6 +18,11 @@ lifts a ``GaussInt`` into Q(i) with ``GaussRat(z, ONE)``.
 ``GaussInt`` only for their result; each remainder is the one nearest division
 (ties to even) gives.  ``tests/oracles.py`` keeps that division and the
 ``GaussInt`` routes (``*_by_division``) the tests compare the three with.
+A modulus c + di of odd norm N with gcd(c, d) = 1, every split prime among
+them, has Z[i]/(c + di) isomorphic to Z/N (i -> -c/d mod N), so ``mod_pow``
+raises there with one integer ``pow`` and reduces once; odd N leaves nearest
+division no ties, so that remainder is the loop's.  Any other modulus (even
+norm, or a common factor as in an inert q) takes square-and-multiply.
 """
 
 from __future__ import annotations

@@ -99,6 +99,16 @@ def mod_pow_by_division(base: GaussInt, exponent: int, modulus: GaussInt) -> Gau
     return acc
 
 
+def on_curve_by_rationals(alpha: GaussInt, point: CurvePoint) -> bool:
+    """y^2 = x^3 + alpha*x evaluated in Q(i), every term a reduced ``GaussRat``.
+
+    Validates ``curves.on_curve``, which cross-multiplies in Z[i] instead.
+    """
+    if point.is_infinity:
+        return True
+    return point.y * point.y == point.x ** 3 + point.x * GaussRat(alpha, ONE)
+
+
 def is_primary_by_division(alpha: GaussInt) -> bool:
     """The definition of primary: alpha = 1 mod (1+i)**3, tested by division.
 

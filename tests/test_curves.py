@@ -23,7 +23,7 @@ from qirank.curves import (
 )
 from qirank.primes import factor_primary
 
-from oracles import twist_iso_inv
+from oracles import on_curve_by_rationals, twist_iso_inv
 
 
 def gi(re, im=0):
@@ -82,6 +82,45 @@ class TestOnCurve:
         assert on_curve(gi(17, 3), ORIGIN)
         assert not on_curve(gi(1), pt(gi(1), gi(1)))
         assert on_curve(gi(1), INFINITY)
+
+
+class TestOnCurveOracle:
+    """``on_curve`` in Z[i] against the reduced-fraction route in Q(i)."""
+
+    @staticmethod
+    def images_with_denominators():
+        # (curve, point) from each map that makes denominators, on its curve
+        rng = random.Random(70)
+        for _ in range(40):
+            alpha, p = random_curve_point(rng)
+            triple = scalar_mul(alpha, 3, p)
+            q = phi_forward(alpha, triple)
+            c = GaussInt(rng.randint(-4, 4), rng.randint(1, 4))
+            # u = c/(1+i) has u^4 = -c^4/4, so scale takes E_(-4 alpha) to E_(c^4 alpha)
+            yield from [
+                (alpha, triple),
+                (gi(-4) * alpha, q),
+                (alpha, phi_dual(alpha, q)),
+                (alpha, twist_iso(q)),
+                (c ** 4 * alpha, scale(q, GaussRat.of(c, gi(1, 1)))),
+            ]
+
+    def test_points_with_denominators_and_their_neighbours_off_the_curve(self):
+        checked = 0
+        for alpha, p in self.images_with_denominators():
+            if p.is_infinity or p.x.den.norm() == p.y.den.norm() == 1:
+                continue
+            assert on_curve(alpha, p) and on_curve_by_rationals(alpha, p)
+            # y + 1/yd squares to y^2 only if yn = -1/2, so this point is off
+            off = CurvePoint(p.x, GaussRat.of(p.y.num + gi(1), p.y.den))
+            assert not on_curve(alpha, off) and not on_curve_by_rationals(alpha, off)
+            checked += 1
+        assert checked == 200
+
+    def test_infinity_and_origin(self):
+        for alpha in (gi(1), gi(-25), gi(17, 3)):
+            for p in (INFINITY, ORIGIN):
+                assert on_curve(alpha, p) and on_curve_by_rationals(alpha, p)
 
 
 class TestGroupLaw:

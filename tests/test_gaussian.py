@@ -1,4 +1,5 @@
 import ast
+import math
 import operator
 import random
 from pathlib import Path
@@ -265,6 +266,12 @@ _EVEN_MODULI = st.builds(
 _RAMIFIED = st.builds(lambda u, t: u * ONE_PLUS_I ** t,
                       st.sampled_from(I_POWERS), st.integers(0, 160))
 _MODULI = st.one_of(_ODD_MODULI, _EVEN_MODULI, _RAMIFIED)
+# the moduli mod_pow raises through Z/N: odd norm, coprime parts
+_PRIMITIVE_ODD_MODULI = st.builds(
+    GaussInt, st.integers(-2 ** 64, 2 ** 64), st.integers(-2 ** 64, 2 ** 64),
+).filter(lambda z: z.is_odd() and math.gcd(z.re, z.im) == 1)
+# a split prime: its norm 2417851639262243698245829 is a rational prime above 2^81
+_SPLIT_PRIME_82 = GaussInt(1099511627777, 1099511627790)
 
 
 def pair(z):
@@ -324,6 +331,48 @@ class TestIntPairRoutes:
         assert expected in ((ValueError, "negative exponent"),
                             (ZeroDivisionError, "zero modulus"))
         assert outcome(mod_pow, base, exponent, modulus) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_GAUSS, st.integers(0, 2 ** 64), _PRIMITIVE_ODD_MODULI)
+    # one or two of each kind: a split prime, a primitive composite (N = 169),
+    # moduli with a common factor (3, 15, 3 + 3i), even ones where nearest
+    # division ties (2 + 4i, (1+i)^5), and the four units
+    @example(gi(-5, 12), 0, _SPLIT_PRIME_82)
+    @example(gi(-3, -2 ** 70), 2 ** 64, _SPLIT_PRIME_82)
+    @example(gi(-7, 3), 0, gi(5, 12))
+    @example(gi(2, -9), 2 ** 64, gi(5, 12))
+    @example(gi(-4, -1), 0, gi(3))
+    @example(gi(-4, -1), 2 ** 64, gi(3))
+    @example(gi(7, -11), 0, gi(15))
+    @example(gi(7, -11), 2 ** 64, gi(15))
+    @example(gi(-1, -2), 0, gi(3, 3))
+    @example(gi(-1, -2), 2 ** 64, gi(3, 3))
+    @example(gi(-9, 5), 0, gi(2, 4))
+    @example(gi(-9, 5), 2 ** 64, gi(2, 4))
+    @example(gi(-3, -5), 0, ONE_PLUS_I ** 5)
+    @example(gi(-3, -5), 2 ** 64, ONE_PLUS_I ** 5)
+    @example(gi(-6, 1), 0, ONE)
+    @example(gi(-6, 1), 2 ** 64, gi(0, 1))
+    @example(gi(2, -3), 0, gi(-1))
+    @example(gi(2, -3), 2 ** 64, gi(0, -1))
+    def test_mod_pow_both_routes(self, base, exponent, modulus):
+        """Drawn moduli take the Z/N route; the examples cover both routes."""
+        assert mod_pow(base, exponent, modulus) == mod_pow_by_division(base, exponent, modulus)
+
+    def test_split_prime_takes_one_integer_pow(self, monkeypatch):
+        # the loop would reduce about 2 log2 N = 160 times; the Z/N route reduces once
+        calls = []
+
+        def counting_rem(*args):
+            calls.append(args)
+            return _rem(*args)
+
+        monkeypatch.setattr("qirank.gaussian._rem", counting_rem)
+        assert _SPLIT_PRIME_82.norm() > 2 ** 60
+        e = (_SPLIT_PRIME_82.norm() - 1) // 2
+        base = gi(-1234567, 7654321)
+        assert mod_pow(base, e, _SPLIT_PRIME_82) == mod_pow_by_division(base, e, _SPLIT_PRIME_82)
+        assert 1 <= len(calls) <= 2
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_GAUSS, st.just(ZERO)), st.one_of(_GAUSS, st.just(ZERO)),
