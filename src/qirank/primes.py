@@ -5,9 +5,13 @@ Rational primality comes in two stages.  ``is_base2_probable_prime`` is the
 cheap one: trial division by the primes up to 97, as one gcd, then one
 strong base-2 test.  It never rejects a prime, so a filter built on it is
 exact, but a strong base-2 pseudoprime with no factor up to 97 passes it.
-``is_rational_prime`` is the answer: it runs the stage, then the other
-bases.  Both call ``verifier.is_strong_probable_prime``, the one
-Miller-Rabin routine, so no base runs twice for a number.
+``is_rational_prime`` is the answer: it runs the stage, then the rest of
+``verifier.proof_bases(n)``, the shortest prefix of the 13 fixed bases that
+proves n (n below psi_t, the least strong pseudoprime to the first t prime
+bases: Jaeschke 1993, Sorenson & Webster 2017).  Every norm near the origin
+is below psi_2 = 1 373 653, so there it takes one base more.  Both stages
+call ``verifier.is_strong_probable_prime``, the one Miller-Rabin routine,
+so no base runs twice for a number.
 
 Rational integer factorization is delegated to sympy; everything Gaussian
 (splitting, primary normalization, ordering) is done here exactly.
@@ -33,11 +37,12 @@ from .gaussian import (
     gcd,
     odd_part,
 )
-from .verifier import MR_BASES, MR_DETERMINISTIC_BOUND, is_strong_probable_prime
+from .verifier import MR_BASES, MR_DETERMINISTIC_BOUND, is_strong_probable_prime, proof_bases
 
-# Miller-Rabin with MR_BASES is deterministic below MR_DETERMINISTIC_BOUND
-# (about 3.3e24), which covers the desk-scale norms this toolkit targets.
-# Extra bases for larger inputs: probabilistic with error < 4**-28 per composite.
+# Miller-Rabin with a prefix of MR_BASES is deterministic below
+# MR_DETERMINISTIC_BOUND (about 3.3e24), which covers the desk-scale norms
+# this toolkit targets.  Above it all of MR_BASES runs, with extra bases:
+# probabilistic with error < 4**-28 per composite.
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103,
                    107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
                    173, 179)
@@ -68,17 +73,18 @@ def is_base2_probable_prime(n: int) -> bool:
 def is_rational_prime(n: int) -> bool:
     """Primality of a rational integer.
 
-    Deterministic below ~3.3e24 (fixed Miller-Rabin base set); strong
-    probabilistic with error below 4**-28 above that.  Base 2 and trial
-    division come from ``is_base2_probable_prime``.
+    Deterministic below ~3.3e24, with the bases of ``proof_bases(n)``;
+    strong probabilistic with error below 4**-28 above that.  Base 2 and
+    trial division come from ``is_base2_probable_prime``.
     """
     if not is_base2_probable_prime(n):
         return False
     if n < _TRIAL_BOUND:
         return True
-    bases = MR_BASES[1:]  # MR_BASES[0] is 2, which the stage has run
-    if n >= MR_DETERMINISTIC_BOUND:
-        bases += _MR_EXTRA_BASES
+    if n < MR_DETERMINISTIC_BOUND:
+        bases = proof_bases(n)[1:]  # the first base is 2, which the stage has run
+    else:
+        bases = MR_BASES[1:] + _MR_EXTRA_BASES
     return is_strong_probable_prime(n, bases)
 
 

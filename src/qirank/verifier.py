@@ -12,8 +12,10 @@ The paper's 2-isogeny descent makes the rank-2 claim a finite check:
 * the four values p_j = beta + i^j k(1+i), j = 1..4, are distinct (k != 0)
   and congruent to -1-6i mod 16.  Such a value has both parts nonzero, so it
   is a Gaussian prime iff its norm is a rational prime.  Miller-Rabin with
-  the 13 bases of ``MR_BASES`` proves that below ``MR_DETERMINISTIC_BOUND``;
-  larger norms are refused;
+  the first t bases of ``MR_BASES`` proves that for a norm below psi_t, the
+  least strong pseudoprime to those bases; each norm gets the least such t,
+  and 13 bases reach ``MR_DETERMINISTIC_BOUND`` = psi_13.  Larger norms are
+  refused;
 * gamma = beta^4 + 4k^4 = p_1 p_2 p_3 p_4 (an identity in a, b, k, so it
   is not checked), and y^2 = x^3 - gamma^2 x is not a base change from Q.
   It would be iff gamma lay in (Q* u iQ*) Q(i)*^2, whose elements have
@@ -40,16 +42,27 @@ is written once while each still derives every value on its own.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Optional, Sequence, Union
 
 CERT_VERSION = "1"
 CONCLUSION = "rank = 2, group ≅ ℤ² ⊕ (ℤ/2ℤ)²"
 GAMMA_CONVENTION = "gamma = i*(beta^4 + 4*k^4)"
 
-# Miller-Rabin with these bases proves primality below the bound (Sorenson &
-# Webster 2015); above it fixed bases can be fooled, so larger norms are refused
+# Miller-Rabin with the first t of these bases proves primality below psi_t,
+# the least strong pseudoprime to them (Jaeschke, Math. Comp. 61, 1993, for
+# t <= 8; Sorenson & Webster, Math. Comp. 86, 2017, up to t = 13).  Above
+# psi_13, the bound, fixed bases can be fooled, so larger norms are refused
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_1, ..., psi_13: the t-th entry bounds the prefix MR_BASES[:t]
+MR_PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    MR_DETERMINISTIC_BOUND,
+)
 
 # beta.re, beta.im and k have at most 13 digits below the bound
 MAX_DIGITS = 40
@@ -98,7 +111,11 @@ def verify(data: Union[str, bytes, dict]) -> bool:
         return False
     expected = expected_certificate(*_read_beta_k(obj))
     given = {key: value for key, value in obj.items() if key != "toolchain"}
-    return expected is not None and _same(given, expected)
+    # an expected certificate holds only str, bool, list and dict, and among
+    # JSON values == crosses types only between bool, int and float: the one
+    # bool leaf is the only one that 1 or 1.0 could match
+    return (expected is not None and given == expected
+            and type(given["genuine"]["value"]) is bool)
 
 
 def _read_beta_k(obj: dict) -> tuple[int, int, int]:
@@ -115,18 +132,6 @@ def _read_beta_k(obj: dict) -> tuple[int, int, int]:
         return int(texts[0]), int(texts[1]), int(texts[2])
     except ValueError as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
-
-
-def _same(given, expected) -> bool:
-    """Equality that also requires equal JSON types (1 does not pass for true)."""
-    if type(given) is not type(expected):
-        return False
-    if isinstance(expected, dict):
-        return given.keys() == expected.keys() and all(
-            _same(given[key], value) for key, value in expected.items())
-    if isinstance(expected, list):
-        return len(given) == len(expected) and all(map(_same, given, expected))
-    return given == expected
 
 
 def expected_certificate(a: int, b: int, k: int) -> Optional[dict]:
@@ -242,13 +247,22 @@ def _in_target_class(z: GaussPair) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with ``MR_BASES``; a proof for n below the bound."""
+    """Miller-Rabin with ``proof_bases(n)``; a proof for n below the bound."""
     if n < 2:
         return False
     for p in MR_BASES:
         if n % p == 0:
             return n == p
-    return is_strong_probable_prime(n, MR_BASES)
+    return is_strong_probable_prime(n, proof_bases(n))
+
+
+def proof_bases(n: int) -> tuple[int, ...]:
+    """The shortest prefix of ``MR_BASES`` whose Miller-Rabin test proves n.
+
+    That is ``MR_BASES[:t]`` for the least t with n < psi_t, so n must be
+    below ``MR_DETERMINISTIC_BOUND``.
+    """
+    return MR_BASES[:bisect_right(MR_PSI, n) + 1]
 
 
 def is_strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
