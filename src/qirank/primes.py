@@ -8,10 +8,11 @@ exact, but a strong base-2 pseudoprime with no factor up to 97 passes it.
 ``is_rational_prime`` is the answer: it runs the stage, then the rest of
 ``verifier.proof_bases(n)``, the shortest prefix of the 13 fixed bases that
 proves n (n below psi_t, the least strong pseudoprime to the first t prime
-bases: Jaeschke 1993, Sorenson & Webster 2017).  Every norm near the origin
-is below psi_2 = 1 373 653, so there it takes one base more.  Both stages
-call ``verifier.is_strong_probable_prime``, the one Miller-Rabin routine,
-so no base runs twice for a number.
+bases: Jaeschke 1993, Sorenson & Webster 2017).  Every norm of box = k =
+256, at most 2 * 512^2, is below psi_2 = 1 373 653, so there base 3 is the
+only one after the stage.  Both stages call
+``verifier.is_strong_probable_prime``, the one Miller-Rabin routine, so no
+base runs twice for a number.
 
 Rational integer factorization is delegated to sympy; everything Gaussian
 (splitting, primary normalization, ordering) is done here exactly.

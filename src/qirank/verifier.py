@@ -104,7 +104,8 @@ def verify(data: Union[str, bytes, dict]) -> bool:
     """True iff the certificate is exactly the one (beta, k) determines.
 
     Raises ValueError on malformed input; a wrong version, a failed claim or
-    any changed field gives False.
+    any changed field gives False.  A dict must hold JSON values, the types
+    ``json.loads`` gives.
     """
     obj = parse_certificate(data)
     if obj.get("version") != CERT_VERSION:

@@ -28,7 +28,12 @@ from qirank.primes import (
 )
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 from qirank.selmer import Candidate, F2Matrix
-from qirank.verifier import CERT_VERSION, parse_certificate
+from qirank.verifier import (
+    CERT_VERSION,
+    MR_BASES,
+    is_strong_probable_prime,
+    parse_certificate,
+)
 
 _FOUR = GaussInt(4, 0)
 _THREE_PLUS_2I = GaussInt(3, 2)
@@ -107,6 +112,20 @@ def on_curve_by_rationals(alpha: GaussInt, point: CurvePoint) -> bool:
     if point.is_infinity:
         return True
     return point.y * point.y == point.x ** 3 + point.x * GaussRat(alpha, ONE)
+
+
+def is_prime_by_all_bases(n: int) -> bool:
+    """Miller-Rabin with all 13 bases of ``MR_BASES``, whatever the size of n.
+
+    A proof below ``MR_DETERMINISTIC_BOUND``; validates the shortest proving
+    prefix that ``verifier._is_prime`` and ``primes.is_rational_prime`` run.
+    """
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    return is_strong_probable_prime(n, MR_BASES)
 
 
 def is_primary_by_division(alpha: GaussInt) -> bool:

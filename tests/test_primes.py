@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from sympy import nextprime, prevprime
+from hypothesis import example, given, settings, strategies as st
+from sympy import isprime, nextprime, prevprime
 
 import qirank.primes
 from qirank.gaussian import GaussInt, I, ONE_PLUS_I, divides, is_primary
@@ -18,9 +19,16 @@ from qirank.primes import (
     rational_prime_sieve,
     sqrt_minus_one_mod,
 )
-from qirank.verifier import MR_DETERMINISTIC_BOUND
+from qirank import verifier
+from qirank.verifier import (
+    MR_BASES,
+    MR_DETERMINISTIC_BOUND,
+    MR_PSI,
+    is_strong_probable_prime,
+    proof_bases,
+)
 
-from oracles import is_square, primary_primes_up_to_norm, primes_in_box
+from oracles import is_prime_by_all_bases, is_square, primary_primes_up_to_norm, primes_in_box
 
 
 def gi(re, im=0):
@@ -82,6 +90,14 @@ SPSP2_BELOW_1E6 = (
     818201, 838861, 873181, 877099, 916327, 976873, 983401,
 )
 PRIMES_TO_97 = math.prod(p for p in range(2, 98) if all(p % q for q in range(2, p)))
+# psi_t, the least strong pseudoprime to the first t prime bases, as published
+# (Jaeschke 1993; Sorenson & Webster 2017), apart from verifier.MR_PSI so that
+# a changed entry there meets the true values here
+PUBLISHED_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 
 
 class TestBase2Stage:
@@ -99,7 +115,8 @@ class TestBase2Stage:
         assert is_rational_prime(p)
         assert is_base2_probable_prime(p)
 
-    @pytest.mark.parametrize("n", [1373653, 25326001, 3215031751, 2152302898747])
+    # psi_1 = 2047 = 23 * 89 ends at trial division
+    @pytest.mark.parametrize("n", sorted(set(PUBLISHED_PSI[1:])))
     def test_pseudoprimes_pass_only_the_stage(self, n):
         assert math.gcd(n, PRIMES_TO_97) == 1
         assert is_base2_probable_prime(n)
@@ -112,6 +129,61 @@ class TestBase2Stage:
 
         monkeypatch.setattr(qirank.primes, "is_strong_probable_prime", no_strong_test)
         assert not is_base2_probable_prime(n)
+
+
+# odd n below the bound on each side of every psi_t, and the base-2 pseudoprimes
+PROOF_EDGES = sorted(
+    {n for psi in PUBLISHED_PSI for n in (psi - 2, psi, psi + 2) if n < MR_DETERMINISTIC_BOUND}
+    | set(SPSP2_BELOW_1E6))
+
+
+def with_proof_edges(test):
+    return functools.reduce(lambda t, n: example(n=n)(t), PROOF_EDGES, test)
+
+
+class TestProofBases:
+    """The shortest prefix of ``MR_BASES`` that proves n, against all 13 bases."""
+
+    def test_each_psi_is_a_pseudoprime_to_its_prefix(self):
+        # a mistyped digit leaves a number that is prime or fails one of
+        # the bases
+        assert len(MR_PSI) == len(MR_BASES)
+        assert list(MR_PSI) == sorted(MR_PSI)
+        assert MR_PSI[-1] == MR_DETERMINISTIC_BOUND
+        for t, psi in enumerate(MR_PSI, 1):
+            assert psi % 2 == 1 and not isprime(psi), t
+            assert is_strong_probable_prime(psi, MR_BASES[:t]), t
+
+    @pytest.mark.parametrize("t", range(1, len(PUBLISHED_PSI)))
+    def test_psi_is_where_a_tier_ends(self, t):
+        psi = PUBLISHED_PSI[t - 1]
+        assert len(proof_bases(psi - 1)) <= t
+        assert len(proof_bases(psi)) > t
+        assert not is_strong_probable_prime(psi, proof_bases(psi))
+        assert not verifier._is_prime(psi)
+        assert not is_rational_prime(psi)
+
+    def test_every_pseudoprime_below_psi_2_is_refused(self):
+        # every norm that box = k = 256 can meet is below psi_2, where two
+        # bases are the proof
+        limit = PUBLISHED_PSI[1]
+        sieve = rational_prime_sieve(limit)
+        fooled = [n for n in range(3, limit, 2) if not sieve[n] and is_base2_probable_prime(n)]
+        assert len(fooled) == 37
+        assert [n for n in fooled if n < 10 ** 6] == [
+            n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_97) == 1]
+        for n in fooled:
+            assert not is_rational_prime(n), n
+            assert not verifier._is_prime(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(0, PUBLISHED_PSI[3]),
+                       st.integers(0, MR_DETERMINISTIC_BOUND // 2 - 1)).map(lambda m: 2 * m + 1))
+    @with_proof_edges
+    def test_agrees_with_all_bases(self, n):
+        expected = is_prime_by_all_bases(n)
+        assert verifier._is_prime(n) == expected
+        assert is_rational_prime(n) == expected
 
 
 class TestIsGaussianPrime:

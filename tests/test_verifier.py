@@ -267,6 +267,21 @@ class TestBoundsAndInputs:
         with pytest.raises(ValueError):
             verify_certificate(cert)
 
+    @pytest.mark.parametrize("value", [1, 1.0, "true"])
+    def test_genuine_value_must_be_a_bool(self, certificates, value):
+        # 1 == True and 1.0 == True in Python, so == alone would pass them
+        cert = copy.deepcopy(certificates[0])
+        cert["genuine"]["value"] = value
+        assert verifier.verify(cert) is False
+        assert verifier.verify(json.dumps(cert)) is False
+
+    @pytest.mark.parametrize("path", [("L",), ("primes",), ("selmer_candidates", 1, "primes")])
+    def test_tuple_for_a_list_is_refused(self, certificates, path):
+        cert = copy.deepcopy(certificates[0])
+        *parents, key = path
+        at(cert, parents)[key] = tuple(at(cert, parents)[key])
+        assert verifier.verify(cert) is False
+
     def test_deep_nesting_is_malformed(self):
         # json.loads raises RecursionError at this depth
         depth = 100_000
