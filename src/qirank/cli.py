@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for bound in ("re-min", "re-max", "im-min", "im-max"):
         p_search.add_argument(f"--{bound}", type=int, default=None,
                               help=f"explicit beta bound (overrides --box); "
-                                   f"lets interrupted runs resume from a checkpoint")
+                                   f"splits a long search into separate runs")
     p_search.add_argument("--kmax", type=int, default=None,
                           help="search |k| <= KMAX (default: BOX)")
     p_search.add_argument("--shards", type=int, default=1,

@@ -1,22 +1,19 @@
-"""Exact point arithmetic on y^2 = x^3 + a*x over Q(i).
+"""Points on y^2 = x^3 + a*x over Q(i): what ``certify`` and ``qirank torsion`` run.
 
-Curve coefficients are ``GaussInt``s, lifted into Q(i) where a formula
-meets a coordinate; point coordinates are exact elements of Q(i).
-``CurvePoint.affine`` builds a point from two ``GaussInt`` coordinates, and
-``scale`` takes its factor u as a ``GaussRat``.  Alongside the chord-tangent
-group law this module houses ``scale``, the isomorphism
-(x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a) (for j = 1728 every
-isomorphism has this form: Silverman, *The Arithmetic of Elliptic Curves*,
-III.1), the complex-multiplication automorphism, the 2-isogeny pair
-between E_a and E_(-4a), the twist isomorphism E_(-4a) -> E_a, and the
-torsion classification for congruent number curves E_(g^2) with g
-square-free.
+Curve coefficients are ``GaussInt``s; point coordinates are exact elements
+of Q(i), and ``CurvePoint.affine`` builds a point from two ``GaussInt``
+coordinates.  The module holds what a certificate's finite check runs: the
+curve equation ``on_curve``, the complex-multiplication automorphism [i],
+and the torsion classification for congruent number curves E_(g^2) with g
+square-free.  The chord-tangent group law, [n]P, the isomorphisms
+(x, y) -> (u^2 x, u^3 y), the 2-isogeny pair and the twist map are not
+needed for that check; they live in ``tests/oracles.py`` as test oracles.
 
 The functions take their preconditions as given and do not check them
-again: the maps and ``is_torsion`` take points already on their curve, and
-the torsion classification takes a square-free nonzero g.  ``certify``
-tests ``on_curve`` on its two points and passes a g that is a product of
-four distinct primes; the CLI ``torsion`` command checks its g itself.
+again: ``is_torsion`` takes a point already on its curve, and the torsion
+classification takes a square-free nonzero g.  ``certify`` tests
+``on_curve`` on its two points and passes a g that is a product of four
+distinct primes; the CLI ``torsion`` command checks its g itself.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gaussian import GaussInt, GaussRat, I, ONE, ONE_PLUS_I, RAT_ZERO, ZERO
+from .gaussian import GaussInt, GaussRat, I, ONE, RAT_ZERO, ZERO
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +49,6 @@ class CurvePoint:
 
 INFINITY = CurvePoint(None, None)
 ORIGIN = CurvePoint.affine(ZERO, ZERO)
-_THREE = GaussRat(GaussInt(3, 0), ONE)  # add: the tangent slope (3x^2 + a)/(2y)
-_HALF = GaussRat.of(ONE, GaussInt(2, 0))  # phi_dual: E_(16 alpha) -> E_alpha
-_TWIST_U = GaussRat.of(ONE, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
 
 
 def on_curve(alpha: GaussInt, point: CurvePoint) -> bool:
@@ -70,85 +64,14 @@ def on_curve(alpha: GaussInt, point: CurvePoint) -> bool:
     return yn * yn * xd_sq * xd == yd * yd * xn * (xn * xn + alpha * xd_sq)
 
 
-def scale(point: CurvePoint, u: GaussRat) -> CurvePoint:
-    """The isomorphism E_a -> E_(u^4 a), (x, y) -> (u^2 x, u^3 y), u nonzero in Q(i)."""
-    if point.is_infinity:
-        return point
-    u_sq = u * u
-    return CurvePoint(u_sq * point.x, u_sq * u * point.y)
-
-
-def negate(point: CurvePoint) -> CurvePoint:
-    """[-1], which is scale(point, -1) written with one negation."""
-    if point.is_infinity:
-        return point
-    return CurvePoint(point.x, -point.y)
-
-
-def add(alpha: GaussInt, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-tangent sum of two points on y^2 = x^3 + alpha*x."""
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    if p.x == q.x:
-        if p.y == -q.y:
-            return INFINITY
-        # doubling; y != 0 here since y = -y was excluded
-        lam = (_THREE * (p.x * p.x) + GaussRat(alpha, ONE)) / (p.y + p.y)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - p.x - q.x
-    y3 = lam * (p.x - x3) - p.y
-    return CurvePoint(x3, y3)
-
-
-def scalar_mul(alpha: GaussInt, n: int, point: CurvePoint) -> CurvePoint:
-    """n * point by left-to-right double-and-add over the bits of |n|."""
-    if n < 0:
-        return scalar_mul(alpha, -n, negate(point))
-    acc = INFINITY
-    for bit in bin(n)[2:]:
-        acc = add(alpha, acc, acc)
-        if bit == "1":
-            acc = add(alpha, acc, point)
-    return acc
-
-
 def cm_apply(point: CurvePoint) -> CurvePoint:
     """The automorphism [i]: (x, y) -> (-x, iy), fixing O and (0,0).
 
-    It is scale(point, -I) in one product, not four: certify runs it.
+    It is the oracle scale(point, -I) in one product, not four: certify runs it.
     """
     if point.is_infinity:
         return point
     return CurvePoint(-point.x, point.y * GaussRat.of(I))
-
-
-def phi_forward(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
-    """The degree-2 isogeny E_alpha -> E_(-4 alpha).
-
-    Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/x^2, y(alpha - x^2)/x^2).
-    """
-    if point.is_infinity or point == ORIGIN:
-        return INFINITY
-    x_sq = point.x * point.x
-    return CurvePoint(point.y * point.y / x_sq,
-                      point.y * (GaussRat(alpha, ONE) - x_sq) / x_sq)
-
-
-def phi_dual(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
-    """The dual isogeny E_(-4 alpha) -> E_alpha: phi_forward, then scale by 1/2.
-
-    Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/(4x^2), -y(4 alpha + x^2)/(8x^2)).
-    Composing with phi_forward is duplication on E_alpha.
-    """
-    return scale(phi_forward(GaussInt(-4, 0) * alpha, point), _HALF)
-
-
-def twist_iso(point: CurvePoint) -> CurvePoint:
-    """The isomorphism E_(-4 alpha) -> E_alpha, (x, y) -> (x/(1+i)^2, y/(1+i)^3)."""
-    return scale(point, _TWIST_U)
 
 
 @dataclass(frozen=True, slots=True)

@@ -104,8 +104,9 @@ def verify(data: Union[str, bytes, dict]) -> bool:
     """True iff the certificate is exactly the one (beta, k) determines.
 
     Raises ValueError on malformed input; a wrong version, a failed claim or
-    any changed field gives False.  A dict must hold JSON values, the types
-    ``json.loads`` gives.
+    any changed field gives False.  A dict is compared type for type: a
+    value that ``json.loads`` never gives, such as ``unittest.mock.ANY`` or a
+    ``str`` subclass, gives False too.
     """
     obj = parse_certificate(data)
     if obj.get("version") != CERT_VERSION:
@@ -114,9 +115,20 @@ def verify(data: Union[str, bytes, dict]) -> bool:
     given = {key: value for key, value in obj.items() if key != "toolchain"}
     # an expected certificate holds only str, bool, list and dict, and among
     # JSON values == crosses types only between bool, int and float: the one
-    # bool leaf is the only one that 1 or 1.0 could match
+    # bool leaf is the only one that 1 or 1.0 could match.  A dict may hold
+    # any object, and one whose __eq__ answers True matches any leaf
     return (expected is not None and given == expected
-            and type(given["genuine"]["value"]) is bool)
+            and type(given["genuine"]["value"]) is bool
+            and (isinstance(data, (str, bytes)) or _plain(given)))
+
+
+def _plain(value) -> bool:
+    """Whether value is built of dict (str keys), list, str and bool alone."""
+    if type(value) is dict:
+        return all(type(key) is str and _plain(item) for key, item in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) is str or type(value) is bool
 
 
 def _read_beta_k(obj: dict) -> tuple[int, int, int]:

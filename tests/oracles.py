@@ -1,8 +1,15 @@
 """Slow reference implementations that the tests compare the package against.
 
 None of these is on a path the package runs; each is either a brute-force
-or second route to a value the package computes another way, or an
-enumeration only the tests need.
+or second route to a value the package computes another way, an
+enumeration only the tests need, or a map on E(Q(i)) that the package never
+computes: the chord-tangent group law, [n]P, the isomorphisms
+(x, y) -> (u^2 x, u^3 y) from E_a to E_(u^4 a) (for j = 1728 every
+isomorphism has this form: Silverman, *The Arithmetic of Elliptic Curves*,
+III.1), the 2-isogeny pair between E_a and E_(-4a) and the twist map.  The
+maps are not a second route to a package value; the tests check their
+identities (phi_dual . phi_forward = [2], [i] a group automorphism, ...)
+and build points with them.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from typing import Iterator, Union
 
 from qirank import search
 from qirank.certify import Certificate, FailureReport, certify
-from qirank.curves import CurvePoint
+from qirank.curves import INFINITY, ORIGIN, CurvePoint
 from qirank.gaussian import (
     GaussInt,
     GaussRat,
@@ -289,10 +296,6 @@ def is_square(alpha: GaussInt) -> bool:
     return f.s % 2 == 0 and f.t % 2 == 0 and all(e % 2 == 0 for _, e in f.factors)
 
 
-_IOTA_X = GaussRat.of(ONE_PLUS_I * ONE_PLUS_I)   # (1+i)^2
-_IOTA_Y = GaussRat.of(ONE_PLUS_I ** 3)           # (1+i)^3
-
-
 def is_base_change(gamma: GaussInt) -> bool:
     """Whether y^2 = x^3 - gamma^2 x over Q(i) is a base change from Q.
 
@@ -306,8 +309,88 @@ def is_base_change(gamma: GaussInt) -> bool:
     return f.t % 2 == 0 and {p.conj() for p in odd} == odd
 
 
+_THREE = GaussRat(GaussInt(3, 0), ONE)  # add: the tangent slope (3x^2 + a)/(2y)
+_HALF = GaussRat.of(ONE, GaussInt(2, 0))  # phi_dual: E_(16 alpha) -> E_alpha
+_TWIST_U = GaussRat.of(ONE, ONE_PLUS_I)  # twist_iso: u^4 = -1/4
+
+
+def scale(point: CurvePoint, u: GaussRat) -> CurvePoint:
+    """The isomorphism E_a -> E_(u^4 a), (x, y) -> (u^2 x, u^3 y), u nonzero in Q(i)."""
+    if point.is_infinity:
+        return point
+    u_sq = u * u
+    return CurvePoint(u_sq * point.x, u_sq * u * point.y)
+
+
+def negate(point: CurvePoint) -> CurvePoint:
+    """[-1], which is scale(point, -1) written with one negation."""
+    if point.is_infinity:
+        return point
+    return CurvePoint(point.x, -point.y)
+
+
+def add(alpha: GaussInt, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    """Chord-tangent sum of two points on y^2 = x^3 + alpha*x."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.x == q.x:
+        if p.y == -q.y:
+            return INFINITY
+        # doubling; y != 0 here since y = -y was excluded
+        lam = (_THREE * (p.x * p.x) + GaussRat(alpha, ONE)) / (p.y + p.y)
+    else:
+        lam = (q.y - p.y) / (q.x - p.x)
+    x3 = lam * lam - p.x - q.x
+    y3 = lam * (p.x - x3) - p.y
+    return CurvePoint(x3, y3)
+
+
+def scalar_mul(alpha: GaussInt, n: int, point: CurvePoint) -> CurvePoint:
+    """n * point by left-to-right double-and-add over the bits of |n|."""
+    if n < 0:
+        return scalar_mul(alpha, -n, negate(point))
+    acc = INFINITY
+    for bit in bin(n)[2:]:
+        acc = add(alpha, acc, acc)
+        if bit == "1":
+            acc = add(alpha, acc, point)
+    return acc
+
+
+def phi_forward(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
+    """The degree-2 isogeny E_alpha -> E_(-4 alpha).
+
+    Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/x^2, y(alpha - x^2)/x^2).
+    """
+    if point.is_infinity or point == ORIGIN:
+        return INFINITY
+    x_sq = point.x * point.x
+    return CurvePoint(point.y * point.y / x_sq,
+                      point.y * (GaussRat(alpha, ONE) - x_sq) / x_sq)
+
+
+def phi_dual(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
+    """The dual isogeny E_(-4 alpha) -> E_alpha: phi_forward, then scale by 1/2.
+
+    Kernel {O, (0,0)}; elsewhere (x, y) -> (y^2/(4x^2), -y(4 alpha + x^2)/(8x^2)).
+    Composing with phi_forward is duplication on E_alpha.
+    """
+    return scale(phi_forward(GaussInt(-4, 0) * alpha, point), _HALF)
+
+
+def twist_iso(point: CurvePoint) -> CurvePoint:
+    """The isomorphism E_(-4 alpha) -> E_alpha, (x, y) -> (x/(1+i)^2, y/(1+i)^3)."""
+    return scale(point, _TWIST_U)
+
+
+_IOTA_X = GaussRat.of(ONE_PLUS_I * ONE_PLUS_I)   # (1+i)^2
+_IOTA_Y = GaussRat.of(ONE_PLUS_I ** 3)           # (1+i)^3
+
+
 def twist_iso_inv(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
-    """Inverse of curves.twist_iso: E_alpha -> E_(-4 alpha)."""
+    """Inverse of twist_iso: E_alpha -> E_(-4 alpha)."""
     if point.is_infinity:
         return point
     return CurvePoint(point.x * _IOTA_X, point.y * _IOTA_Y)

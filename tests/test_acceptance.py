@@ -23,14 +23,9 @@ from qirank.certify import (
 from qirank.curves import (
     CurvePoint,
     ORIGIN,
-    add,
     cm_apply,
     is_torsion,
-    phi_dual,
-    phi_forward,
-    scalar_mul,
     torsion_subgroup,
-    twist_iso,
     two_torsion_points,
 )
 from qirank.primes import factor_primary, is_gaussian_prime
@@ -46,12 +41,17 @@ from qirank.search import (
 from qirank.selmer import F2Matrix, selmer_candidate_set
 
 from oracles import (
+    add,
     brute_force_symbol,
     mod4_consistency,
+    phi_dual,
+    phi_forward,
     primary_primes_up_to_norm,
     residue_prefilter,
+    scalar_mul,
     symbol_i,
     symbol_one_plus_i,
+    twist_iso,
     twist_iso_inv,
 )
 

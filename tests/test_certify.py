@@ -18,13 +18,13 @@ from qirank.certify import (
     genuine_witness,
     verify_certificate,
 )
-from qirank.curves import CurvePoint, cm_apply, is_torsion, on_curve, scale, torsion_subgroup
+from qirank.curves import CurvePoint, cm_apply, is_torsion, on_curve, torsion_subgroup
 from qirank.residues import euler_symbol, mn_invariants
 from qirank.search import Box, constellation_primes, search_region
 from qirank.selmer import rank_upper_bound, selmer_candidate_set
 from qirank.verifier import parse_certificate
 
-from oracles import class_mask, is_base_change, is_f2_subgroup
+from oracles import class_mask, is_base_change, is_f2_subgroup, scale
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16

@@ -8,22 +8,25 @@ from qirank.curves import (
     CurvePoint,
     INFINITY,
     ORIGIN,
-    add,
     cm_apply,
     is_torsion,
-    negate,
     on_curve,
-    phi_dual,
-    phi_forward,
-    scalar_mul,
-    scale,
     torsion_subgroup,
-    twist_iso,
     two_torsion_points,
 )
 from qirank.primes import factor_primary
 
-from oracles import on_curve_by_rationals, twist_iso_inv
+from oracles import (
+    add,
+    negate,
+    on_curve_by_rationals,
+    phi_dual,
+    phi_forward,
+    scalar_mul,
+    scale,
+    twist_iso,
+    twist_iso_inv,
+)
 
 
 def gi(re, im=0):

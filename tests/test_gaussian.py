@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qirank
+from qirank import curves
 from qirank.gaussian import (
     GaussInt,
     GaussRat,
@@ -588,3 +589,29 @@ class TestEuclidInOracles:
     def test_the_oracles_define_it(self):
         oracles = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
         assert source_names(ast.parse(oracles)) >= self.FORBIDDEN
+
+
+class TestPointMapsInOracles:
+    """The group law, the isogenies and the twist live only in ``tests/oracles.py``.
+
+    ``certify`` and ``qirank torsion`` run none of them, so no module of the
+    package names ``scalar_mul``, ``phi_forward``, ``phi_dual``, ``twist_iso``
+    or ``negate``.  ``add`` and ``scale`` are common words (``set.add``), so
+    for them, and for the maps' constants, ``qirank.curves`` is checked
+    directly.
+    """
+
+    MAPS = ("scale", "negate", "add", "scalar_mul", "phi_forward", "phi_dual", "twist_iso")
+    FORBIDDEN = {"scalar_mul", "phi_forward", "phi_dual", "twist_iso", "negate"}
+
+    def test_no_module_names_a_map(self):
+        assert package_offenders(self.FORBIDDEN) == {}
+
+    def test_curves_has_no_map_or_constant(self):
+        for name in self.MAPS + ("_THREE", "_HALF", "_TWIST_U"):
+            assert not hasattr(curves, name), name
+
+    def test_the_oracles_define_them(self):
+        oracles = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+        defined = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+        assert defined >= set(self.MAPS)

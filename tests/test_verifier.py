@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -281,6 +282,27 @@ class TestBoundsAndInputs:
         *parents, key = path
         at(cert, parents)[key] = tuple(at(cert, parents)[key])
         assert verifier.verify(cert) is False
+
+    @pytest.mark.parametrize("fields", [("L",), ("point", "primes")])
+    def test_non_json_value_is_refused(self, fields):
+        # ANY == x for every x, so == alone would pass it for any field
+        cert = json.loads(certify(GaussInt(15, 10), 16).to_json_bytes())
+        assert verify_certificate(cert) is True
+        for field in fields:
+            cert[field] = mock.ANY
+        assert verify_certificate(cert) is False
+
+    def test_str_subclass_is_refused(self):
+        class Agreeable(str):
+            def __eq__(self, other):
+                return True
+
+            __hash__ = str.__hash__
+
+        cert = json.loads(certify(GaussInt(15, 10), 16).to_json_bytes())
+        cert["conclusion"] = Agreeable("rank = 0")
+        assert cert["conclusion"] == verifier.CONCLUSION
+        assert verify_certificate(cert) is False
 
     def test_deep_nesting_is_malformed(self):
         # json.loads raises RecursionError at this depth
