@@ -10,6 +10,18 @@ certificate layout, and a ``Certificate`` is the canonical bytes of that
 dict plus ``toolchain``: sorted keys, ASCII, no whitespace, decimal
 strings, no floats.
 
+Genuineness is certified by the witness Im(gamma^2) != 0, for gamma =
+beta^4 + 4k^4.  When it is zero, gamma^2 is a rational integer and the curve
+is a base change from Q.  Nonzero is necessary, not sufficient.  The curve
+y^2 = x^3 - gamma^2 x is a base change from Q iff gamma lies in
+(Q* u iQ*) Q(i)*^2, since its twists are classified by Q(i)*/Q(i)*^4;
+gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) = -216 and lies there.  What
+makes a constellation's curve genuine is its class: gamma = p_1 p_2 p_3 p_4,
+and each conj(p_j) is primary and congruent to 15+6i mod 16, not 15+10i, so
+no conj(p_j) is associate to any p_i.  The primes that divide gamma to an
+odd power are then not closed under conjugation, as they are for every
+element of (Q* u iQ*) Q(i)*^2.
+
 ``verify_certificate`` does not run ``certify``: it hands the bytes to
 ``qirank.verifier``, a stand-alone checker that re-derives every field from
 (beta, k) by a shorter route of its own.  The two share the layout, never a
@@ -25,12 +37,7 @@ from typing import Union
 from . import __version__, verifier
 from .gaussian import GaussInt, I
 from .curves import CurvePoint, cm_apply, is_torsion, on_curve, torsion_subgroup
-from .search import (
-    ConstellationHit,
-    Rejection,
-    constellation_at,
-    constellation_primes,
-)
+from .search import ConstellationHit, Rejection, constellation_at
 from .selmer import selmer_candidate_set
 from .verifier import MR_DETERMINISTIC_BOUND
 
@@ -53,24 +60,6 @@ class Certificate:
         return self.data
 
 
-def genuine_witness(beta: GaussInt, k: int) -> int:
-    """Im(gamma^2) for gamma = beta^4 + 4k^4: nonzero on every genuine curve.
-
-    When it is zero, gamma^2 is a rational integer and the curve is a base
-    change from Q.  Nonzero is necessary, not sufficient.  The curve
-    y^2 = x^3 - gamma^2 x is a base change from Q iff gamma lies in
-    (Q* u iQ*) Q(i)*^2, since its twists are classified by Q(i)*/Q(i)*^4;
-    gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) = -216 and lies there.  What
-    makes a constellation's curve genuine is its class: gamma = p_1 p_2 p_3
-    p_4, and each conj(p_j) is primary and congruent to 15+6i mod 16, not
-    15+10i, so no conj(p_j) is associate to any p_i.  The primes that divide
-    gamma to an odd power are then not closed under conjugation, as they are
-    for every element of (Q* u iQ*) Q(i)*^2.
-    """
-    gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
-    return (gamma * gamma).im
-
-
 def family_point(beta: GaussInt, k: int) -> CurvePoint:
     """(4 b^2 k^2, 2i b k (b^4 - 4k^4)), always on y^2 = x^3 - (b^4+4k^4)^2 x."""
     x = GaussInt(4 * k * k, 0) * beta * beta
@@ -79,8 +68,16 @@ def family_point(beta: GaussInt, k: int) -> CurvePoint:
 
 
 def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
-    """Run the full verification chain for (beta, k)."""
-    if any(v.norm() >= MR_DETERMINISTIC_BOUND for v in constellation_primes(beta, k)):
+    """Run the full verification chain for (beta, k).
+
+    Each value is derived once.  The bound check reads the largest of the
+    four norms (a +- k)^2 + (b +- k)^2 off the ints, before any of the four
+    values is built; gamma and gamma^2 are computed once, and the witness
+    Im(gamma^2) and alpha = -gamma^2 share them.
+    """
+    a, b = beta.re, beta.im
+    max_norm = max((a - k) ** 2, (a + k) ** 2) + max((b - k) ** 2, (b + k) ** 2)
+    if max_norm >= MR_DETERMINISTIC_BOUND:
         return FailureReport(
             reason="norm above the deterministic primality bound",
             condition=f"each norm of beta + i^j k(1+i) must be below "
@@ -97,8 +94,10 @@ def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
     hit: ConstellationHit = result
     # p_1 p_2 p_3 p_4 = gamma is an identity in (beta, k)
     gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
+    gamma_squared = gamma * gamma
 
-    im_gamma_squared = genuine_witness(beta, k)
+    # necessary only: the class argument in the module docstring proves it
+    im_gamma_squared = gamma_squared.im
     if not im_gamma_squared:
         return FailureReport(
             reason="not genuine",
@@ -106,7 +105,7 @@ def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
                       "is a base change from Q",
         )
 
-    alpha = -(gamma * gamma)
+    alpha = -gamma_squared
 
     report = selmer_candidate_set(hit.primes)
     rows = report.matrix.row_strings()

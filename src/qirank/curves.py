@@ -64,14 +64,19 @@ def on_curve(alpha: GaussInt, point: CurvePoint) -> bool:
     return yn * yn * xd_sq * xd == yd * yd * xn * (xn * xn + alpha * xd_sq)
 
 
+_RAT_I = GaussRat(I, ONE)  # i over 1 is already reduced
+
+
 def cm_apply(point: CurvePoint) -> CurvePoint:
     """The automorphism [i]: (x, y) -> (-x, iy), fixing O and (0,0).
 
-    It is the oracle scale(point, -I) in one product, not four: certify runs it.
+    It is the oracle scale(point, -I) in one product, not four: certify runs
+    it.  The factor i is a module constant, so an image costs one
+    ``GaussRat.of`` (the product's reduction) and one ``gcd``.
     """
     if point.is_infinity:
         return point
-    return CurvePoint(-point.x, point.y * GaussRat.of(I))
+    return CurvePoint(-point.x, point.y * _RAT_I)
 
 
 @dataclass(frozen=True, slots=True)

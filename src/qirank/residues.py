@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import GaussInt, ONE, divides, mod_pow
+from .gaussian import GaussInt, ONE, mod_pow
 from .primes import is_gaussian_prime
 
 _GEN_M = GaussInt(1, -4)
@@ -62,18 +62,20 @@ def euler_symbol(alpha: GaussInt, p: GaussInt) -> int:
     """Gaussian quadratic residue symbol (alpha / p) in {+1, -1}.
 
     Euler criterion: alpha**((Nm(p)-1)/2) mod p, for an odd Gaussian prime p
-    not dividing alpha.
+    not dividing alpha.  The power itself detects p | alpha: the exponent
+    is at least 2, so the power is 0 mod p exactly when p divides alpha, and
+    a zero result raises ValueError without a separate divisibility test.
     """
     if not is_gaussian_prime(p):
         raise ValueError(f"{p} is not a Gaussian prime")
     if not p.is_odd():
         raise ValueError(f"{p} is even (the symbol needs an odd prime)")
-    if divides(p, alpha):
-        raise ValueError(f"{p} divides {alpha}")
     r = mod_pow(alpha, (p.norm() - 1) // 2, p)
     if r == ONE:
         return 1
     if r == -ONE:
         return -1
+    if not r:
+        raise ValueError(f"{p} divides {alpha}")
     raise AssertionError(f"Euler criterion gave non-unit {r} mod {p}")
 

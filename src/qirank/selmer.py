@@ -21,6 +21,7 @@ only on the primes.  The dimension of that kernel feeds the rank bound
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .gaussian import GaussInt, is_primary
@@ -159,6 +160,7 @@ def rank_upper_bound(dim: int) -> int:
     return 2 * dim - 2
 
 
+@lru_cache(maxsize=8)
 def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[Candidate, ...], int]:
     """The candidate classes of L and the n_bar mask, sorted, and their F2 dimension.
 
@@ -166,6 +168,12 @@ def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[Candidate, ...
     1_T, plus bit n when u = i, lies in the kernel of [L | n_bar] (n_bar as
     column n).  The unit is the highest bit, so sorting the span's masks
     sorts by (unit, subset); the dimension is the length of the kernel basis.
+
+    The result depends only on (matrix, nbar), both hashable and immutable,
+    and is memoized.  Every constellation gives one of two inputs (the two
+    ``verifier.CONSTELLATION_ROWS`` with n_bar all ones), so ``certify``
+    computes two kernels per process.  The memo holds 8 entries at most,
+    since one entry can hold up to 2**21 classes.
     """
     n = matrix.ncols
     augmented = F2Matrix(

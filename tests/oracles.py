@@ -296,6 +296,18 @@ def is_square(alpha: GaussInt) -> bool:
     return f.s % 2 == 0 and f.t % 2 == 0 and all(e % 2 == 0 for _, e in f.factors)
 
 
+def genuine_witness(beta: GaussInt, k: int) -> int:
+    """Im(gamma^2) for gamma = beta^4 + 4k^4: nonzero on every genuine curve.
+
+    A second route to the witness that ``certify`` reads off the gamma^2 it
+    has already computed.  Nonzero is necessary, not sufficient: the class
+    argument is in the ``qirank.certify`` docstring, and ``is_base_change``
+    decides the question.
+    """
+    gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
+    return (gamma * gamma).im
+
+
 def is_base_change(gamma: GaussInt) -> bool:
     """Whether y^2 = x^3 - gamma^2 x over Q(i) is a base change from Q.
 

@@ -1,6 +1,9 @@
+import collections
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +18,16 @@ from qirank.certify import (
     FailureReport,
     certify,
     family_point,
-    genuine_witness,
     verify_certificate,
 )
 from qirank.curves import CurvePoint, cm_apply, is_torsion, on_curve, torsion_subgroup
 from qirank.residues import euler_symbol, mn_invariants
+from qirank.primes import prime_above
 from qirank.search import Box, constellation_primes, search_region
 from qirank.selmer import rank_upper_bound, selmer_candidate_set
 from qirank.verifier import parse_certificate
 
-from oracles import class_mask, is_base_change, is_f2_subgroup, scale
+from oracles import class_mask, genuine_witness, is_base_change, is_f2_subgroup, scale
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16
@@ -61,6 +64,18 @@ class TestIsGenuine:
     def test_frozen_hit_genuine(self):
         gamma = FROZEN_BETA ** 4 + gi(4 * FROZEN_K ** 4)
         assert genuine_witness(FROZEN_BETA, FROZEN_K) == (gamma * gamma).im != 0
+
+    def test_certificate_witness_matches_the_oracle(self):
+        # certify reads the witness off the gamma^2 it builds alpha from;
+        # the oracle derives it again from (beta, k)
+        assert not hasattr(sys.modules["qirank.certify"], "genuine_witness")
+        hits = search_region(Box.centered(64), (-64, 64))
+        assert hits
+        for hit in hits:
+            obj = json.loads(certify(hit.beta, hit.k).to_json_bytes())
+            witness = genuine_witness(hit.beta, hit.k)
+            assert obj["genuine"] == {"im_gamma_squared": str(witness), "value": True}
+            assert witness != 0
 
     def test_witness_is_only_necessary(self):
         # gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) != 0, yet -gamma^2 =
@@ -112,6 +127,60 @@ class TestExpectedCandidates:
         assert len(set(masks)) == 4
         assert is_f2_subgroup(masks)
         assert rank_upper_bound(2) == 2
+
+
+BOUND_REASON = "norm above the deterministic primality bound"
+
+
+def old_bound_refusal(beta, k):
+    """The bound check certify made on the four GaussInt values it built."""
+    return any(v.norm() >= verifier.MR_DETERMINISTIC_BOUND
+               for v in constellation_primes(beta, k))
+
+
+class TestBoundCheck:
+    """certify reads the largest of the four norms off the ints.
+
+    It refuses exactly when one of the four ``GaussInt`` norms reaches the
+    bound: on k = 0, where the four values coincide, on the bound itself,
+    and where only the largest norm crosses it.
+    """
+
+    @staticmethod
+    def refused(beta, k):
+        result = certify(beta, k)
+        return isinstance(result, FailureReport) and result.reason == BOUND_REASON
+
+    def test_at_the_bound(self):
+        # the bound is a norm (test_primes): x^2 + y^2 = bound, so (x - k) +
+        # (y - k)i meets it with its largest norm, and one step less misses it
+        at_bound = prime_above(1287836182261) * prime_above(2575672364521)
+        x, y = abs(at_bound.re), abs(at_bound.im)
+        assert x * x + y * y == verifier.MR_DETERMINISTIC_BOUND
+        for k in (0, 1, 16, 12345, 10**9):
+            for sa, sb, sk in ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1)):
+                for da, refused in ((0, True), (1, False)):
+                    beta, kk = gi(sa * (x - k - da), sb * (y - k)), sk * k
+                    assert old_bound_refusal(beta, kk) is refused
+                    assert self.refused(beta, kk) is refused, (beta, kk)
+
+    def test_straddling_the_bound(self):
+        bound = verifier.MR_DETERMINISTIC_BOUND
+        rng = random.Random(82)
+        crossings = collections.Counter()
+        for _ in range(200):
+            k = rng.choice((0, rng.randint(1, 1000), rng.randint(1, 10**9)))
+            b = rng.randint(0, math.isqrt(bound // 2))
+            # put the largest norm, (|a| + |k|)^2 + (|b| + |k|)^2, next to the bound
+            a0 = math.isqrt(bound - (b + k) ** 2) - k
+            for a in range(max(a0 - 1, 0), a0 + 3):
+                beta = gi(rng.choice((1, -1)) * a, rng.choice((1, -1)) * b)
+                kk = rng.choice((1, -1)) * k
+                crossings[k == 0, sum(v.norm() >= bound for v in constellation_primes(beta, kk))] += 1
+                assert self.refused(beta, kk) == old_bound_refusal(beta, kk), (beta, kk)
+        # both sides with k = 0, and only one norm across with k != 0
+        assert crossings[True, 0] and crossings[True, 4]
+        assert crossings[False, 0] and crossings[False, 1]
 
 
 class TestCertify:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qirank.gaussian import GaussInt, I, ONE, ONE_PLUS_I, primary_associate
+from qirank.gaussian import GaussInt, I, ONE, ONE_PLUS_I, divides, primary_associate
 from qirank.primes import is_gaussian_prime
 from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 
@@ -110,16 +110,31 @@ class TestEulerSymbol:
         with pytest.raises(ValueError):
             euler_symbol(gi(-2, -12), gi(-1, -6))  # p | alpha
 
+    def test_multiples_of_p_raise(self):
+        # the zero power is the divisibility test: alpha = p u, u = 0 included,
+        # for split and inert p and for every associate of p
+        rng = random.Random(34)
+        units = (ONE, I, -ONE, -I)
+        for p in primary_primes_up_to_norm(600) + [random_primary_prime(rng, 10**6)]:
+            for _ in range(4):
+                u = GaussInt(rng.randint(-50, 50), rng.randint(-50, 50))
+                q = rng.choice(units) * p
+                with pytest.raises(ValueError, match="divides"):
+                    euler_symbol(q * u, q)
+                with pytest.raises(ValueError, match="divides"):
+                    euler_symbol(p * u, q)
+
     def test_brute_force_oracle_sample(self):
+        # a non-multiple of p agrees with the oracle; a multiple raises
         rng = random.Random(32)
         for p in primary_primes_up_to_norm(600):
             for _ in range(5):
                 a = GaussInt(rng.randint(-40, 40), rng.randint(-40, 40))
-                try:
-                    s = euler_symbol(a, p)
-                except ValueError:
-                    continue
-                assert s == brute_force_symbol(a, p)
+                if divides(p, a):
+                    with pytest.raises(ValueError, match="divides"):
+                        euler_symbol(a, p)
+                else:
+                    assert euler_symbol(a, p) == brute_force_symbol(a, p), (a, p)
 
     def test_multiplicative(self):
         rng = random.Random(33)

@@ -246,6 +246,7 @@ class TestSelmerCandidateSet:
 
     def test_one_kernel_per_report(self, monkeypatch):
         # the candidates are the kernel of [L | n_bar], computed once
+        candidate_classes.cache_clear()
         calls = []
         real_kernel = selmer.f2_kernel
 
@@ -267,6 +268,40 @@ class TestSelmerCandidateSet:
                 tuple(row | bit << n for row, bit in zip(report.matrix.rows, report.nbar)),
                 n + 1,
             )
+
+    def test_repeated_report_computes_no_kernel(self, monkeypatch):
+        # the F2 half is memoized on (matrix, nbar): a second report on the
+        # same primes reads it back, and so does a constellation with the
+        # same symbol matrix
+        candidate_classes.cache_clear()
+        primes = [gi(-1, 26), gi(-1, -6), gi(31, -6), gi(31, 26)]
+        first = selmer_candidate_set(primes)
+
+        def no_kernel(matrix):
+            raise AssertionError("computed a kernel for a memoized input")
+
+        monkeypatch.setattr(selmer, "f2_kernel", no_kernel)
+        again = selmer_candidate_set(primes)
+        assert again == first
+        assert again.candidates is first.candidates
+        assert candidate_classes.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_memo_equals_the_unwrapped_function(self):
+        # a pool of 20 inputs queried 300 times: hits, misses and evictions
+        # past the memo's bound all return what the function computes
+        candidate_classes.cache_clear()
+        rng = random.Random(45)
+        pool = []
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            matrix = F2Matrix(tuple(rng.getrandbits(ncols) for _ in range(nrows)), ncols)
+            pool.append((matrix, rng.getrandbits(nrows)))
+        for _ in range(300):
+            matrix, nbar = rng.choice(pool)
+            assert candidate_classes(matrix, nbar) == candidate_classes.__wrapped__(matrix, nbar)
+        info = candidate_classes.cache_info()
+        assert info.hits > 0 and info.misses > info.maxsize
+        assert info.currsize == info.maxsize
 
     def test_every_candidate_satisfies_a_branch(self):
         rng = random.Random(44)
