@@ -6,6 +6,7 @@ from qirank import selmer
 from qirank.gaussian import GaussInt, primary_associate
 from qirank.primes import is_gaussian_prime
 from qirank.residues import mn_invariants
+from qirank.search import Box, search_region
 from qirank.selmer import (
     F2Matrix,
     build_L,
@@ -274,8 +275,10 @@ class TestSelmerCandidateSet:
         # same primes reads it back, and so does a constellation with the
         # same symbol matrix
         candidate_classes.cache_clear()
-        primes = [gi(-1, 26), gi(-1, -6), gi(31, -6), gi(31, 26)]
+        primes = (gi(-1, 26), gi(-1, -6), gi(31, -6), gi(31, 26))
         first = selmer_candidate_set(primes)
+        other = next(hit.primes for hit in search_region(Box.centered(64), (-64, 64))
+                     if hit.primes != primes and build_L(hit.primes) == first.matrix)
 
         def no_kernel(matrix):
             raise AssertionError("computed a kernel for a memoized input")
@@ -284,7 +287,8 @@ class TestSelmerCandidateSet:
         again = selmer_candidate_set(primes)
         assert again == first
         assert again.candidates is first.candidates
-        assert candidate_classes.cache_info()[:2] == (1, 1)  # hits, misses
+        assert selmer_candidate_set(other).candidates is first.candidates
+        assert candidate_classes.cache_info()[:2] == (2, 1)  # hits, misses
 
     def test_memo_equals_the_unwrapped_function(self):
         # a pool of 20 inputs queried 300 times: hits, misses and evictions
