@@ -101,8 +101,11 @@ class Rejection:
 
 
 def constellation_primes(beta: GaussInt, k: int) -> tuple[GaussInt, ...]:
-    """The four values beta + i^j k (1+i), j = 1..4."""
-    return tuple(beta + off * GaussInt(k, 0) for off in OFFSETS)
+    """The four values beta + i^j k (1+i), j = 1..4: i^j (1+i) is -1+i,
+    -1-i, 1-i and 1+i in turn."""
+    a, b = beta.re, beta.im
+    return (GaussInt(a - k, b + k), GaussInt(a - k, b - k),
+            GaussInt(a + k, b - k), GaussInt(a + k, b + k))
 
 
 def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejection]:
@@ -442,31 +445,79 @@ def _abs_range(lo: int, hi: int) -> tuple[int, int]:
 def prime_density_stats(box: Box) -> DensityStats:
     """Exact per-class prime counts over the box (sieve-backed, no floats).
 
-    Whether a + bi is prime depends only on (|a|, |b|): off the axes it is
+    Whether a + bi is prime depends only on {|a|, |b|}: off the axes it is
     prime iff a^2 + b^2 is a rational prime, and on an axis iff the nonzero
-    coordinate is, up to sign, a rational prime q = 3 mod 4.  So the census
-    builds one row of flags per x = |a| over y = |b|, and a and -a share
-    it.  An odd prime has norm x^2 + y^2 odd, so a row reads the sieve only
-    at the y of the other parity than x; that also leaves out the associates
-    of 1+i (norm 2), which count in the total but lie in no invertible
-    class, and are added to the total by hand.  In a row, the b >= 0 of one
-    class mod 16 sit at y stepping by 16, and so do the b < 0, at y = -b;
-    each class count of a row is two strided byte counts.  The sieve covers
-    only the norms the box holds, x_lo^2 + y_lo^2 up to x_hi^2 + y_hi^2, and
-    the axis flags come from a sieve up to max(x_hi, y_hi); a box far from
-    the origin still sieves about its width times its distance.
+    coordinate is, up to sign, a rational prime q = 3 mod 4.  An odd prime
+    has odd norm, so the sieve holds only the odd norms the box has, from
+    x_lo^2 + y_lo^2 up to x_hi^2 + y_hi^2 with x = |a| and y = |b|, and is
+    read only where x and y differ in parity; the associates of 1+i (norm
+    2) count in the total but lie in no invertible class, and are added to
+    the total by hand.  The axis flags come from a sieve up to
+    max(x_hi, y_hi).  A box far from the origin still sieves about its
+    width times its distance, halved.
+
+    Let R = min(-re_min, re_max, -im_min, im_max), or 0 when the box does
+    not hold the origin.  Every sign of both coordinates of the core
+    1 <= x, y <= R lies in the box, so the census reads only its octant
+    x < y (the diagonal has even norm), tallies the primes by
+    (x mod 16, y mod 16), and credits each tally to the classes of its
+    eight points (+-x, +-y) and (+-y, +-x).  The rest of the box is read
+    once per point: one row per x = 0 or x > R over every y, in which the
+    b >= 0 of one class mod 16 sit at y stepping by 16, and so do the b < 0
+    at y = -b, so that each class count is two strided byte counts; and,
+    for 1 <= x <= R, the axis points y = 0 and one column over x per y > R.
     """
     target = (TARGET_CLASS.re % 16, TARGET_CLASS.im % 16)
     if box.re_max < box.re_min or box.im_max < box.im_min:
         return DensityStats(total_primes=0, class_counts={}, target_class=target)
     x_lo, x_hi = _abs_range(box.re_min, box.re_max)
     y_lo, y_hi = _abs_range(box.im_min, box.im_max)
-    lo = x_lo * x_lo + y_lo * y_lo
-    sieve = rational_prime_sieve(x_hi * x_hi + y_hi * y_hi, lo)
+    start = (x_lo * x_lo + y_lo * y_lo) | 1
+    # sieve[i] == 1 iff the odd norm start + 2i is prime
+    sieve = rational_prime_sieve(x_hi * x_hi + y_hi * y_hi, start, 2)
     # axis[q] == 1 iff q and qi are Gaussian primes: q prime, q = 3 mod 4
     axis = rational_prime_sieve(max(x_hi, y_hi))
     for r in (0, 1, 2):
         axis[r::4] = bytes(len(range(r, len(axis), 4)))
+
+    def half(v: int) -> int:
+        """The part of v in a sieve position: for x and y of other parities,
+        x^2 + y^2 = start + 2 (half(x) + half(y))."""
+        return (v * v - start) >> 1 if v & 1 else (v * v) >> 1
+
+    acc = [[0] * 16 for _ in range(16)]  # acc[a % 16][b % 16]: points
+
+    def credit(c: int, d: int, n: int) -> None:
+        """Count n points at a = x and n at a = -x, for x = c, b = d mod 16."""
+        acc[c][d] += n
+        acc[-c % 16][d] += n
+
+    core = max(0, min(-box.re_min, box.re_max, -box.im_min, box.im_max))
+    if core:
+        halves = [half(v) for v in range(core + 1)]
+        octant = [[0] * 16 for _ in range(16)]  # [x % 16][y % 16], x < y
+        for x in range(1, core):
+            hx = halves[x]
+            flags = bytes([sieve[hx + hy] for hy in halves[x + 1 :: 2]])
+            by_y = octant[x % 16]
+            for j in range(8):
+                by_y[(x + 1 + 2 * j) % 16] += flags[j::8].count(1)
+        for c in range(16):
+            for d in range(16):
+                # a tuple, not a set: for s = 0, 8 the classes s and -s
+                # coincide, and each of the two points counts
+                for u, v in ((c, d), (c, -d % 16), (d, c), (d, -c % 16)):
+                    credit(u, v, octant[c][d])
+            # the axis points (+-x, 0) with 1 <= x <= R, x = c mod 16
+            credit(c, 0, axis[(c - 1) % 16 + 1 : core + 1 : 16].count(1))
+        for y in range(core + 1, y_hi + 1):
+            x0 = 1 + y % 2  # the least x of the other parity than y
+            hy = half(y)
+            flags = bytes([sieve[hx + hy] for hx in halves[x0::2]])
+            for b in (y, -y):
+                if box.im_min <= b <= box.im_max:
+                    for j in range(8):
+                        credit((x0 + 2 * j) % 16, b % 16, flags[j::8].count(1))
 
     def strided(lo: int, hi: int, r: int) -> slice:
         """Row positions of the y in lo..hi with y = r mod 16."""
@@ -481,20 +532,20 @@ def prime_density_stats(box: Box) -> DensityStats:
         for c in range(16)
     ]
     width = y_hi - y_lo + 1
-    # by parity p of y: the row position of the first such y, and every
-    # y^2 - lo, so that sieve[x^2 + y^2 - lo] is read as sieve[xx + yy]
+    # by parity p of y: the row position of the first such y, and half(y)
     first = [(y_lo - p) % 2 for p in (0, 1)]
-    squares = [[y * y - lo for y in range(y_lo + first[p], y_hi + 1, 2)]
-               for p in (0, 1)]
-    acc = [[0] * 16 for _ in range(16)]
+    y_halves = [[half(y) for y in range(y_lo + first[p], y_hi + 1, 2)]
+                for p in (0, 1)]
     for x in range(x_lo, x_hi + 1):
+        if 1 <= x <= core:
+            continue
         if x == 0:
             row = axis[y_lo : y_hi + 1]
         else:
-            xx = x * x
             p = 1 - x % 2  # x^2 + y^2 is odd for the y of parity p
             row = bytearray(width)
-            row[first[p] :: 2] = [sieve[xx + yy] for yy in squares[p]]
+            hx = half(x)
+            row[first[p] :: 2] = [sieve[hx + hy] for hy in y_halves[p]]
             if y_lo == 0:
                 row[0] = axis[x]
         counts_x = [row[pos].count(1) + row[neg].count(1) for pos, neg in slices]

@@ -408,6 +408,12 @@ def twist_iso_inv(alpha: GaussInt, point: CurvePoint) -> CurvePoint:
     return CurvePoint(point.x * _IOTA_X, point.y * _IOTA_Y)
 
 
+def constellation_primes_by_offsets(beta: GaussInt, k: int) -> tuple[GaussInt, ...]:
+    """The four values beta + i^j k (1+i), j = 1..4, by Z[i] products with
+    the offsets i^j (1+i)."""
+    return tuple(beta + off * GaussInt(k, 0) for off in search.OFFSETS)
+
+
 def residue_prefilter(beta: GaussInt, k: int) -> bool:
     """The residue test the search kernel steps through, on one pair.
 

@@ -37,7 +37,12 @@ from qirank.search import (
 )
 
 import oracles
-from oracles import density_by_point, residue_prefilter, scan_pairs
+from oracles import (
+    constellation_primes_by_offsets,
+    density_by_point,
+    residue_prefilter,
+    scan_pairs,
+)
 
 # first hit of the canonical expanding schedule; frozen regression constant
 FROZEN_BETA = GaussInt(15, 10)
@@ -80,6 +85,17 @@ class TestConstellationPrimes:
             k = rng.randint(-100, 100)
             p1, p2, p3, p4 = constellation_primes(b, k)
             assert p1 * p2 * p3 * p4 == b ** 4 + gi(4 * k ** 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**64, 2**64), st.integers(-2**64, 2**64),
+           st.integers(-2**64, 2**64))
+    @example(0, 0, 0)
+    @example(15, 10, 16)
+    @example(15, 10, -16)
+    @example(-2**64, 2**64, -2**64)
+    def test_equals_the_offset_products(self, re, im, k):
+        beta = GaussInt(re, im)
+        assert constellation_primes(beta, k) == constellation_primes_by_offsets(beta, k)
 
 
 class TestConstellationAt:
@@ -786,6 +802,22 @@ class TestFindFirstHit:
         assert calls == []
 
 
+# Boxes about the origin, whose core square 1 <= |a|, |b| <= R the census
+# reads one octant at a time: R = 0..40 centred; the 25 translations by
+# 16 (u, v) of a radius-96 box, which leave one to four sides beyond R; a
+# core capped by each side in turn, with the rest of the box read as rows
+# beyond R and as columns over the core; and cores of R = 0, 1 and 2.
+SYMMETRIC_CORE_BOXES = (
+    [Box.centered(n) for n in range(41)]
+    + [Box(-96 + 16 * u, 96 + 16 * u, -96 + 16 * v, 96 + 16 * v)
+       for u in range(-2, 3) for v in range(-2, 3)]
+    + [Box(-24, 50, -40, 45), Box(-50, 24, -40, 45), Box(-45, 50, -24, 40),
+       Box(-45, 50, -40, 24), Box(-17, 17, -50, 50), Box(-50, 50, -17, 17)]
+    + [Box(0, 40, -40, 40), Box(-40, 40, -40, 0), Box(-1, 40, -40, 40),
+       Box(-40, 40, -1, 1), Box(-40, 2, -40, 40), Box(-2, 2, -35, 3)]
+)
+
+
 class TestDensityStats:
     def test_tiny_box(self):
         stats = prime_density_stats(Box(0, 0, 0, 0))
@@ -827,7 +859,7 @@ class TestDensityStats:
         assert len(set(per_class)) == 1
 
     def test_empty_box_sieves_nothing(self, monkeypatch):
-        def refuse(limit, start=0):
+        def refuse(limit, start=0, step=1):
             raise AssertionError(f"sieved {start}..{limit} for an empty box")
 
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse)
@@ -846,8 +878,8 @@ class TestDensityStats:
         # each call gets an exact-length copy of its range
         full = qirank.search.rational_prime_sieve(2 * 3062**2)
 
-        def prefix(limit, start=0):
-            return full[start : limit + 1]
+        def prefix(limit, start=0, step=1):
+            return full[start : limit + 1 : step]
 
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", prefix)
         monkeypatch.setattr(oracles, "rational_prime_sieve", prefix)
@@ -866,18 +898,46 @@ class TestDensityStats:
         entries = []
         sieve = qirank.search.rational_prime_sieve
 
-        def counted(limit, start=0):
-            flags = sieve(limit, start)
+        def counted(limit, start=0, step=1):
+            flags = sieve(limit, start, step)
             entries.append(len(flags))
             return flags
 
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", counted)
         stats = prime_density_stats(box)
-        # the norms 2 * 3000^2 .. 2 * 3059^2, and the axis flags up to 3059
-        assert sum(entries) <= 714_963 + 3_060
+        # the odd norms 2 * 3000^2 + 1 .. 2 * 3059^2, and the axis flags up
+        # to 3059
+        assert sum(entries) <= 357_481 + 3_060
         expected = density_by_point(box)
         assert (stats.total_primes, stats.class_counts) == (
             expected.total_primes, expected.class_counts)
+
+    @pytest.mark.parametrize("box", SYMMETRIC_CORE_BOXES, ids=str)
+    def test_symmetric_core_matches_the_oracle(self, box):
+        assert prime_density_stats(box) == density_by_point(box)
+
+    def test_core_is_read_once_per_octant(self, monkeypatch):
+        class CountingFlags(bytearray):
+            """Sieve flags that count the int subscripts read from them."""
+
+            reads = 0
+
+            def __getitem__(self, index):
+                if isinstance(index, int):
+                    CountingFlags.reads += 1
+                return super().__getitem__(index)
+
+        sieve = qirank.search.rational_prime_sieve
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve",
+                            lambda limit, start=0, step=1:
+                            CountingFlags(sieve(limit, start, step)))
+        box = Box.centered(200)
+        stats = prime_density_stats(box)
+        # one row per x = 1..200 over the y of the other parity read 20 100
+        # norms, plus 200 axis flags: 20 300 reads; the octant x < y reads
+        # 10 000 norms and the axis flags as strided counts
+        assert CountingFlags.reads <= 0.55 * 20_300
+        assert stats == density_by_point(box)
 
 
 def _census_axis(rng):
@@ -904,4 +964,3 @@ CENSUS_BOXES = [
     Box(-3, 3, 2, 40),
     Box(-1016, 984, -968, 1032),
 ]
-
