@@ -184,10 +184,11 @@ def rational_prime_sieve(limit: int, start: int = 0, step: int = 1) -> bytearray
     start + i * step is prime.
 
     start must be coprime to step, so that no prime dividing step divides a
-    value.  The census sieves with step 1, and the search's join with step
-    32 on the norms = 5 mod 32, the only ones its values have.  The primes
-    up to isqrt(limit) that strike the range come from a sieve of their
-    own, so the memory is that of the range plus its square root.
+    value.  The census sieves with step 2 on the odd norms, and the search's
+    join with step 32 on the norms = 5 mod 32, the only ones its values
+    have; the census's axis flags use step 1.  The primes up to
+    isqrt(limit) that strike the range come from a sieve of their own, so
+    the memory is that of the range plus its square root.
     """
     sieve = bytearray([1]) * len(range(start, limit + 1, step))
     for n in range(start, min(2, limit + 1), step):

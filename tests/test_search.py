@@ -933,9 +933,9 @@ class TestDensityStats:
                             CountingFlags(sieve(limit, start, step)))
         box = Box.centered(200)
         stats = prime_density_stats(box)
-        # one row per x = 1..200 over the y of the other parity read 20 100
-        # norms, plus 200 axis flags: 20 300 reads; the octant x < y reads
-        # 10 000 norms and the axis flags as strided counts
+        # a row per x = 1..200 over every y of the other parity takes 20 100
+        # norm reads and 200 axis reads, 20 300 in all; the octant x < y
+        # takes 10 000 norm reads and counts the axis flags by slices
         assert CountingFlags.reads <= 0.55 * 20_300
         assert stats == density_by_point(box)
 
