@@ -60,20 +60,14 @@ class Certificate:
         return self.data
 
 
-def family_point(beta: GaussInt, k: int) -> CurvePoint:
-    """(4 b^2 k^2, 2i b k (b^4 - 4k^4)), always on y^2 = x^3 - (b^4+4k^4)^2 x."""
-    x = GaussInt(4 * k * k, 0) * beta * beta
-    y = GaussInt(0, 2 * k) * beta * (beta ** 4 - GaussInt(4 * k ** 4, 0))
-    return CurvePoint.affine(x, y)
-
-
 def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
     """Run the full verification chain for (beta, k).
 
     Each value is derived once.  The bound check reads the largest of the
     four norms (a +- k)^2 + (b +- k)^2 off the ints, before any of the four
     values is built; gamma and gamma^2 are computed once, and the witness
-    Im(gamma^2) and alpha = -gamma^2 share them.
+    Im(gamma^2) and alpha = -gamma^2 share them, as gamma and the family
+    point (4 b^2 k^2, 2i b k (b^4 - 4k^4)) share b^2, b^4 and 4k^4.
     """
     a, b = beta.re, beta.im
     max_norm = max((a - k) ** 2, (a + k) ** 2) + max((b - k) ** 2, (b + k) ** 2)
@@ -93,7 +87,10 @@ def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
         )
     hit: ConstellationHit = result
     # p_1 p_2 p_3 p_4 = gamma is an identity in (beta, k)
-    gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)
+    beta_squared = beta * beta
+    beta_fourth = beta_squared * beta_squared
+    four_k_fourth = GaussInt(4 * k ** 4, 0)
+    gamma = beta_fourth + four_k_fourth
     gamma_squared = gamma * gamma
 
     # necessary only: the class argument in the module docstring proves it
@@ -129,7 +126,8 @@ def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
     gamma_torsion = I * gamma
     torsion = torsion_subgroup(gamma_torsion)
 
-    point = family_point(beta, k)
+    point = CurvePoint.affine(GaussInt(4 * k * k, 0) * beta_squared,
+                              GaussInt(0, 2 * k) * beta * (beta_fourth - four_k_fourth))
     if not on_curve(alpha, point):
         return FailureReport(
             reason="point not on curve",
@@ -151,10 +149,8 @@ def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
 
     fields = verifier.certificate_fields(
         beta=_pair(beta), k=k, primes=[_pair(p) for p in hit.primes], rows=rows,
-        alpha=_pair(alpha), genuine=im_gamma_squared != 0,
-        im_gamma_squared=im_gamma_squared,
+        alpha=_pair(alpha), im_gamma_squared=im_gamma_squared,
         point=_coordinates(point), point_cm=_coordinates(point_cm),
-        candidates=report.candidates, selmer_dim=report.dim, rank_upper=report.rank_upper,
         gamma_torsion=_pair(gamma_torsion), torsion_group=torsion.label,
     )
     fields["toolchain"] = f"qirank {__version__}"
@@ -172,14 +168,16 @@ def _coordinates(point: CurvePoint):
     return tuple((_pair(c.num), _pair(c.den)) for c in (point.x, point.y))
 
 
-def verify_certificate(data: Union[str, bytes, dict, Certificate]) -> bool:
+def verify_certificate(data: Union[str, bytes, Certificate]) -> bool:
     """Check a certificate with the stand-alone ``qirank.verifier``.
 
-    It re-derives every field from the certificate's (beta, k) and compares
-    them all; a tampered matrix entry, a swapped point, an unsupported format
-    version or a norm above the primality bound makes the certificate
-    invalid.  The ``toolchain`` field is provenance, not mathematics, and is
-    ignored.  Raises ValueError on malformed input.
+    It takes certificate text, ``str`` or ``bytes``, or a ``Certificate``;
+    a parsed dict fails in ``json.loads`` with TypeError.  It re-derives
+    every field from the certificate's (beta, k) and compares them all; a
+    tampered matrix entry, a swapped point, an unsupported format version or
+    a norm above the primality bound makes the certificate invalid.  The
+    ``toolchain`` field is provenance, not mathematics, and is ignored.
+    Raises ValueError on malformed input.
     """
     if isinstance(data, Certificate):
         data = data.data

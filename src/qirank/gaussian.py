@@ -18,11 +18,9 @@ lifts a ``GaussInt`` into Q(i) with ``GaussRat(z, ONE)``.
 ``GaussInt`` only for their result; each remainder is the one nearest division
 (ties to even) gives.  ``tests/oracles.py`` keeps that division and the
 ``GaussInt`` routes (``*_by_division``) the tests compare the three with.
-A modulus c + di of odd norm N with gcd(c, d) = 1, every split prime among
-them, has Z[i]/(c + di) isomorphic to Z/N (i -> -c/d mod N), so ``mod_pow``
-raises there with one integer ``pow`` and reduces once; odd N leaves nearest
-division no ties, so that remainder is the loop's.  Any other modulus (even
-norm, or a common factor as in an inert q) takes square-and-multiply.
+``mod_pow`` takes only a modulus c + di of odd norm N with gcd(c, d) = 1,
+every split prime among them: Z[i]/(c + di) is then Z/N (i -> -c/d mod N),
+so it raises with one integer ``pow`` and reduces once.
 """
 
 from __future__ import annotations
@@ -230,12 +228,11 @@ def gcd(a: GaussInt, b: GaussInt) -> GaussInt:
 def mod_pow(base: GaussInt, exponent: int, modulus: GaussInt) -> GaussInt:
     """base**exponent modulo modulus on int pairs (oracle: mod_pow_by_division).
 
-    A modulus m = c + di of odd norm N with gcd(c, d) = 1 (every split prime)
-    takes one integer ``pow``: a + bi -> a + b*r mod N, r = -c/d mod N, maps
-    Z[i]/(m) onto Z/N, its kernel holding m with index N.  For odd N nearest
-    division never ties, so its remainder depends only on the class and is
-    the one the square-and-multiply loop returns; every other modulus runs
-    that loop.
+    The modulus m = c + di must have odd norm N and gcd(c, d) = 1, as every
+    split prime has; any other modulus raises ValueError.  One integer
+    ``pow``: a + bi -> a + b*r mod N, r = -c/d mod N, maps Z[i]/(m) onto Z/N,
+    its kernel holding m with index N.  For odd N nearest division never
+    ties, so the remainder depends only on the class.
     """
     if exponent < 0:
         raise ValueError("negative exponent")
@@ -243,19 +240,10 @@ def mod_pow(base: GaussInt, exponent: int, modulus: GaussInt) -> GaussInt:
         raise ZeroDivisionError("zero modulus")
     c, d = modulus.re, modulus.im
     nd = modulus.norm()
-    if nd & 1 and _math.gcd(c, d) == 1:
-        r = -c * pow(d, -1, nd)
-        return GaussInt(*_rem(pow((base.re + base.im * r) % nd, exponent, nd), 0, c, d, nd))
-    ax, ay = _rem(1, 0, c, d, nd)
-    bx, by = _rem(base.re, base.im, c, d, nd)
-    e = exponent
-    while e:
-        if e & 1:
-            ax, ay = _rem(ax * bx - ay * by, ax * by + ay * bx, c, d, nd)
-        e >>= 1
-        if e:
-            bx, by = _rem(bx * bx - by * by, 2 * bx * by, c, d, nd)
-    return GaussInt(ax, ay)
+    if not nd & 1 or _math.gcd(c, d) != 1:
+        raise ValueError(f"{modulus} is not a modulus of odd norm with coprime parts")
+    r = -c * pow(d, -1, nd)
+    return GaussInt(*_rem(pow((base.re + base.im * r) % nd, exponent, nd), 0, c, d, nd))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,8 +264,6 @@ class GaussRat:
     def of(cls, num: GaussInt, den: GaussInt = ONE) -> "GaussRat":
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            return cls(ZERO, ONE)
         g = gcd(num, den)
         n, d = exact_div(num, g), exact_div(den, g)
         # rotate by the unit that makes the denominator canonical

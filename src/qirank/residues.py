@@ -31,9 +31,6 @@ class MNInvariant:
     def n_bar(self) -> int:
         return self.n % 2
 
-    def __add__(self, other: "MNInvariant") -> "MNInvariant":
-        return MNInvariant((self.m + other.m) % 4, (self.n + other.n) % 4)
-
 
 # (re mod 16, im mod 16) -> (m, n): each class mod (1+i)^7 = 8-8i has the
 # two residues g and g + 8+8i mod 16, so the 16 products give 32 keys, which
@@ -62,14 +59,25 @@ def euler_symbol(alpha: GaussInt, p: GaussInt) -> int:
     """Gaussian quadratic residue symbol (alpha / p) in {+1, -1}.
 
     Euler criterion: alpha**((Nm(p)-1)/2) mod p, for an odd Gaussian prime p
-    not dividing alpha.  The power itself detects p | alpha: the exponent
-    is at least 2, so the power is 0 mod p exactly when p divides alpha, and
-    a zero result raises ValueError without a separate divisibility test.
+    not dividing alpha.  A split p goes through ``mod_pow``, and the power
+    itself detects p | alpha: the exponent is at least 2, so the power is 0
+    mod p exactly when p divides alpha, and a zero result raises ValueError
+    without a separate divisibility test.  An inert p is an associate of a
+    rational prime q = 3 mod 4, and Frobenius gives alpha**q = conj(alpha)
+    mod q, so alpha**((q^2-1)/2) = (alpha * conj(alpha))**((q-1)/2) =
+    Nm(alpha)**((q-1)/2) mod q: the symbol is the Legendre symbol of Nm(alpha)
+    mod q (Ireland & Rosen, ch. 9), and q | alpha iff q | Nm(alpha).
     """
     if not is_gaussian_prime(p):
         raise ValueError(f"{p} is not a Gaussian prime")
     if not p.is_odd():
         raise ValueError(f"{p} is even (the symbol needs an odd prime)")
+    if p.re == 0 or p.im == 0:
+        q = abs(p.re or p.im)
+        n = alpha.norm() % q
+        if not n:
+            raise ValueError(f"{p} divides {alpha}")
+        return 1 if pow(n, (q - 1) // 2, q) == 1 else -1
     r = mod_pow(alpha, (p.norm() - 1) // 2, p)
     if r == ONE:
         return 1
@@ -78,4 +86,3 @@ def euler_symbol(alpha: GaussInt, p: GaussInt) -> int:
     if not r:
         raise ValueError(f"{p} divides {alpha}")
     raise AssertionError(f"Euler criterion gave non-unit {r} mod {p}")
-

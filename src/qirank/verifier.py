@@ -1,11 +1,13 @@
 """Stand-alone certificate checker.
 
 It uses only the standard library and imports nothing from the rest of
-qirank, so it can be read, audited and copied on its own.  From a
-certificate's ``(beta, k)`` alone it rebuilds the whole expected
-certificate, proving each claim on the way, then compares every field but
-``toolchain`` with the given one.  Only ``beta`` and ``k`` are ever parsed;
-every other field must equal its recomputed value exactly, type included.
+qirank, so it can be read, audited and copied on its own.  It reads a
+certificate as JSON text, ``str`` or ``bytes``, and never takes a parsed
+object.  From the certificate's ``(beta, k)`` alone it rebuilds the whole
+expected certificate, proving each claim on the way, then compares every
+field but ``toolchain`` with the given one.  Only ``beta`` and ``k`` are
+ever parsed; every other field must equal its recomputed value exactly,
+type included.
 
 The paper's 2-isogeny descent makes the rank-2 claim a finite check:
 
@@ -84,12 +86,12 @@ GaussPair = tuple[int, int]
 GaussPoint = tuple[tuple[GaussPair, GaussPair], tuple[GaussPair, GaussPair]]
 
 
-def parse_certificate(data: Union[str, bytes, dict]) -> dict:
-    """Parse raw certificate JSON into a dict, validating the basic shape."""
-    if isinstance(data, (str, bytes)) and len(data) > MAX_CERT_BYTES:
+def parse_certificate(data: Union[str, bytes]) -> dict:
+    """Parse certificate JSON text into a dict, validating the basic shape."""
+    if len(data) > MAX_CERT_BYTES:
         raise ValueError(f"malformed certificate: longer than {MAX_CERT_BYTES} bytes")
     try:
-        obj = json.loads(data) if isinstance(data, (str, bytes)) else data
+        obj = json.loads(data)
     except RecursionError:
         raise ValueError("malformed certificate: JSON nested too deeply") from None
     if not isinstance(obj, dict):
@@ -100,13 +102,11 @@ def parse_certificate(data: Union[str, bytes, dict]) -> dict:
     return obj
 
 
-def verify(data: Union[str, bytes, dict]) -> bool:
-    """True iff the certificate is exactly the one (beta, k) determines.
+def verify(data: Union[str, bytes]) -> bool:
+    """True iff the certificate text is exactly the one (beta, k) determines.
 
     Raises ValueError on malformed input; a wrong version, a failed claim or
-    any changed field gives False.  A dict is compared type for type: a
-    value that ``json.loads`` never gives, such as ``unittest.mock.ANY`` or a
-    ``str`` subclass, gives False too.
+    any changed field gives False.
     """
     obj = parse_certificate(data)
     if obj.get("version") != CERT_VERSION:
@@ -115,20 +115,9 @@ def verify(data: Union[str, bytes, dict]) -> bool:
     given = {key: value for key, value in obj.items() if key != "toolchain"}
     # an expected certificate holds only str, bool, list and dict, and among
     # JSON values == crosses types only between bool, int and float: the one
-    # bool leaf is the only one that 1 or 1.0 could match.  A dict may hold
-    # any object, and one whose __eq__ answers True matches any leaf
+    # bool leaf is the only one that 1 or 1.0 could match
     return (expected is not None and given == expected
-            and type(given["genuine"]["value"]) is bool
-            and (isinstance(data, (str, bytes)) or _plain(given)))
-
-
-def _plain(value) -> bool:
-    """Whether value is built of dict (str keys), list, str and bool alone."""
-    if type(value) is dict:
-        return all(type(key) is str and _plain(item) for key, item in value.items())
-    if type(value) is list:
-        return all(map(_plain, value))
-    return type(value) is str or type(value) is bool
+            and type(given["genuine"]["value"]) is bool)
 
 
 def _read_beta_k(obj: dict) -> tuple[int, int, int]:
@@ -180,42 +169,42 @@ def expected_certificate(a: int, b: int, k: int) -> Optional[dict]:
     one = (1, 0)
     return certificate_fields(
         beta=beta, k=k, primes=primes, rows=rows, alpha=alpha,
-        genuine=True, im_gamma_squared=gamma2[1],
+        im_gamma_squared=gamma2[1],
         point=((x, one), (y, one)), point_cm=((x_cm, one), (y_cm, one)),
-        candidates=SELMER_CANDIDATES, selmer_dim=2, rank_upper=2,
         gamma_torsion=(-gamma[1], gamma[0]), torsion_group="Z2xZ2",
     )
 
 
 def certificate_fields(
     *, beta: GaussPair, k: int, primes: Sequence[GaussPair], rows: Sequence[str],
-    alpha: GaussPair, genuine: bool, im_gamma_squared: int, point: GaussPoint,
-    point_cm: GaussPoint, candidates: Sequence[tuple[str, tuple[int, ...]]],
-    selmer_dim: int, rank_upper: int, gamma_torsion: GaussPair, torsion_group: str,
+    alpha: GaussPair, im_gamma_squared: int, point: GaussPoint, point_cm: GaussPoint,
+    gamma_torsion: GaussPair, torsion_group: str,
 ) -> dict:
     """Every field of a certificate but ``toolchain``, as JSON values.
 
     It only formats what the caller derived: integers become decimal
     strings and Gaussian pairs ``{"im", "re"}`` objects.  ``rows`` are the
-    row strings of L, ``candidates`` are (unit, 1-based prime indices) as in
-    ``SELMER_CANDIDATES``, and a point is a ``GaussPoint``.
+    row strings of L and a point is a ``GaussPoint``.  The fields every
+    certificate shares are written as constants: the genuine flag, the
+    Selmer candidates ``SELMER_CANDIDATES`` of F2 dimension 2, the rank
+    bound 2 and the conclusion.
     """
     return {
         "L": list(rows),
         "alpha": _gauss_json(alpha),
         "beta": _gauss_json(beta),
         "conclusion": CONCLUSION,
-        "genuine": {"im_gamma_squared": str(im_gamma_squared), "value": genuine},
+        "genuine": {"im_gamma_squared": str(im_gamma_squared), "value": True},
         "k": str(k),
         "point": _point_json(point),
         "point_cm": _point_json(point_cm),
         "primes": [_gauss_json(p) for p in primes],
-        "rank_upper": str(rank_upper),
+        "rank_upper": "2",
         "selmer_candidates": [
             {"primes": [str(j) for j in indices], "unit": unit}
-            for unit, indices in candidates
+            for unit, indices in SELMER_CANDIDATES
         ],
-        "selmer_dim": str(selmer_dim),
+        "selmer_dim": "2",
         "torsion": {
             "convention": GAMMA_CONVENTION,
             "gamma": _gauss_json(gamma_torsion),

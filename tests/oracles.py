@@ -190,6 +190,11 @@ def mn_invariants_by_search(alpha: GaussInt) -> MNInvariant:
     return hits[0]
 
 
+def mn_sum(x: MNInvariant, y: MNInvariant) -> MNInvariant:
+    """The sum in (Z/4)^2: the invariants of a product, if (m, n) is additive."""
+    return MNInvariant((x.m + y.m) % 4, (x.n + y.n) % 4)
+
+
 def build_L_by_all_symbols(primes) -> F2Matrix:
     """The symbol matrix with the symbol of every ordered pair computed.
 
@@ -294,6 +299,17 @@ def is_square(alpha: GaussInt) -> bool:
         return True
     f = factor_primary(alpha)
     return f.s % 2 == 0 and f.t % 2 == 0 and all(e % 2 == 0 for _, e in f.factors)
+
+
+def family_point(beta: GaussInt, k: int) -> CurvePoint:
+    """(4 b^2 k^2, 2i b k (b^4 - 4k^4)), always on y^2 = x^3 - (b^4+4k^4)^2 x.
+
+    A second route to the point that ``certify`` builds from the b^2, b^4
+    and 4k^4 it shares with gamma.
+    """
+    x = GaussInt(4 * k * k, 0) * beta * beta
+    y = GaussInt(0, 2 * k) * beta * (beta ** 4 - GaussInt(4 * k ** 4, 0))
+    return CurvePoint.affine(x, y)
 
 
 def genuine_witness(beta: GaussInt, k: int) -> int:
@@ -475,7 +491,7 @@ def is_f2_subgroup(masks) -> bool:
     return 0 in group and all(a ^ b in group for a in group for b in group)
 
 
-def verify_by_recertify(data: Union[str, bytes, dict, Certificate]) -> bool:
+def verify_by_recertify(data: Union[str, bytes, Certificate]) -> bool:
     """Check a certificate by running ``certify`` on its (beta, k) again.
 
     The route ``verify_certificate`` took before the stand-alone verifier:

@@ -17,7 +17,6 @@ from qirank.certify import (
     Certificate,
     FailureReport,
     certify,
-    family_point,
     verify_certificate,
 )
 from qirank.curves import CurvePoint, cm_apply, is_torsion, on_curve, torsion_subgroup
@@ -27,7 +26,14 @@ from qirank.search import Box, constellation_primes, search_region
 from qirank.selmer import rank_upper_bound, selmer_candidate_set
 from qirank.verifier import parse_certificate
 
-from oracles import class_mask, genuine_witness, is_base_change, is_f2_subgroup, scale
+from oracles import (
+    class_mask,
+    family_point,
+    genuine_witness,
+    is_base_change,
+    is_f2_subgroup,
+    scale,
+)
 
 FROZEN_BETA = GaussInt(15, 10)
 FROZEN_K = 16
@@ -116,6 +122,16 @@ class TestFamilyPoint:
             if not gamma:
                 continue
             assert on_curve(alpha, family_point(b, k))
+
+    def test_certify_builds_the_oracle_point(self):
+        # certify builds the point from the b^2, b^4 and 4k^4 of gamma
+        hits = search_region(Box.centered(64), (-64, 64))
+        assert hits
+        for hit in hits:
+            obj = json.loads(certify(hit.beta, hit.k).to_json_bytes())
+            point = family_point(hit.beta, hit.k)
+            assert obj["point"] == point.to_json(), hit
+            assert obj["point_cm"] == cm_apply(point).to_json(), hit
 
 
 class TestExpectedCandidates:
@@ -271,7 +287,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_certificate("[]")
         with pytest.raises(ValueError):
-            parse_certificate({"beta": {"re": "1", "im": "0"}})
+            parse_certificate('{"beta": {"re": "1", "im": "0"}}')
 
 
 class TestByteStability:
@@ -310,7 +326,7 @@ class TestVerifyCertificate:
         row = list(obj["L"][0])
         row[1] = "1" if row[1] == "0" else "0"
         obj["L"][0] = "".join(row)
-        assert not verify_certificate(obj)
+        assert not verify_certificate(json.dumps(obj))
 
     def test_torsion_point_substitution_detected(self, frozen_cert):
         obj = json.loads(frozen_cert.to_json_bytes())
@@ -319,12 +335,12 @@ class TestVerifyCertificate:
             "y": {"num": {"re": "0", "im": "0"}, "den": {"re": "1", "im": "0"}},
         }
         obj["point"] = origin
-        assert not verify_certificate(obj)
+        assert not verify_certificate(json.dumps(obj))
 
     def test_wrong_version_rejected(self, frozen_cert):
         obj = json.loads(frozen_cert.to_json_bytes())
         obj["version"] = "999"
-        assert not verify_certificate(obj)
+        assert not verify_certificate(json.dumps(obj))
 
     def test_failure_beta_k_rejected(self):
         obj = {
@@ -332,12 +348,12 @@ class TestVerifyCertificate:
             "k": "16",
             "version": "1",
         }
-        assert not verify_certificate(obj)
+        assert not verify_certificate(json.dumps(obj))
 
     def test_toolchain_field_ignored(self, frozen_cert):
         obj = json.loads(frozen_cert.to_json_bytes())
         obj["toolchain"] = "someone else's build"
-        assert verify_certificate(obj)
+        assert verify_certificate(json.dumps(obj))
 
 
 class TestRegionCertification:

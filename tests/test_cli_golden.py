@@ -13,7 +13,9 @@ hashes the hits on stdout and the ``shard_done``/``round_done`` records on
 stderr; it was recorded on a tree whose library functions each converted an
 int argument to a ``GaussInt`` themselves, and whose ``--expand`` stopped at
 a ``--max-radius`` cap.  Its ``--box 1 --expand`` case runs the longest
-expansion schedule, radii 1 to 16.
+expansion schedule, radii 1 to 16.  The ``inert`` group was recorded on a
+tree whose symbol at an inert prime q raised the numerator to (q^2-1)/2 by
+square and multiply in Z[i]/(q).
 """
 
 import hashlib
@@ -63,6 +65,22 @@ GRIDS = {
         if a != p
     ],
     "selmer": [["selmer", "-1+26i", "-1-6i", "31-6i", "31+26i"]],
+    # inert primes in every associate, primary or not, with multiples of
+    # the prime (exit 1), non-primes and 1+i among the moduli
+    "inert": [
+        ["symbol", a, p]
+        for p in ("3", "3i", "-3", "-3i", "7", "7i", "-7i", "11", "-11i", "19i",
+                  "-23", "43", "9", "21i", "1+i")
+        for a in ("1", "i", "-1", "1+i", "2", "2+i", "-1-6i", "5", "4+3i",
+                  "10-7i", "123456789+987654321i", "6", "3i", "6+3i", "21-14i",
+                  "33+77i")
+    ] + [
+        ["selmer", *primes] for primes in (
+            ("-3", "-7"), ("-3", "-7", "-11"), ("-19", "-23", "-31", "-43"),
+            ("-3", "-1-6i"), ("-3", "-7", "-1-6i", "31-6i"), ("-11", "-1+26i", "-19"),
+            ("3", "-7"), ("-3", "-7i"), ("-3", "-3"),
+        )
+    ],
     "stats": [["stats", "--box", str(b)] for b in (0, 1, 2, 3, 15, 16, 17, 64, 200)],
     "search": [
         ["search", "--box", "64", "--kmax", "64", "--shards", "1"],
@@ -92,6 +110,7 @@ DIGESTS = {
     "invariants": "352f932cb79ae81855b777ec57695d64e792db9a84b7e317561465e11cbd279e",
     "symbol": "53c21f60ed3c643ce93371ce2b4fc716cb3ee35f545846efa85ca0f09ef0d1c3",
     "selmer": "00ba6254b587a6d0fbc826506c2d92db365f250cfe5f9e0b40406bbf77aa6a08",
+    "inert": "09bbe8dd9daae7f06e4b977a12b8879ed4eff680bec0241c037a915e59ddabeb",
     "stats": "a69dcb2785d420c6bc7943d8b9b8e12edb2c160d406da14e129035c59ba64d88",
     "search": "6a492492a1796cf2af30cf6fcdbf1afcffb55286fe61b145b79cd2c0970124c8",
     "certify": "016ee6aa31c198c9059dbadd95fee53096901d01d00840fe9c4da84f7b953b44",

@@ -217,7 +217,7 @@ class TestModPow:
         assert mod_pow(I, 18, p) == gi(-1)
         assert mod_pow(gi(3, 5), 0, p) == ONE
 
-    def test_matches_plain_power_odd_modulus(self):
+    def test_matches_plain_power_primitive_odd_modulus(self):
         # For odd moduli the divmod_nearest remainder never ties, so it is a
         # class invariant and iterated reduction equals one-shot reduction.
         rng = random.Random(9)
@@ -225,13 +225,13 @@ class TestModPow:
         while checked < 100:
             b = random_gauss(rng, 50)
             m = random_gauss(rng, 50)
-            if not m or not m.is_odd():
+            if not m.is_odd() or math.gcd(m.re, m.im) != 1:
                 continue
             e = rng.randint(0, 12)
             assert mod_pow(b, e, m) == divmod_nearest(b ** e, m)[1]
             checked += 1
 
-    def test_even_modulus_congruent_and_reduced(self):
+    def test_even_modulus_refused(self):
         rng = random.Random(12)
         checked = 0
         while checked < 100:
@@ -239,19 +239,18 @@ class TestModPow:
             m = random_gauss(rng, 50)
             if not m or m.is_odd():
                 continue
-            e = rng.randint(0, 12)
-            r = mod_pow(b, e, m)
-            assert divides(m, b ** e - r)
-            assert divmod_nearest(r, m) == (GaussInt(0, 0), r)
+            with pytest.raises(ValueError, match="odd norm with coprime parts"):
+                mod_pow(b, rng.randint(0, 12), m)
             checked += 1
 
     def test_zero_modulus(self):
         with pytest.raises(ZeroDivisionError):
             mod_pow(gi(2), 3, gi(0))
 
-    def test_tie_rounds_to_even(self):
-        # 5/(1+i) = 5/2 - 5i/2: both parts tie and round to 2, leaving 1
-        assert mod_pow(gi(5), 1, ONE_PLUS_I) == ONE
+    def test_ramified_modulus_refused(self):
+        # 5/(1+i) = 5/2 - 5i/2 ties in both parts; no modulus mod_pow takes ties
+        with pytest.raises(ValueError, match="1\\+i is not a modulus"):
+            mod_pow(gi(5), 1, ONE_PLUS_I)
 
 
 # operands up to 2^80 with either sign; moduli of odd norm, of even norm, and
@@ -267,10 +266,19 @@ _EVEN_MODULI = st.builds(
 _RAMIFIED = st.builds(lambda u, t: u * ONE_PLUS_I ** t,
                       st.sampled_from(I_POWERS), st.integers(0, 160))
 _MODULI = st.one_of(_ODD_MODULI, _EVEN_MODULI, _RAMIFIED)
-# the moduli mod_pow raises through Z/N: odd norm, coprime parts
+# the moduli mod_pow takes: odd norm, coprime parts
 _PRIMITIVE_ODD_MODULI = st.builds(
     GaussInt, st.integers(-2 ** 64, 2 ** 64), st.integers(-2 ** 64, 2 ** 64),
 ).filter(lambda z: z.is_odd() and math.gcd(z.re, z.im) == 1)
+# the moduli it refuses: even norm, or odd norm with an odd common factor
+# of the parts, as in an inert prime
+_COMMON_FACTOR_MODULI = st.builds(
+    lambda z, g: z * GaussInt(g, 0),
+    st.builds(GaussInt, st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 40, 2 ** 40)),
+    st.integers(1, 2 ** 20).map(lambda g: 2 * g + 1),
+).filter(lambda z: z.is_odd())
+_REFUSED_MODULI = st.one_of(_EVEN_MODULI, _RAMIFIED.filter(lambda z: z.norm() > 1),
+                            _COMMON_FACTOR_MODULI)
 # a split prime: its norm 2417851639262243698245829 is a rational prime above 2^81
 _SPLIT_PRIME_82 = GaussInt(1099511627777, 1099511627790)
 
@@ -315,11 +323,19 @@ class TestIntPairRoutes:
         assert ties > 1000
 
     @settings(max_examples=200, deadline=None)
-    @given(_GAUSS, st.integers(0, 2 ** 64), _MODULI)
-    @example(gi(5), 1, ONE_PLUS_I)
+    @given(_GAUSS, st.integers(0, 2 ** 64), _REFUSED_MODULI)
+    # common factors (3, 15, 3 + 3i, -7i) and even moduli where nearest
+    # division ties (2, 2 + 4i, (1+i)^5)
+    @example(gi(-4, -1), 2 ** 64, gi(3))
+    @example(gi(7, -11), 0, gi(15))
+    @example(gi(-1, -2), 2 ** 64, gi(3, 3))
+    @example(gi(4, 9), 1, gi(0, -7))
     @example(gi(-3, 7), 2 ** 64, gi(2))
-    def test_mod_pow(self, base, exponent, modulus):
-        assert mod_pow(base, exponent, modulus) == mod_pow_by_division(base, exponent, modulus)
+    @example(gi(-9, 5), 0, gi(2, 4))
+    @example(gi(-3, -5), 2 ** 64, ONE_PLUS_I ** 5)
+    def test_mod_pow_refuses_other_moduli(self, base, exponent, modulus):
+        with pytest.raises(ValueError, match="odd norm with coprime parts"):
+            mod_pow(base, exponent, modulus)
 
     @given(_GAUSS, st.integers(-2 ** 64, 2 ** 64), st.one_of(_MODULI, st.just(ZERO)))
     @example(gi(2), -1, ZERO)
@@ -335,33 +351,20 @@ class TestIntPairRoutes:
 
     @settings(max_examples=200, deadline=None)
     @given(_GAUSS, st.integers(0, 2 ** 64), _PRIMITIVE_ODD_MODULI)
-    # one or two of each kind: a split prime, a primitive composite (N = 169),
-    # moduli with a common factor (3, 15, 3 + 3i), even ones where nearest
-    # division ties (2 + 4i, (1+i)^5), and the four units
+    # a split prime, a primitive composite (N = 169) and the four units
     @example(gi(-5, 12), 0, _SPLIT_PRIME_82)
     @example(gi(-3, -2 ** 70), 2 ** 64, _SPLIT_PRIME_82)
     @example(gi(-7, 3), 0, gi(5, 12))
     @example(gi(2, -9), 2 ** 64, gi(5, 12))
-    @example(gi(-4, -1), 0, gi(3))
-    @example(gi(-4, -1), 2 ** 64, gi(3))
-    @example(gi(7, -11), 0, gi(15))
-    @example(gi(7, -11), 2 ** 64, gi(15))
-    @example(gi(-1, -2), 0, gi(3, 3))
-    @example(gi(-1, -2), 2 ** 64, gi(3, 3))
-    @example(gi(-9, 5), 0, gi(2, 4))
-    @example(gi(-9, 5), 2 ** 64, gi(2, 4))
-    @example(gi(-3, -5), 0, ONE_PLUS_I ** 5)
-    @example(gi(-3, -5), 2 ** 64, ONE_PLUS_I ** 5)
     @example(gi(-6, 1), 0, ONE)
     @example(gi(-6, 1), 2 ** 64, gi(0, 1))
     @example(gi(2, -3), 0, gi(-1))
     @example(gi(2, -3), 2 ** 64, gi(0, -1))
-    def test_mod_pow_both_routes(self, base, exponent, modulus):
-        """Drawn moduli take the Z/N route; the examples cover both routes."""
+    def test_mod_pow_against_oracle(self, base, exponent, modulus):
         assert mod_pow(base, exponent, modulus) == mod_pow_by_division(base, exponent, modulus)
 
     def test_split_prime_takes_one_integer_pow(self, monkeypatch):
-        # the loop would reduce about 2 log2 N = 160 times; the Z/N route reduces once
+        # square and multiply would reduce about 2 log2 N = 160 times; Z/N reduces once
         calls = []
 
         def counting_rem(*args):
@@ -456,6 +459,14 @@ class TestGaussRat:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             GaussRat.of(gi(1), gi(0))
+
+    def test_zero_numerator_reduces_to_zero_over_one(self):
+        # gcd(0, d) is d's canonical associate, so 0/d reduces to 0/1
+        for re in range(-30, 31):
+            for im in range(-30, 31):
+                if re or im:
+                    q = GaussRat.of(ZERO, gi(re, im))
+                    assert (q.num, q.den) == (ZERO, ONE), (re, im)
 
     def test_field_axioms_random(self):
         rng = random.Random(11)

@@ -10,6 +10,8 @@ from qirank.residues import MNInvariant, euler_symbol, mn_invariants
 from oracles import (
     brute_force_symbol,
     mn_invariants_by_search,
+    mn_sum,
+    mod_pow_by_division,
     mod4_consistency,
     primary_primes_up_to_norm,
     symbol_i,
@@ -85,7 +87,7 @@ class TestMNInvariants:
         rng = random.Random(30)
         for _ in range(500):
             a, b = random_primary(rng), random_primary(rng)
-            assert mn_invariants(a * b) == mn_invariants(a) + mn_invariants(b)
+            assert mn_invariants(a * b) == mn_sum(mn_invariants(a), mn_invariants(b))
 
     def test_mod4_consistency(self):
         rng = random.Random(31)
@@ -135,6 +137,34 @@ class TestEulerSymbol:
                         euler_symbol(a, p)
                 else:
                     assert euler_symbol(a, p) == brute_force_symbol(a, p), (a, p)
+
+    def test_inert_prime_never_calls_mod_pow(self, monkeypatch):
+        # every associate of an inert q, against the brute-force symbol
+        def no_mod_pow(*args):
+            raise AssertionError("an inert prime takes the Legendre symbol of the norm")
+
+        monkeypatch.setattr("qirank.residues.mod_pow", no_mod_pow)
+        rng = random.Random(36)
+        for q in (3, 7, 11, 19, 23, 31, 43):
+            for u in (ONE, I, -ONE, -I):
+                p = u * gi(q)
+                for _ in range(8):
+                    a = GaussInt(rng.randint(-60, 60), rng.randint(-60, 60))
+                    if divides(p, a):
+                        with pytest.raises(ValueError, match="divides"):
+                            euler_symbol(a, p)
+                    else:
+                        assert euler_symbol(a, p) == brute_force_symbol(a, p), (a, p)
+
+    @pytest.mark.parametrize("q", [10 ** 9 + 7, 2 ** 61 - 1])
+    def test_inert_prime_matches_euler_criterion(self, q):
+        # Nm(alpha)^((q-1)/2) against alpha^((q^2-1)/2) mod q in Z[i]
+        rng = random.Random(q)
+        for _ in range(20):
+            a = GaussInt(rng.randint(-2 ** 80, 2 ** 80), rng.randint(-2 ** 80, 2 ** 80))
+            r = mod_pow_by_division(a, (q * q - 1) // 2, gi(q))
+            assert r in (ONE, -ONE)
+            assert euler_symbol(a, gi(0, -q)) == (1 if r == ONE else -1)
 
     def test_multiplicative(self):
         rng = random.Random(33)

@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -109,16 +108,17 @@ def tampers(cert):
 class TestDifferential:
     def test_every_hit_verifies_both_ways(self, certificates):
         for cert in certificates:
-            assert verify_certificate(cert) is True
-            assert verify_by_recertify(cert) is True
-            assert verify_certificate(json.dumps(cert)) is True
+            text = json.dumps(cert)
+            assert verify_certificate(text) is True
+            assert verify_by_recertify(text) is True
 
     def test_single_leaf_tampers_agree_with_recertify(self, certificates):
         count = 0
         for cert in certificates:
             for label, changed in tampers(cert):
-                fast = outcome(verify_certificate, changed)
-                slow = outcome(verify_by_recertify, changed)
+                text = json.dumps(changed)
+                fast = outcome(verify_certificate, text)
+                slow = outcome(verify_by_recertify, text)
                 assert fast == slow, (cert["beta"], cert["k"], label)
                 count += 1
                 if not label.startswith(("flip ('toolchain',)", "drop ('toolchain',)")):
@@ -231,7 +231,7 @@ class TestBoundsAndInputs:
 
         monkeypatch.setattr(verifier, "_is_prime", no_primality)
         obj = {"beta": FAR_BETA.to_json(), "k": "16", "version": "1"}
-        assert verify_certificate(obj) is False
+        assert verify_certificate(json.dumps(obj)) is False
 
     def test_composite_norm_refused(self, monkeypatch):
         # at (31-6i, 16) every claim but primality holds
@@ -239,8 +239,8 @@ class TestBoundsAndInputs:
             patched.setattr(verifier, "_is_prime", lambda n: True)
             forged = verifier.expected_certificate(31, -6, 16)
         assert forged is not None
-        assert verify_certificate(forged) is False
-        assert verify_by_recertify(forged) is False
+        assert verify_certificate(json.dumps(forged)) is False
+        assert verify_by_recertify(json.dumps(forged)) is False
 
     def test_value_outside_target_class_refused(self, monkeypatch):
         # at (5+30i, 1) the four norms are prime and L is a constellation
@@ -249,60 +249,39 @@ class TestBoundsAndInputs:
             patched.setattr(verifier, "_in_target_class", lambda z: True)
             forged = verifier.expected_certificate(5, 30, 1)
         assert forged is not None
-        assert verify_certificate(forged) is False
-        assert verify_by_recertify(forged) is False
+        assert verify_certificate(json.dumps(forged)) is False
+        assert verify_by_recertify(json.dumps(forged)) is False
 
     def test_digit_cap(self):
         obj = {"beta": {"re": "1" * 40, "im": "0"}, "k": "16", "version": "1"}
-        assert verify_certificate(obj) is False
+        assert verify_certificate(json.dumps(obj)) is False
         obj["beta"]["re"] = "1" * 41
         with pytest.raises(ValueError, match="at most 40"):
-            verify_certificate(obj)
+            verify_certificate(json.dumps(obj))
 
     def test_json_types_are_compared(self, certificates):
         cert = copy.deepcopy(certificates[0])
         cert["genuine"]["value"] = 1
-        assert verify_certificate(cert) is False
+        assert verify_certificate(json.dumps(cert)) is False
         cert = copy.deepcopy(certificates[0])
         cert["k"] = int(cert["k"])
         with pytest.raises(ValueError):
-            verify_certificate(cert)
+            verify_certificate(json.dumps(cert))
 
     @pytest.mark.parametrize("value", [1, 1.0, "true"])
     def test_genuine_value_must_be_a_bool(self, certificates, value):
         # 1 == True and 1.0 == True in Python, so == alone would pass them
         cert = copy.deepcopy(certificates[0])
         cert["genuine"]["value"] = value
-        assert verifier.verify(cert) is False
         assert verifier.verify(json.dumps(cert)) is False
 
-    @pytest.mark.parametrize("path", [("L",), ("primes",), ("selmer_candidates", 1, "primes")])
-    def test_tuple_for_a_list_is_refused(self, certificates, path):
+    def test_dict_is_refused(self, certificates):
+        # only certificate text is read: a parsed object fails in json.loads
         cert = copy.deepcopy(certificates[0])
-        *parents, key = path
-        at(cert, parents)[key] = tuple(at(cert, parents)[key])
-        assert verifier.verify(cert) is False
-
-    @pytest.mark.parametrize("fields", [("L",), ("point", "primes")])
-    def test_non_json_value_is_refused(self, fields):
-        # ANY == x for every x, so == alone would pass it for any field
-        cert = json.loads(certify(GaussInt(15, 10), 16).to_json_bytes())
-        assert verify_certificate(cert) is True
-        for field in fields:
-            cert[field] = mock.ANY
-        assert verify_certificate(cert) is False
-
-    def test_str_subclass_is_refused(self):
-        class Agreeable(str):
-            def __eq__(self, other):
-                return True
-
-            __hash__ = str.__hash__
-
-        cert = json.loads(certify(GaussInt(15, 10), 16).to_json_bytes())
-        cert["conclusion"] = Agreeable("rank = 0")
-        assert cert["conclusion"] == verifier.CONCLUSION
-        assert verify_certificate(cert) is False
+        assert verify_certificate(json.dumps(cert)) is True
+        for check in (verifier.verify, verify_certificate):
+            with pytest.raises(TypeError):
+                check(cert)
 
     def test_deep_nesting_is_malformed(self):
         # json.loads raises RecursionError at this depth
