@@ -17,15 +17,19 @@ stage, ``is_base2_probable_prime`` (trial division up to 97 and one strong
 base-2 test, which never rejects a prime).  ``_scan_shard`` chooses the
 kernel, counts the shard's pairs, and gives every pair that a kernel yields
 the full ``constellation_at`` check (direct congruences and the full
-primality test), so the kernels remain optimizations only.  Sharded
-searches merge deterministically, so output never depends on the shard
-count.
+primality test), so the kernels remain optimizations only.  ``_run_shards``
+spreads the shards over at most ``os.cpu_count()`` processes: the caller,
+which scans its own share, and workers made by POSIX fork, which send their
+hits back as (a, b, k) triples; where fork is missing, the caller scans
+every shard.  Sharded searches merge deterministically, so output never
+depends on the shard count.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -337,6 +341,104 @@ def _sieve_k(
 ProgressFn = Callable[[dict], None]
 
 
+def _from_triples(triples: list[tuple[int, int, int]]) -> list[ConstellationHit]:
+    """The hits of a worker's triples; the worker proved each with
+    ``constellation_at``, so only the four primes are recomputed."""
+    hits = []
+    for a, b, k in triples:
+        beta = GaussInt(a, b)
+        hits.append(ConstellationHit(beta=beta, k=k, primes=constellation_primes(beta, k)))
+    return hits
+
+
+def _fork_worker(shard_args: list, read_fd: int, write_fd: int) -> None:
+    """The body of a forked worker: scan shard_args, send the results down
+    write_fd and leave by ``os._exit``.
+
+    The worker never returns into the caller's code, so it runs none of the
+    caller's ``finally`` blocks or ``atexit`` handlers and never flushes a
+    stdio buffer it inherited.  It sends the marshalled list of its shards'
+    (hits as (a, b, k) triples, candidates, filter passes) and exits 0, or
+    sends its traceback as text and exits 1.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            sent = []
+            for args in shard_args:
+                hits, candidates, passes = _scan_shard(args)
+                sent.append(([(h.beta.re, h.beta.im, h.k) for h in hits], candidates, passes))
+            payload = marshal.dumps(sent)
+            status = 0
+        except BaseException:
+            import traceback
+
+            payload = traceback.format_exc().encode("utf-8", "replace")
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
+
+
+def _run_shards(shard_args: list) -> list[tuple[list[ConstellationHit], int, int]]:
+    """``_scan_shard`` of every shard, in shard order.
+
+    Shards are work units; the processes never outgrow the machine.  The
+    caller is one of w = min(shard count, ``os.cpu_count()``) processes and
+    scans shards 0, w, 2w, ... itself; each of the other w - 1, made by
+    ``os.fork``, scans its own stride and sends its results back through a
+    pipe as ``(a, b, k)`` triples (see ``_fork_worker``).  Where ``os.fork``
+    does not exist, w is 1.  A worker that fails, or sends what does not
+    decode, raises here, and every worker not yet reaped is killed and
+    reaped before this returns or raises.  ``_scan_shard`` is looked up at
+    call time, so a replaced global is what runs, in the caller and in the
+    workers alike.
+    """
+    workers = max(1, min(len(shard_args), os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    results: list = [None] * len(shard_args)
+    children = {}  # pid -> (worker, read end of its pipe), until reaped
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _fork_worker(shard_args[worker::workers], read_fd, write_fd)
+            os.close(write_fd)
+            children[pid] = (worker, os.fdopen(read_fd, "rb"))
+        results[0::workers] = [_scan_shard(a) for a in shard_args[0::workers]]
+        for pid, (worker, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            name = f"shard worker {worker} (pid {pid})"
+            if code != 0:
+                detail = data.decode("utf-8", "replace")
+                raise RuntimeError(f"{name} exited with status {code}:\n{detail}")
+            stride = range(worker, len(shard_args), workers)
+            try:
+                for s, (triples, candidates, passes) in zip(
+                        stride, marshal.loads(data), strict=True):
+                    results[s] = (_from_triples(triples), candidates, passes)
+            except (EOFError, ValueError, TypeError) as exc:
+                raise RuntimeError(f"{name} sent data that does not decode") from exc
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    return results
+
+
 def search_region(
     beta_box: Box,
     k_range: tuple[int, int],
@@ -356,14 +458,7 @@ def search_region(
         for sb in sub_boxes
     ]
     hits: list[ConstellationHit] = []
-    if len(shard_args) <= 1:
-        results = [_scan_shard(a) for a in shard_args]
-    else:
-        # shards are work units; the pool never outgrows the machine
-        workers = min(len(shard_args), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_shard, shard_args))
-    for args, (shard_hits, candidates, passes) in zip(shard_args, results):
+    for args, (shard_hits, candidates, passes) in zip(shard_args, _run_shards(shard_args)):
         hits.extend(shard_hits)
         if progress is not None:
             progress({

@@ -1,9 +1,11 @@
 import ast
+import marshal
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -685,29 +687,99 @@ class TestShardDriver:
         assert (candidates, passes) == brute_force_counts(args)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the real forks made while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_all_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def raise_on_shard(re_min):
+    """A _scan_shard stand-in that raises on the shard starting at re_min and
+    scans the others."""
+
+    def scan(args):
+        if args[0] == re_min:
+            raise ValueError(f"shard {args[:2]} failed")
+        return _scan_shard(args)
+
+    return scan
+
+
 class TestWorkerPool:
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        created = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(qirank.search, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 2)
-        box = Box.centered(40)
+    def assert_forks(self, monkeypatch, forks, cpus, box, forked):
+        expected = search_region(box, (-40, 40), shards=1)
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: cpus)
         sharded = search_region(box, (-40, 40), shards=8)
-        assert created == [2]
-        assert sharded == search_region(box, (-40, 40), shards=1)
+        assert len(forks) == forked
+        assert sharded == expected
+        assert_all_reaped(forks)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch, forks):
+        self.assert_forks(monkeypatch, forks, 2, Box.centered(40), 1)
+
+    @pytest.mark.parametrize("cpus, box, has_fork", [
+        (1, Box.centered(40), True),
+        (2, Box(5, 4, 0, 0), True),  # an empty region: no shard
+        (2, Box.centered(40), False),
+    ], ids=["one-cpu", "empty-region", "no-fork"])
+    def test_forks_nothing(self, monkeypatch, forks, cpus, box, has_fork):
+        if not has_fork:
+            monkeypatch.delattr(os, "fork")
+        self.assert_forks(monkeypatch, forks, cpus, box, 0)
+
+    def test_hits_and_records_cross_the_pipe_intact(self, monkeypatch, forks):
+        box, k_range = Box.centered(64), (-64, 64)
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 4)
+        piped_records, local_records = [], []
+        piped = search_region(box, k_range, shards=4, progress=piped_records.append)
+        assert len(forks) == 3
+        monkeypatch.delattr(os, "fork")
+        local = search_region(box, k_range, shards=4, progress=local_records.append)
+        assert [(h.beta, h.k, h.primes) for h in piped] == [
+            (h.beta, h.k, h.primes) for h in local]
+        assert sum(r["hits"] for r in piped_records[1:]) > 0  # hits sent by workers
+        assert piped_records == local_records
+        assert_all_reaped(forks)
+
+    def test_failing_worker_raises_and_is_reaped(self, monkeypatch, forks):
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(qirank.search, "_scan_shard", raise_on_shard(0))  # shard 1 of 2
+        with pytest.raises(RuntimeError, match=r"(?s)shard worker 1 .*ValueError: shard"):
+            search_region(Box.centered(40), (-40, 40), shards=2)
+        assert len(forks) == 1
+        assert_all_reaped(forks)
+
+    def test_failing_caller_shard_propagates_and_reaps(self, monkeypatch, forks):
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(qirank.search, "_scan_shard", raise_on_shard(-40))  # shard 0 of 2
+        with pytest.raises(ValueError, match=r"shard \(-40, -1\) failed"):
+            search_region(Box.centered(40), (-40, 40), shards=2)
+        assert len(forks) == 1
+        assert_all_reaped(forks)
+
+    def test_undecodable_worker_data_raises(self, monkeypatch, forks):
+        garbled = types.SimpleNamespace(dumps=lambda obj: b"\xff", loads=marshal.loads)
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(qirank.search, "marshal", garbled)
+        with pytest.raises(RuntimeError, match="shard worker 1 .* does not decode"):
+            search_region(Box.centered(40), (-40, 40), shards=2)
+        assert_all_reaped(forks)
 
 
 def _env_with_src():
@@ -721,17 +793,24 @@ def _env_with_src():
 class TestOptimizedInterpreter:
     def test_frozen_hit_under_python_O(self):
         env = _env_with_src()
+        # the CLI's imports load no executor machinery, and the text left
+        # in the stdout buffer across the forks of a sharded search is
+        # written once: a forked worker never flushes what it inherited
         script = (
-            "import sys\n"
+            "import os, sys\n"
+            "import qirank.cli\n"
             "from qirank.search import Box, search_region\n"
-            "hit = search_region(Box.centered(32), (-32, 32))[0]\n"
-            "print(sys.flags.optimize, hit.beta, hit.k)\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+            "print(sys.flags.optimize, end=' ')\n"
+            "os.cpu_count = lambda: 2\n"
+            "hit = search_region(Box.centered(32), (-32, 32), shards=2)[0]\n"
+            "print(hit.beta, hit.k)\n"
         )
         out = subprocess.run(
             [sys.executable, "-O", "-c", script],
             capture_output=True, text=True, check=True, env=env,
         ).stdout
-        assert out.split() == ["1", "15+10i", "16"]
+        assert out.splitlines() == ["[]", "1 15+10i 16"]
 
     def test_hits_and_certificate_bytes_unchanged_under_python_O(self):
         env = _env_with_src()
