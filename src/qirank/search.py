@@ -11,18 +11,19 @@ both nonzero, so it is a Gaussian prime iff its norm is a rational prime.
 Its norm is also 5 mod 32.  Two kernels apply the filter, each a generator
 of the pairs that pass it: ``_join_rows`` sieves the norms = 5 mod 32 of
 the shard's window once and joins rows of prime flags as big-int bitsets;
-``_sieve_k`` strikes, for each beta, the k at which a split prime up to 41
-divides one of the four norms, and tests the rest with the first primality
-stage, ``is_base2_probable_prime`` (trial division up to 97 and one strong
-base-2 test, which never rejects a prime).  ``_scan_shard`` chooses the
-kernel, counts the shard's pairs, and gives every pair that a kernel yields
-the full ``constellation_at`` check (direct congruences and the full
-primality test), so the kernels remain optimizations only.  ``_run_shards``
-spreads the shards over at most ``os.cpu_count()`` processes: the caller,
-which scans its own share, and workers made by POSIX fork, which send their
-hits back as (a, b, k) triples; where fork is missing, the caller scans
-every shard.  Sharded searches merge deterministically, so output never
-depends on the shard count.
+``_sieve_k`` strikes, along the diagonal lines that the values of the pairs
+lie on, the k at which a split prime up to 97 divides one of the four norms,
+and tests the rest with the first primality stage,
+``is_base2_probable_prime`` (trial division up to 97 and one strong base-2
+test, which never rejects a prime).  ``_scan_shard`` chooses the kernel,
+counts the shard's pairs, and gives every pair that a kernel yields the full
+``constellation_at`` check (direct congruences and the full primality test),
+so the kernels remain optimizations only.  ``_run_shards`` spreads the
+shards over at most ``os.cpu_count()`` processes: the caller, which scans its
+own share, and workers made by POSIX fork, which send their hits back as
+(a, b, k) triples; where fork is missing, the caller scans every shard.
+Sharded searches merge deterministically, so output never depends on the
+shard count.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import os
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Iterator, Optional, Union
 
 from .gaussian import GaussInt, I_POWERS, ONE_PLUS_I
 from .primes import (
+    _SMALL_PRIMES,
     is_base2_probable_prime,
     is_gaussian_prime,
     rational_prime_sieve,
@@ -140,24 +141,26 @@ _JOIN_MAX_ENTRIES = 1 << 24
 _JOIN_ENTRIES_PER_PAIR = 64
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-_SIEVE_BLOCK = 1 << 16
-# For each split prime ell below, the value (a + s1 k) + (b + s2 k)i of a
-# pair, with (s1, s2) = i^j (1+i), has a prime factor above ell iff
-# a + s1 k = r(b + s2 k) mod ell for one of the two roots r of r^2 = -1,
-# that is iff k = (r b - a) / (s1 - r s2) mod ell (s1 - r s2 is a unit, as
-# r is not +-1).  Per ell, the table holds 1/16 and the eight pairs
-# (r, 1 / (16 (s1 - r s2))), so that the k = k_0 + 16t struck are those with
-# t = (r b - a) / (16 (s1 - r s2)) - k_0 / 16 mod ell.  Every ell is below
-# 97, so a struck norm above ell also fails the first primality stage.  A
-# norm equal to ell is prime: of the values on the target sublattice, only
-# -1-6i has such a norm, 37.
-_SIEVE_PRIMES = (5, 13, 17, 29, 37, 41)
+_SIEVE_BLOCK = 1 << 15
+_SIEVE_TILE = 16
+# The split primes that the first primality stage trial-divides: 5, 13, 17,
+# 29, 37, 41, 53, 61, 73, 89 and 97.  A value x + yi has a prime factor above
+# ell iff x = r y mod ell for one of the two roots r of r^2 = -1.  On a line
+# of the sieve along k, the value at position p is
+# (x_0 + 16 s1 p) + (y_0 + 16 s2 p)i, with (s1, s2) = i^j (1+i); it is struck
+# iff p = (r y_0 - x_0) / (16 (s1 - r s2)) mod ell (s1 - r s2 is a unit, as
+# r is not +-1).  Per ell, the table holds, for each offset in j-order, the
+# pairs (r, 1 / (16 (s1 - r s2))) of both roots.  A struck norm above ell
+# also fails the stage; a norm equal to ell is prime, and of the values on
+# the target sublattice only -1-6i has such a norm, 37.  101, the next split
+# prime, is not in the table: the stage does not trial-divide it, and it is
+# itself a norm on the sublattice, of -1+10i.
 _SIEVE_TABLE = tuple(
-    (ell, pow(16, -1, ell), tuple(
-        (r, pow(16 * (off.re - r * off.im), -1, ell))
-        for off in OFFSETS
-        for r in (sqrt_minus_one_mod(ell), ell - sqrt_minus_one_mod(ell))))
-    for ell in _SIEVE_PRIMES
+    (ell, tuple(
+        tuple((r, pow(16 * (off.re - r * off.im), -1, ell)) for r in (root, ell - root))
+        for off in OFFSETS))
+    for ell in sorted(_SMALL_PRIMES) if ell % 4 == 1
+    for root in [sqrt_minus_one_mod(ell)]
 )
 
 
@@ -285,57 +288,115 @@ def _join_rows(
                     yield a0 + 16 * low.bit_length() - 16, b, k
 
 
-def _k_mask(a: int, b: int, ks: range, table: tuple) -> bytes:
-    """One byte per k of ks (stepping by 16): 0 iff a prime of table, a
-    subset of _SIEVE_TABLE, divides the norm of one of the four values of
-    (a + bi, k).
+def _period_masks(table: tuple, width: int) -> list[tuple[int, int, tuple]]:
+    """Per entry (ell, strikes) of table, (ell, mask, strikes): bit p of mask
+    is 0 iff ell divides p, for every p below width + ell."""
+    return [(ell, int(("1" * (ell - 1) + "0") * (width // ell + 2), 2), strikes)
+            for ell, strikes in table]
 
-    Per prime ell, a row of ell flags has the struck t mod ell cleared, and
-    its repeats over ks are ANDed in as one little-endian int.
+
+def _struck_lines(
+    masks: list[tuple[int, int, tuple]], j: int, x0: int, y0: int, count: int
+) -> list[int]:
+    """The lines u = 0 .. count - 1 of offset j (0 to 3, for OFFSETS[j] =
+    s1 + s2 i), each an int of flags: bit p of line u is 0 iff a prime of
+    masks divides the norm of (x0 + 16 s1 p) + (y0 + 16 u + 16 s2 p)i, for
+    every p below the width of masks.
+
+    Per prime ell and root r, the struck p are those = (r y - x0) c mod ell,
+    with y = y0 + 16 u and c from the table: the prime's mask shifted right
+    by (x0 - r y) c mod ell has exactly those bits clear, and is ANDed in.
     """
-    n = len(ks)
-    flags = int.from_bytes(b"\x01" * n, "little")
-    for ell, inv16, roots in table:
-        shift = ks[0] * inv16
-        row = bytearray(b"\x01") * ell
-        for r, c in roots:
-            row[((r * b - a) * c - shift) % ell] = 0
-        flags &= int.from_bytes((row * (n // ell + 1))[:n], "little")
-    return flags.to_bytes(n, "little")
+    shifts = [(mask, ell, (x0 - r * y0) * c, 16 * r * c)
+              for ell, mask, strikes in masks for r, c in strikes[j]]
+    lines = []
+    for u in range(count):
+        line = -1
+        for mask, ell, s0, step in shifts:
+            line &= mask >> (s0 - u * step) % ell
+        lines.append(line)
+    return lines
+
+
+def _sieve_tile(
+    masks: list[tuple[int, int, tuple]], tile_a: range, tile_b: range, block: range
+) -> Iterator[tuple[int, int, int]]:
+    """The pairs of one tile of beta = a + bi (a in tile_a, b in tile_b) and
+    one block of k whose four norms pass the stage.
+
+    The k row of a beta is the AND of its four lines from ``_struck_lines``,
+    each shifted right by i_a, or by n_a - 1 - i_a when the line is reversed
+    (see ``_sieve_k``); each k it leaves tests its four norms with
+    ``is_base2_probable_prime`` in j-order.  The lines are freed when the
+    tile is done.
+    """
+    stage = is_base2_probable_prime
+    n_a, k0, row_mask = len(tile_a), block[0], (1 << len(block)) - 1
+    lines = []
+    for j, off in enumerate(OFFSETS):
+        # position 0 of line 0 holds the value of beta = a_0 + b_0 i, or
+        # a_0 + (b_0 - 16 (n_a - 1))i when s1 = s2, at k = k_0, or at
+        # k = k_0 - 16 (n_a - 1) when s1 = -1 (a reversed line)
+        k_first = k0 if off.re > 0 else k0 - 16 * (n_a - 1)
+        b_first = tile_b[0] - (16 * (n_a - 1) if off.re == off.im else 0)
+        lines.append(_struck_lines(masks, j, tile_a[0] + off.re * k_first,
+                                   b_first + off.im * k_first, n_a + len(tile_b) - 1))
+    minus_plus, minus_minus, plus_minus, plus_plus = lines
+    for i_a, a in enumerate(tile_a):
+        back = n_a - 1 - i_a
+        for i_b, b in enumerate(tile_b):
+            row = ((minus_plus[i_b + i_a] >> back) & (minus_minus[i_b + back] >> back)
+                   & (plus_minus[i_b + i_a] >> i_a) & (plus_plus[i_b + back] >> i_a)
+                   & row_mask)
+            flags = bin(row)[:1:-1]  # flags[i] is bit i, of k = k_0 + 16 i
+            i = flags.find("1")
+            while i >= 0:
+                k = k0 + 16 * i
+                i = flags.find("1", i + 1)
+                if k == 0:
+                    continue
+                am2, ap2 = (a - k) * (a - k), (a + k) * (a + k)
+                bm2, bp2 = (b - k) * (b - k), (b + k) * (b + k)
+                if (stage(am2 + bp2) and stage(am2 + bm2)
+                        and stage(ap2 + bm2) and stage(ap2 + bp2)):
+                    yield a, b, k
 
 
 def _sieve_k(
     classes: list[tuple[range, range, range]], lo: int
 ) -> Iterator[tuple[int, int, int]]:
-    """The sieve along k: per beta, the k where a small split prime divides
-    one of the four norms are struck before any norm is tested.
+    """The sieve along k, run on the diagonal lines that the four values of
+    the pairs lie on: the k where a small split prime divides one of the
+    four norms are struck before any norm is tested.
 
-    For each beta = a + bi of a class and each block of at most
-    _SIEVE_BLOCK k of its k class, ``_k_mask`` strikes the k at which a prime
-    of _SIEVE_TABLE divides a norm.  Such a norm is composite unless it is
-    the prime itself, which on the target sublattice happens only for 37,
-    the norm of -1-6i; so 37 is left out when lo, the window's least norm,
-    is at most 37.  The stage, whose trial division covers every table
-    prime, rejects each struck pair too.  Each unstruck k then tests its
-    four norms with ``is_base2_probable_prime`` in j-order, so this yields
-    exactly the pairs whose four norms pass the stage.  Memory is one
-    block's flags.
+    Each class is cut into blocks of at most _SIEVE_BLOCK k and tiles of at
+    most _SIEVE_TILE by _SIEVE_TILE beta.  In a tile and a block, write
+    a = a_0 + 16 i_a, b = b_0 + 16 i_b and k = k_0 + 16 i_k.  The value
+    (a + s1 k) + (b + s2 k)i of offset (s1, s2) then lies on the line
+    i_b - s1 s2 i_a, at position i_a + s1 i_k, and a step along a line adds
+    16 (s1 + s2 i).  A line holds the values of many (beta, k), so it is
+    struck once for all of them: per offset, the tile has n_a + n_b - 1
+    lines of n_a + n_k - 1 flags, each one int, and those of s1 = -1 are
+    stored reversed.  The masks of the table primes are built once per
+    block, and ``_sieve_tile`` strikes the lines and joins each beta's row.
+
+    A struck norm is composite unless it is the prime itself, which on the
+    target sublattice happens only for 37, the norm of -1-6i; so 37 is left
+    out when lo, the window's least norm, is at most 37.  The stage, whose
+    trial division covers every table prime, rejects each struck pair too,
+    so this yields exactly the pairs whose four norms pass the stage.
+    Memory is one tile's lines over one block, at most 4 (2 _SIEVE_TILE - 1)
+    ints of _SIEVE_TILE + _SIEVE_BLOCK - 1 bits, and one mask per prime.
     """
-    stage = is_base2_probable_prime
     table = _SIEVE_TABLE if lo > 37 else tuple(e for e in _SIEVE_TABLE if e[0] != 37)
     for res, ims, ks in classes:
-        for start in range(0, len(ks), _SIEVE_BLOCK):
-            block = ks[start : start + _SIEVE_BLOCK]
-            for a in res:
-                for b in ims:
-                    for k in compress(block, _k_mask(a, b, block, table)):
-                        if k == 0:
-                            continue
-                        am2, ap2 = (a - k) * (a - k), (a + k) * (a + k)
-                        bm2, bp2 = (b - k) * (b - k), (b + k) * (b + k)
-                        if (stage(am2 + bp2) and stage(am2 + bm2)
-                                and stage(ap2 + bm2) and stage(ap2 + bp2)):
-                            yield a, b, k
+        for k_start in range(0, len(ks), _SIEVE_BLOCK):
+            block = ks[k_start : k_start + _SIEVE_BLOCK]
+            masks = _period_masks(table, min(len(res), _SIEVE_TILE) + len(block) - 1)
+            for a_start in range(0, len(res), _SIEVE_TILE):
+                for b_start in range(0, len(ims), _SIEVE_TILE):
+                    yield from _sieve_tile(masks, res[a_start : a_start + _SIEVE_TILE],
+                                           ims[b_start : b_start + _SIEVE_TILE], block)
 
 
 ProgressFn = Callable[[dict], None]

@@ -18,6 +18,7 @@ from qirank.certify import certify
 from qirank.gaussian import GaussInt
 from qirank.primes import is_rational_prime, rational_prime_sieve
 from qirank.search import (
+    OFFSETS,
     Box,
     ConstellationHit,
     Rejection,
@@ -27,10 +28,11 @@ from qirank.search import (
     _SIEVE_TABLE,
     _join_rows,
     _join_window,
-    _k_mask,
+    _period_masks,
     _scan_shard,
     _shard_ranges,
     _sieve_k,
+    _struck_lines,
     constellation_at,
     constellation_primes,
     find_first_hit,
@@ -529,6 +531,8 @@ SIEVE_EDGE_CASES = [
     ((1048519, 1048519, 1048500, 1048700, -300, 300), 2),
     ((1048400, 1048600, 1048626, 1048626, -300, 300), 2),
     ((1048543, 1048512, *NEAR[2:], -300, 300), 0),
+    # 37 beta of each class each way: three tiles each way, the last short
+    ((1048231, 1048807, 1048338, 1048914, 8, 296), 2),
 ]
 
 
@@ -578,28 +582,30 @@ class TestSieveKernel:
 
     @pytest.mark.parametrize("ell", [entry[0] for entry in _SIEVE_TABLE])
     def test_struck_iff_the_prime_divides_a_norm(self, ell):
-        # over ell consecutive k of a class, every k mod ell occurs once
-        table = [e for e in _SIEVE_TABLE if e[0] == ell]
+        # each offset, so both line directions s1 s2 = +-1 and both signs of
+        # s1; over ell positions of a line, every position mod ell occurs
+        masks = _period_masks([e for e in _SIEVE_TABLE if e[0] == ell], 2 * ell)
         rng = random.Random(ell)
-        for _ in range(200):
-            a, b = rng.randint(-(1 << 40), 1 << 40), rng.randint(-(1 << 40), 1 << 40)
-            ks = range(rng.randint(-(1 << 20), 1 << 20), 1 << 21, 16)[:ell]
-            flags = _k_mask(a, b, ks, table)
-            for k, flag in zip(ks, flags):
-                divides = any(p.norm() % ell == 0
-                              for p in constellation_primes(GaussInt(a, b), k))
-                assert flag == (not divides), (a, b, k, ell)
+        for j, off in enumerate(OFFSETS):
+            for _ in range(50):
+                x0, y0 = rng.randint(-(1 << 40), 1 << 40), rng.randint(-(1 << 40), 1 << 40)
+                lines = _struck_lines(masks, j, x0, y0, 3)
+                for u, line in enumerate(lines):
+                    for p in range(2 * ell):
+                        x, y = x0 + 16 * off.re * p, y0 + 16 * u + 16 * off.im * p
+                        divides = (x * x + y * y) % ell == 0
+                        assert (line >> p) & 1 == (not divides), (j, x0, y0, u, p, ell)
 
     def test_table_primes_are_split_and_tried_by_the_stage(self):
         # a struck norm above its prime then has a factor that the stage's
-        # trial division finds
+        # trial division finds; 101, the least prime = 5 mod 32 above 37, is
+        # a norm of the target sublattice and is not in the table
         primes = [entry[0] for entry in _SIEVE_TABLE]
-        assert primes == sorted(primes) == list(qirank.search._SIEVE_PRIMES)
-        for ell in primes:
-            assert ell % 4 == 1 and ell in qirank.primes._SMALL_PRIMES
+        assert primes == sorted(p for p in qirank.primes._SMALL_PRIMES if p % 4 == 1)
+        assert primes == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
 
     def test_only_minus_one_minus_six_i_has_a_table_prime_norm(self):
-        # a value with norm up to 41 has both parts in -6..6; every value of
+        # a value with norm up to 97 has both parts in -9..9; every value of
         # the target sublattice has norm 5 mod 32
         primes = [entry[0] for entry in _SIEVE_TABLE]
         values = [GaussInt(x, y) for x in range(-47, 48) for y in range(-47, 48)
@@ -640,6 +646,21 @@ class TestSieveKernel:
         assert [hit.k for hit in in_order(result[0])] == [
             s * k for k in (280, 121960, 274840, 545160, 587240, 686600, 833000) for s in (1, -1)]
         assert result[1:] == (250000, 125000)
+
+    def test_wide_beta_box_far_out_is_tiled(self, monkeypatch):
+        # 512 beta per class along re: the lines of one tile of 16 hold a few
+        # kB, where lines over the whole width would hold about 220 kB
+        args = (FAR, FAR + 8191, FAR, FAR + 15, 1 << 18, (1 << 18) + 63)
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        tracemalloc.start()
+        try:
+            result = _scan_shard(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
+        assert in_order(result[0]) == proven(scan_pairs(kernel_input(args)[0]))
+        assert result[1:] == (8192 * 16 * 8, 4096)
 
 
 class TestKernelChoice:
