@@ -136,7 +136,13 @@ def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejectio
 # origin (cold caches, one core of a 2-vCPU VM), the join then ran 1.2-3.8x
 # faster than a loop testing each pair with the stage at 8-62 entries per
 # pair, and 0.1-0.9x as fast from 83 up.  Counted in entries of one per 32
-# norms, the same caps admit windows 32 times as wide.
+# norms, the same caps admit windows 32 times as wide.  Against the sieve
+# along k by lines, called directly on square boxes of radius 64 and 128
+# centred at (c, c) for c = 500-12000 with |k| <= 64, 128 or 256 (best of 7,
+# two sweeps, the same VM), the two cross at 13-40 entries per pair, lower
+# for longer k ranges: the join took 0.32-0.85x the sieve's time at 3-15
+# entries per pair, and the sieve ran 1.5-2.3x faster at 57-61, under the
+# cap.
 _JOIN_MAX_ENTRIES = 1 << 24
 _JOIN_ENTRIES_PER_PAIR = 64
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
