@@ -3,8 +3,11 @@
 ``certify`` runs every check on a candidate (beta, k): the four-prime
 constellation conditions, genuineness over Q(i), the Selmer candidate set
 with its dimension and rank bound, the torsion classification, and the
-explicit non-torsion point.  It refuses norms at or above the bound below
-which Miller-Rabin with fixed bases is a proof.  Its last step hands the
+explicit non-torsion point P.  Its CM image [i]P = (-x, iy) is recorded
+without a check of its own: [i] is an automorphism of the curve (Silverman,
+The Arithmetic of Elliptic Curves, X.4), so the image of a non-torsion point
+is one.  ``certify`` refuses norms at or above the bound below which
+Miller-Rabin with fixed bases is a proof.  Its last step hands the
 values it derived to ``verifier.certificate_fields``, the one owner of the
 certificate layout, and a ``Certificate`` is the canonical bytes of that
 dict plus ``toolchain``: sorted keys, ASCII, no whitespace, decimal
@@ -140,12 +143,9 @@ def certify(beta: GaussInt, k: int) -> Union[Certificate, FailureReport]:
             condition="the exhibited point must have y != 0 (b != 0, k != 0 and "
                       "b^4 != 4k^4 since 4 is not a fourth power in Z[i])",
         )
+    # [i] is an automorphism of the curve, so the image is a non-torsion
+    # point too: (iy)^2 = -y^2 = (-x)^3 + alpha(-x), and iy != 0
     point_cm = cm_apply(point)
-    if not on_curve(alpha, point_cm) or is_torsion(gamma_torsion, point_cm):
-        return FailureReport(
-            reason="CM image of point invalid",
-            condition="the CM image (-x, iy) must be a non-torsion curve point",
-        )
 
     fields = verifier.certificate_fields(
         beta=_pair(beta), k=k, primes=[_pair(p) for p in hit.primes], rows=rows,

@@ -19,10 +19,10 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .gaussian import GaussInt
+from .gaussian import GaussInt, is_primary
 from .certify import FailureReport, certify, verify_certificate
 from .curves import torsion_subgroup
-from .primes import factor_primary
+from .primes import factor_primary, is_gaussian_prime
 from .residues import euler_symbol, mn_invariants
 from .search import Box, find_first_hit, prime_density_stats, search_region
 from .selmer import selmer_candidate_set
@@ -31,6 +31,8 @@ from .verifier import MAX_CERT_BYTES
 # the census sieves the box^2 odd norms up to 2 * box^2, one byte each; at
 # this cap it peaks at 22.4 MB under tracemalloc
 STATS_MAX_BOX = 4096
+
+SELMER_MAX_PRIMES = 64  # caps selmer's n(n-1)/2 residue symbols; certify needs 4
 
 
 class UsageError(Exception):
@@ -134,6 +136,11 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
+    # euler_symbol takes an odd Gaussian prime as given
+    if not is_gaussian_prime(args.prime):
+        raise ValueError(f"{args.prime} is not a Gaussian prime")
+    if not args.prime.is_odd():
+        raise ValueError(f"{args.prime} is even (the symbol needs an odd prime)")
     _emit({"value": euler_symbol(args.numerator, args.prime)})
     return 0
 
@@ -159,6 +166,15 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_selmer(args) -> int:
+    # selmer_candidate_set takes distinct primary primes as given
+    if len(args.primes) > SELMER_MAX_PRIMES:
+        raise ValueError(f"at most {SELMER_MAX_PRIMES} primes supported")
+    for p in args.primes:
+        if not is_gaussian_prime(p) or not is_primary(p):
+            raise ValueError(f"{p} is not a primary Gaussian prime")
+    if len(set(args.primes)) != len(args.primes):
+        # primary elements are associate only when equal
+        raise ValueError("primes must be pairwise distinct")
     report = selmer_candidate_set(args.primes)
     _emit({
         "primes": [p.to_json() for p in report.primes],

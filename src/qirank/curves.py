@@ -12,8 +12,9 @@ needed for that check; they live in ``tests/oracles.py`` as test oracles.
 The functions take their preconditions as given and do not check them
 again: ``is_torsion`` takes a point already on its curve, and the torsion
 classification takes a square-free nonzero g.  ``certify`` tests
-``on_curve`` on its two points and passes a g that is a product of four
-distinct primes; the CLI ``torsion`` command checks its g itself.
+``on_curve`` on its family point only (``cm_apply`` is an automorphism of
+the curve, so the image needs no test) and passes a g that is a product of
+four distinct primes; the CLI ``torsion`` command checks its g itself.
 """
 
 from __future__ import annotations

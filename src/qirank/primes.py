@@ -133,10 +133,7 @@ def sqrt_minus_one_mod(p: int) -> int:
         raise ValueError(f"{p} is not 1 mod 4")
     for a in range(2, p):
         if pow(a, (p - 1) // 2, p) == p - 1:
-            x = pow(a, (p - 1) // 4, p)
-            if x * x % p != p - 1:
-                raise AssertionError(f"bad square root of -1 mod {p}")
-            return x
+            return pow(a, (p - 1) // 4, p)  # its square is a^((p-1)/2) = -1
     raise AssertionError(f"no quadratic non-residue found mod {p}")
 
 
@@ -160,9 +157,7 @@ def factor_primary(alpha: GaussInt) -> PrimaryFactorization:
     factors: list[tuple[GaussInt, int]] = []
     for p, e in sorted(factorint(u.norm()).items()):
         if p % 4 == 3:
-            # inert: the primary associate of q is -q, contributing norm q**2
-            if e % 2 != 0:
-                raise AssertionError(f"odd inert exponent for {p} in norm")
+            # inert: the primary associate of q is -q, of norm q**2, so e is even
             factors.append((GaussInt(-p, 0), e // 2))
             u = exact_div(u, GaussInt(-p, 0) ** (e // 2))
         else:

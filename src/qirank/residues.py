@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gaussian import GaussInt, ONE, mod_pow
-from .primes import is_gaussian_prime
 
 _GEN_M = GaussInt(1, -4)
 _GEN_N = GaussInt(-1, -6)
@@ -59,19 +58,17 @@ def euler_symbol(alpha: GaussInt, p: GaussInt) -> int:
     """Gaussian quadratic residue symbol (alpha / p) in {+1, -1}.
 
     Euler criterion: alpha**((Nm(p)-1)/2) mod p, for an odd Gaussian prime p
-    not dividing alpha.  A split p goes through ``mod_pow``, and the power
-    itself detects p | alpha: the exponent is at least 2, so the power is 0
-    mod p exactly when p divides alpha, and a zero result raises ValueError
-    without a separate divisibility test.  An inert p is an associate of a
-    rational prime q = 3 mod 4, and Frobenius gives alpha**q = conj(alpha)
-    mod q, so alpha**((q^2-1)/2) = (alpha * conj(alpha))**((q-1)/2) =
-    Nm(alpha)**((q-1)/2) mod q: the symbol is the Legendre symbol of Nm(alpha)
-    mod q (Ireland & Rosen, ch. 9), and q | alpha iff q | Nm(alpha).
+    not dividing alpha.  That p is an odd prime is taken as given (the CLI
+    ``symbol`` command checks it); for a composite p the value means nothing.
+    A split p goes through ``mod_pow``, and the power itself detects p | alpha:
+    the exponent is at least 2, so the power is 0 mod p exactly when p
+    divides alpha, and a zero result raises ValueError without a separate
+    divisibility test.  An inert p is an associate of a rational prime
+    q = 3 mod 4, and Frobenius gives alpha**q = conj(alpha) mod q, so
+    alpha**((q^2-1)/2) = (alpha * conj(alpha))**((q-1)/2) =
+    Nm(alpha)**((q-1)/2) mod q: the symbol is the Legendre symbol of
+    Nm(alpha) mod q (Ireland & Rosen, ch. 9), and q | alpha iff q | Nm(alpha).
     """
-    if not is_gaussian_prime(p):
-        raise ValueError(f"{p} is not a Gaussian prime")
-    if not p.is_odd():
-        raise ValueError(f"{p} is even (the symbol needs an odd prime)")
     if p.re == 0 or p.im == 0:
         q = abs(p.re or p.im)
         n = alpha.norm() % q

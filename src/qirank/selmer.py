@@ -5,17 +5,18 @@ Every F2 vector is an int bitmask with bit j for column j, and an
 strings like ``"1001"`` (character j is column j), the form the certificate
 and the CLI print.
 
-The descent input is a list of distinct primary Gaussian primes; ``build_L``
-validates it.  From their pairwise residue symbols we build the symbol
-matrix L (rows sum to zero by construction; by quadratic reciprocity it
-is symmetric, so each unordered pair costs one symbol).  A class
-u * prod_{j in T} p_j with u in {1, i} is a candidate when L 1_T = u n_bar,
-a condition linear in (1_T, u), so the candidates are one subspace: the
-kernel of [L | n_bar], with bit n the unit.  The candidate conditions depend
-only on the primes.  The dimension of that kernel feeds the rank bound
-2*dim - 2.  A class is the pair ``(unit, indices)``, unit ``"1"`` or
-``"i"`` and indices the 1-based positions of the primes in T: the form of
-``verifier.SELMER_CANDIDATES`` and of the certificate.
+The descent input is a nonempty list of distinct primary Gaussian primes,
+taken as given: ``certify`` passes primes that ``constellation_at`` proved,
+and the CLI ``selmer`` command checks its own.  From their pairwise residue
+symbols we build the symbol matrix L (rows sum to zero by construction; by
+quadratic reciprocity it is symmetric, so each unordered pair costs one
+symbol).  A class u * prod_{j in T} p_j with u in {1, i} is a candidate
+when L 1_T = u n_bar, a condition linear in (1_T, u), so the candidates are
+one subspace: the kernel of [L | n_bar], with bit n the unit.  The candidate
+conditions depend only on the primes.  The dimension of that kernel feeds
+the rank bound 2*dim - 2.  A class is the pair ``(unit, indices)``, unit
+``"1"`` or ``"i"`` and indices the 1-based positions of the primes in T: the
+form of ``verifier.SELMER_CANDIDATES`` and of the certificate.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .gaussian import GaussInt, is_primary
-from .primes import is_gaussian_prime
+from .gaussian import GaussInt
 from .residues import euler_symbol, mn_invariants
-
-MAX_DIMENSION = 64  # caps build_L's n(n-1)/2 residue symbols; certify needs N = 4
 
 # a divisor class modulo squares: (unit "1" or "i", 1-based prime indices)
 Candidate = tuple[str, tuple[int, ...]]
@@ -103,42 +101,26 @@ def _span(basis: Sequence[int]) -> list[int]:
 
 
 def build_L(primes: Sequence[GaussInt]) -> F2Matrix:
-    """The symbol matrix of distinct primary primes.
+    """The symbol matrix of distinct primary primes, taken as given.
 
     Off-diagonal entry (i, j) is 1 exactly when (p_i / p_j) = -1; the
     diagonal is the sum of the rest of the row, so L applied to the all-ones
     vector is zero.
     """
-    ps = _validated_primes(primes)
-    n = len(ps)
+    n = len(primes)
     rows = [0] * n
     # quadratic reciprocity in Z[i]: (p / q) = (q / p) for distinct primary
     # primes (Lemmermeyer, Reciprocity Laws, 2000), so L is symmetric and one
     # symbol per pair sets both entries
     for i in range(n):
         for j in range(i + 1, n):
-            if euler_symbol(ps[i], ps[j]) == -1:
+            if euler_symbol(primes[i], primes[j]) == -1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     for i in range(n):
         if bin(rows[i]).count("1") & 1:
             rows[i] |= 1 << i
     return F2Matrix(tuple(rows), n)
-
-
-def _validated_primes(primes: Sequence[GaussInt]) -> list[GaussInt]:
-    ps = list(primes)
-    if not ps:
-        raise ValueError("need at least one prime")
-    if len(ps) > MAX_DIMENSION:
-        raise ValueError(f"at most {MAX_DIMENSION} primes supported")
-    for p in ps:
-        if not is_gaussian_prime(p) or not is_primary(p):
-            raise ValueError(f"{p} is not a primary Gaussian prime")
-    if len(set(ps)) != len(ps):
-        # primary elements are associate only when equal
-        raise ValueError("primes must be pairwise distinct")
-    return ps
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +175,8 @@ def candidate_classes(matrix: F2Matrix, nbar: int) -> tuple[tuple[Candidate, ...
 def selmer_candidate_set(primes: Sequence[GaussInt]) -> SelmerReport:
     """Candidate divisor classes containing the phi-Selmer group.
 
-    ``build_L`` validates the primes; ``candidate_classes`` does the F2 half.
+    The primes are distinct, primary and prime, as ``build_L`` takes them;
+    ``candidate_classes`` does the F2 half.
     """
     matrix = build_L(primes)
     ps = tuple(primes)

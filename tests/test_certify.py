@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from sympy import isprime
 
 import qirank
 from qirank import verifier
@@ -364,3 +365,59 @@ class TestRegionCertification:
             cert = certify(hit.beta, hit.k)
             assert isinstance(cert, Certificate)
             assert verify_certificate(cert)
+
+
+# The first hit of each decade 10^d from 10^8 to 10^24, with the proof tier t
+# of its four norms (Miller-Rabin with MR_BASES[:t]).  beta runs over the
+# square of radius 64 about c(1+i), c = isqrt(10^d / 2), and k over
+# [1, 256], the top quadrupled until the region holds a hit.
+LADDER = [
+    (8, gi(7007, 7098), 80, 4),
+    (9, gi(22375, 22402), 120, 4),
+    (10, gi(70695, 70690), 152, 5),
+    (11, gi(223551, 223546), 2480, 5),
+    (12, gi(707087, 707082), 11440, 5),
+    (13, gi(2236023, 2236050), 1960, 7),
+    (14, gi(7071055, 7071034), 720, 7),
+    (15, gi(22360639, 22360634), 13920, 9),
+    (16, gi(70710703, 70710618), 3360, 9),
+    (17, gi(223606799, 223606794), 8080, 9),
+    (18, gi(707106775, 707106786), 9720, 9),
+    (19, gi(2236067975, 2236067922), 2680, 12),
+    (20, gi(7071067815, 7071067762), 15880, 12),
+    (21, gi(22360679759, 22360679754), 6480, 12),
+    (22, gi(70710678103, 70710678162), 53320, 12),
+    (23, gi(223606797751, 223606797714), 13160, 12),
+    (24, gi(707106781175, 707106781170), 60856, 13),
+]
+
+
+class TestLadder:
+    """A certified hit per decade, through every proof tier up to the bound.
+
+    Each decade searches its window, certifies and verifies its first hit,
+    and checks every norm against sympy and against the psi_t interval of
+    its tier.  A kernel change that loses a hit changes a first hit here.
+    """
+
+    @pytest.mark.parametrize("d, beta, k, tier", LADDER, ids=[f"1e{row[0]}" for row in LADDER])
+    def test_first_hit_of_the_decade(self, d, beta, k, tier):
+        c = math.isqrt(10 ** d // 2)
+        window = Box(c - 64, c + 64, c - 64, c + 64)
+        top = 256
+        while not (hits := search_region(window, (1, top))):
+            top *= 4
+        assert (hits[0].beta, hits[0].k) == (beta, k)
+        cert = certify(beta, k)
+        assert isinstance(cert, Certificate)
+        assert verify_certificate(cert)
+        for p in hits[0].primes:
+            n = p.norm()
+            assert isprime(n)
+            bases = verifier.proof_bases(n)
+            assert len(bases) == tier
+            assert verifier.MR_PSI[tier - 2] <= n < verifier.MR_PSI[tier - 1]
+            assert verifier.is_strong_probable_prime(n, bases)
+
+    def test_tiers_reach_the_bound(self):
+        assert {row[-1] for row in LADDER} == {4, 5, 7, 9, 12, len(verifier.MR_BASES)}

@@ -12,6 +12,8 @@ from sympy import nextprime
 from qirank.cli import _build_parser, run
 from qirank.verifier import MAX_CERT_BYTES, MR_DETERMINISTIC_BOUND
 
+from oracles import primary_primes_up_to_norm
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -32,6 +34,17 @@ class TestSymbol:
         code, lines = run_json(capsys, "symbol", "3", "5")
         assert code == 1
         assert "error" in lines[0]
+
+    # euler_symbol takes an odd prime as given; the command checks it
+    @pytest.mark.parametrize("numerator, prime, message", [
+        ("3", "5", "5 is not a Gaussian prime"),
+        ("3", "1+i", "1+i is even (the symbol needs an odd prime)"),
+        ("-2-12i", "-1-6i", "-1-6i divides -2-12i"),
+    ], ids=["composite", "even", "divides"])
+    def test_rejects_bad_prime(self, capsys, numerator, prime, message):
+        code, lines = run_json(capsys, "symbol", numerator, prime)
+        assert code == 1
+        assert lines == [{"error": message}]
 
 
 class TestTorsion:
@@ -80,6 +93,22 @@ class TestInvariantsAndFactor:
 
 
 class TestSelmer:
+    # selmer_candidate_set takes distinct primary primes as given; the
+    # command checks them
+    @pytest.mark.parametrize("primes, message", [
+        (["-1-6i", "-1-6i"], "primes must be pairwise distinct"),
+        (["2+i"], "2+i is not a primary Gaussian prime"),  # prime, not primary
+        (["9"], "9 is not a primary Gaussian prime"),  # primary, not prime
+        # 1+i is prime but not primary: no element divisible by 1+i is
+        (["1+i"], "1+i is not a primary Gaussian prime"),
+        ([str(p) for p in primary_primes_up_to_norm(1000)[:65]],
+         "at most 64 primes supported"),
+    ], ids=["repeated", "not-primary", "not-prime", "even", "65-primes"])
+    def test_rejects_bad_input(self, capsys, primes, message):
+        code, lines = run_json(capsys, "selmer", *primes)
+        assert code == 1
+        assert lines == [{"error": message}]
+
     def test_single_prime(self, capsys):
         code, lines = run_json(capsys, "selmer", "-1-6i")
         assert code == 0
@@ -311,6 +340,7 @@ class TestUsageErrors:
         (["symbol", "wibble", "-1-6i"],
          "argument numerator: cannot parse Gaussian integer from 'wibble'"),
         (["symbol", "i"], "the following arguments are required: prime"),
+        (["selmer"], "the following arguments are required: primes"),
         # negative-looking tokens are reported as typed, with no padding
         (["search", "--box", "-5i"], "argument --box: invalid int value: '-5i'"),
         (["certify", "15+10i", "-2i"], "argument k: invalid int value: '-2i'"),
@@ -323,7 +353,7 @@ class TestUsageErrors:
         (["search", "--box", "4", "--kmax", "-1x"],
          "argument --kmax: invalid int value: '-1x'"),
     ], ids=["bad-int", "unknown-option", "bad-gaussian", "missing-positional",
-            "negative-option-value", "negative-positional",
+            "no-selmer-prime", "negative-option-value", "negative-positional",
             "malformed-negative-value", "malformed-negative-numerator",
             "malformed-negative-int", "malformed-negative-option-value"])
     def test_parser_errors_are_json(self, capsys, argv, message):

@@ -541,10 +541,16 @@ def source_names(tree):
     return found
 
 
-def package_offenders(forbidden):
-    """The forbidden names each module of the package uses, ``gaussian`` included."""
+def package_offenders(forbidden, only=None):
+    """The forbidden names each module of the package uses, ``gaussian`` included.
+
+    ``only`` limits the scan to the named modules, such as ``{"selmer"}``.
+    """
     modules = sorted(Path(qirank.__file__).parent.glob("*.py"))
     assert "gaussian.py" in {m.name for m in modules}
+    if only is not None:
+        modules = [m for m in modules if m.stem in only]
+        assert {m.stem for m in modules} == set(only)
     offenders = {
         m.name: sorted(source_names(ast.parse(m.read_text(encoding="utf-8"))) & forbidden)
         for m in modules
@@ -626,3 +632,30 @@ class TestPointMapsInOracles:
         oracles = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
         defined = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
         assert defined >= set(self.MAPS)
+
+
+class TestDescentTakesPrimesAsGiven:
+    """The descent layer proves no primality; its primes are proved where they come in.
+
+    ``residues``, ``selmer`` and ``curves`` take their primes as given:
+    ``certify`` passes the primes that ``constellation_at`` proved, and the
+    CLI checks what it parses.  So none of them names ``is_gaussian_prime``
+    or ``is_primary``, or imports ``qirank.primes``.
+    """
+
+    DESCENT = {"residues", "selmer", "curves"}
+    FORBIDDEN = {"is_gaussian_prime", "is_primary"}
+
+    def test_no_descent_module_names_a_primality_test(self):
+        assert package_offenders(self.FORBIDDEN, only=self.DESCENT) == {}
+
+    def test_no_descent_module_imports_the_primes_module(self):
+        for name in sorted(self.DESCENT):
+            source = Path(qirank.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+            imported = set()
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+                elif isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+            assert not imported & {"primes", "qirank.primes"}, name

@@ -104,14 +104,6 @@ class TestEulerSymbol:
         for q in (gi(-1, -6), gi(-1, 2), gi(-3), gi(2, 1)):
             assert euler_symbol(gi(4), q) == 1
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            euler_symbol(gi(3), gi(5))  # 5 is not prime in Z[i]
-        with pytest.raises(ValueError):
-            euler_symbol(gi(3), ONE_PLUS_I)  # even prime
-        with pytest.raises(ValueError):
-            euler_symbol(gi(-2, -12), gi(-1, -6))  # p | alpha
-
     def test_multiples_of_p_raise(self):
         # the zero power is the divisibility test: alpha = p u, u = 0 included,
         # for split and inert p and for every associate of p

@@ -631,8 +631,9 @@ class TestSieveKernel:
         assert (candidates, passes) == brute_force_counts(args)
 
     def test_wide_k_range_far_out_is_streamed(self, monkeypatch):
-        # one residue-passing beta near 2^20 and 2e6 k: its k class is
-        # sieved in two blocks, and each holds hits
+        # one residue-passing beta near 2^20 and 2e6 k: its k class of
+        # 125 000 k is sieved in four blocks of at most _SIEVE_BLOCK = 2^15,
+        # and each holds hits
         args = (1048519, 1048519, 1048626, 1048626, -10**6, 10**6)
         monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
         tracemalloc.start()

@@ -199,21 +199,6 @@ class TestBuildL:
             inert_pairs += n_inert * (n_inert - 1) // 2
         assert mixed_pairs > 0 and inert_pairs > 0
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            build_L([])
-        with pytest.raises(ValueError):
-            build_L([gi(-1, -6), gi(-1, -6)])
-        with pytest.raises(ValueError):
-            build_L([gi(2, 1)])  # prime but not primary
-        with pytest.raises(ValueError):
-            build_L([gi(9)])
-
-    def test_rejects_the_even_prime(self):
-        # 1+i is prime but not primary: no element divisible by 1+i is
-        with pytest.raises(ValueError, match=r"^1\+i is not a primary Gaussian prime$"):
-            build_L([gi(1, 1)])
-
 
 class TestRankUpperBound:
     def test_values(self):
