@@ -12,10 +12,10 @@ Its norm is also 5 mod 32.  Two kernels apply the filter, each a generator
 of the pairs that pass it: ``_join_rows`` sieves the norms = 5 mod 32 of
 the shard's window once and joins rows of prime flags as big-int bitsets;
 ``_sieve_k`` strikes, along the diagonal lines that the values of the pairs
-lie on, the k at which a split prime up to 97 divides one of the four norms,
-and tests the rest with the first primality stage,
-``is_base2_probable_prime`` (trial division up to 97 and one strong base-2
-test, which never rejects a prime).  ``_scan_shard`` chooses the kernel,
+lie on, the k at which a split prime up to 499, and up to twice the length
+of the lines, divides one of the four norms, and tests the rest with the
+first primality stage, ``is_base2_probable_prime`` (trial division up to
+499 and one strong base-2 test, which never rejects a prime).  ``_scan_shard`` chooses the kernel,
 counts the shard's pairs, and gives every pair that a kernel yields the full
 ``constellation_at`` check (direct congruences and the full primality test),
 so the kernels remain optimizations only.  ``_run_shards`` spreads the
@@ -137,30 +137,31 @@ def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejectio
 # faster than a loop testing each pair with the stage at 8-62 entries per
 # pair, and 0.1-0.9x as fast from 83 up.  Counted in entries of one per 32
 # norms, the same caps admit windows 32 times as wide.  Against the sieve
-# along k by lines, called directly on square boxes of radius 64 and 128
-# centred at (c, c) for c = 500-12000 with |k| <= 64, 128 or 256 (best of 7,
-# two sweeps, the same VM), the two cross at 13-40 entries per pair, lower
-# for longer k ranges: the join took 0.32-0.85x the sieve's time at 3-15
-# entries per pair, and the sieve ran 1.5-2.3x faster at 57-61, under the
-# cap.
+# along k by lines, striking the split primes up to 499, called directly on
+# square boxes of radius 64 and 128 centred at (c, c) for c = 500-12000
+# with |k| <= 64, 128 or 256 (best of 7, the same VM), the two cross at
+# 10-22 entries per pair, lower for longer k ranges: the join took
+# 0.41-1.03x the sieve's time at 3-15 entries per pair, and the sieve ran
+# 2.3-3.2x faster at 57-69, under the cap.  The cap stays 64 until a
+# benchmark workload lies on each side of a lower one.
 _JOIN_MAX_ENTRIES = 1 << 24
 _JOIN_ENTRIES_PER_PAIR = 64
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 _SIEVE_BLOCK = 1 << 15
 _SIEVE_TILE = 16
-# The split primes that the first primality stage trial-divides: 5, 13, 17,
-# 29, 37, 41, 53, 61, 73, 89 and 97.  A value x + yi has a prime factor above
-# ell iff x = r y mod ell for one of the two roots r of r^2 = -1.  On a line
-# of the sieve along k, the value at position p is
-# (x_0 + 16 s1 p) + (y_0 + 16 s2 p)i, with (s1, s2) = i^j (1+i); it is struck
-# iff p = (r y_0 - x_0) / (16 (s1 - r s2)) mod ell (s1 - r s2 is a unit, as
-# r is not +-1).  Per ell, the table holds, for each offset in j-order, the
-# pairs (r, 1 / (16 (s1 - r s2))) of both roots.  A struck norm above ell
-# also fails the stage; a norm equal to ell is prime, and of the values on
-# the target sublattice only -1-6i has such a norm, 37.  101, the next split
-# prime, is not in the table: the stage does not trial-divide it, and it is
-# itself a norm on the sublattice, of -1+10i.
+# The split primes that the first primality stage trial-divides: the 44
+# primes = 1 mod 4 up to _TRIAL_LIMIT = 499, from 5, 13, 17 to 449, 457 and
+# 461.  A value x + yi has a prime factor above ell iff x = r y mod ell for
+# one of the two roots r of r^2 = -1.  On a line of the sieve along k, the
+# value at position p is (x_0 + 16 s1 p) + (y_0 + 16 s2 p)i, with
+# (s1, s2) = i^j (1+i); it is struck iff p = (r y_0 - x_0) / (16 (s1 - r s2))
+# mod ell (s1 - r s2 is a unit, as r is not +-1).  Per ell, the table holds,
+# for each offset in j-order, the pairs (r, 1 / (16 (s1 - r s2))) of both
+# roots.  A struck norm above ell also fails the stage; a norm equal to ell
+# is prime, and every value of the target sublattice has norm 5 mod 32, so
+# only the table primes = 5 mod 32 can be such norms: 37 of -1-6i, 101 of
+# -1+10i and 389 of -17+10i (``_sieve_k`` leaves them out where they occur).
 _SIEVE_TABLE = tuple(
     (ell, tuple(
         tuple((r, pow(16 * (off.re - r * off.im), -1, ell)) for r in (root, ell - root))
@@ -295,10 +296,19 @@ def _join_rows(
 
 
 def _period_masks(table: tuple, width: int) -> list[tuple[int, int, tuple]]:
-    """Per entry (ell, strikes) of table, (ell, mask, strikes): bit p of mask
-    is 0 iff ell divides p, for every p below width + ell."""
+    """Per entry (ell, strikes) of table with ell at most 2 width, (ell,
+    mask, strikes): bit p of mask is 0 iff ell divides p, for every p below
+    width + ell.
+
+    A prime strikes a line of width flags about 2 width / ell times, and
+    each line costs it two shifts and ANDs; past 2 width those cost more
+    than the stage calls they save.  Far out (best of 5, 2-vCPU VM),
+    striking up to width took 1.3 times as long on the far window with 16 k
+    per class, and striking up to 3 width 1.1 times as long on one beta
+    with 16 k.
+    """
     return [(ell, int(("1" * (ell - 1) + "0") * (width // ell + 2), 2), strikes)
-            for ell, strikes in table]
+            for ell, strikes in table if ell <= 2 * width]
 
 
 def _struck_lines(
@@ -383,18 +393,20 @@ def _sieve_k(
     16 (s1 + s2 i).  A line holds the values of many (beta, k), so it is
     struck once for all of them: per offset, the tile has n_a + n_b - 1
     lines of n_a + n_k - 1 flags, each one int, and those of s1 = -1 are
-    stored reversed.  The masks of the table primes are built once per
-    block, and ``_sieve_tile`` strikes the lines and joins each beta's row.
+    stored reversed.  The masks are built once per block, for the table
+    primes up to twice the length of its lines (``_period_masks``), and
+    ``_sieve_tile`` strikes the lines and joins each beta's row.
 
-    A struck norm is composite unless it is the prime itself, which on the
-    target sublattice happens only for 37, the norm of -1-6i; so 37 is left
-    out when lo, the window's least norm, is at most 37.  The stage, whose
+    A struck norm is composite unless it is the prime itself.  Every norm
+    on the target sublattice is 5 mod 32 and at least lo, the window's least
+    norm, so a table prime = 5 mod 32 from lo up is left out (37, the norm
+    of -1-6i, and 101, that of -1+10i, near the origin).  The stage, whose
     trial division covers every table prime, rejects each struck pair too,
     so this yields exactly the pairs whose four norms pass the stage.
     Memory is one tile's lines over one block, at most 4 (2 _SIEVE_TILE - 1)
     ints of _SIEVE_TILE + _SIEVE_BLOCK - 1 bits, and one mask per prime.
     """
-    table = _SIEVE_TABLE if lo > 37 else tuple(e for e in _SIEVE_TABLE if e[0] != 37)
+    table = tuple(e for e in _SIEVE_TABLE if e[0] < lo or e[0] % 32 != 5)
     for res, ims, ks in classes:
         for k_start in range(0, len(ks), _SIEVE_BLOCK):
             block = ks[k_start : k_start + _SIEVE_BLOCK]

@@ -89,7 +89,10 @@ SPSP2_BELOW_1E6 = (
     476971, 486737, 489997, 514447, 580337, 635401, 647089, 741751, 800605,
     818201, 838861, 873181, 877099, 916327, 976873, 983401,
 )
-PRIMES_TO_97 = math.prod(p for p in range(2, 98) if all(p % q for q in range(2, p)))
+# the primes that the first stage trial-divides, and the square of the next
+# prime, below which it is exact
+PRIMES_TO_499 = math.prod(p for p in range(2, 500) if all(p % q for q in range(2, p)))
+NEXT_PRIME_SQUARED = 503 * 503
 # psi_t, the least strong pseudoprime to the first t prime bases, as published
 # (Jaeschke 1993; Sorenson & Webster 2017), apart from verifier.MR_PSI so that
 # a changed entry there meets the true values here
@@ -105,7 +108,26 @@ class TestBase2Stage:
         limit = 10 ** 6
         sieve = rational_prime_sieve(limit)
         wrong = [n for n in range(limit + 1) if is_base2_probable_prime(n) != bool(sieve[n])]
-        assert wrong == [n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_97) == 1]
+        assert wrong == [n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_499) == 1]
+        assert wrong == [873181]  # 661 * 1321
+
+    def test_trial_division_covers_every_prime_up_to_499(self, monkeypatch):
+        # the sieve along k strikes the split ones and counts on the stage
+        # to reject a struck norm above its prime, without a strong test
+        assert qirank.primes._SMALL_PRIMES == {p for p in range(2, 500) if isprime(p)}
+        assert qirank.primes._TRIAL_BOUND == NEXT_PRIME_SQUARED
+
+        def no_strong_test(*args):
+            raise AssertionError("strong test reached")
+
+        monkeypatch.setattr(qirank.primes, "is_strong_probable_prime", no_strong_test)
+        for p in qirank.primes._SMALL_PRIMES:
+            assert is_base2_probable_prime(p)
+            assert not is_base2_probable_prime(p * 1000003), p
+        # below 503^2 trial division is the proof; 503^2 needs the strong test
+        assert is_base2_probable_prime(prevprime(NEXT_PRIME_SQUARED))
+        with pytest.raises(AssertionError, match="strong test reached"):
+            is_base2_probable_prime(NEXT_PRIME_SQUARED)
 
     @settings(max_examples=150, deadline=None)
     @given(exponent=st.sampled_from([41, 80]), offset=st.integers(0, 1 << 30))
@@ -115,15 +137,18 @@ class TestBase2Stage:
         assert is_rational_prime(p)
         assert is_base2_probable_prime(p)
 
-    # psi_1 = 2047 = 23 * 89 ends at trial division
-    @pytest.mark.parametrize("n", sorted(set(PUBLISHED_PSI[1:])))
+    # psi_1 = 2047 = 23 * 89 and psi_4 = 3215031751 = 151 * 751 * 28351 end
+    # at trial division
+    @pytest.mark.parametrize("n", sorted(set(PUBLISHED_PSI[1:]) - {PUBLISHED_PSI[3]}))
     def test_pseudoprimes_pass_only_the_stage(self, n):
-        assert math.gcd(n, PRIMES_TO_97) == 1
+        assert math.gcd(n, PRIMES_TO_499) == 1
         assert is_base2_probable_prime(n)
         assert not is_rational_prime(n)
 
-    @pytest.mark.parametrize("n", [2047, 3277, 4033])
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, PUBLISHED_PSI[3]])
     def test_small_factors_end_at_trial_division(self, monkeypatch, n):
+        assert math.gcd(n, PRIMES_TO_499) != 1
+
         def no_strong_test(*args):
             raise AssertionError("strong test reached")
 
@@ -169,9 +194,9 @@ class TestProofBases:
         limit = PUBLISHED_PSI[1]
         sieve = rational_prime_sieve(limit)
         fooled = [n for n in range(3, limit, 2) if not sieve[n] and is_base2_probable_prime(n)]
-        assert len(fooled) == 37
+        assert len(fooled) == 6
         assert [n for n in fooled if n < 10 ** 6] == [
-            n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_97) == 1]
+            n for n in SPSP2_BELOW_1E6 if math.gcd(n, PRIMES_TO_499) == 1]
         for n in fooled:
             assert not is_rational_prime(n), n
             assert not verifier._is_prime(n), n

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import isprime
 
 import qirank.search
 from qirank.certify import certify
 from qirank.gaussian import GaussInt
-from qirank.primes import is_rational_prime, rational_prime_sieve
+from qirank.primes import is_base2_probable_prime, is_rational_prime, rational_prime_sieve
 from qirank.search import (
     OFFSETS,
     Box,
@@ -583,36 +584,93 @@ class TestSieveKernel:
     @pytest.mark.parametrize("ell", [entry[0] for entry in _SIEVE_TABLE])
     def test_struck_iff_the_prime_divides_a_norm(self, ell):
         # each offset, so both line directions s1 s2 = +-1 and both signs of
-        # s1; over ell positions of a line, every position mod ell occurs
+        # s1; over 2 ell positions of a line, every position mod ell occurs
+        # twice.  A line of a large ell holds few struck positions, so it
+        # gets fewer random lines: 50 up to 20, 2 from 334 up.
         masks = _period_masks([e for e in _SIEVE_TABLE if e[0] == ell], 2 * ell)
         rng = random.Random(ell)
         for j, off in enumerate(OFFSETS):
-            for _ in range(50):
+            for _ in range(min(50, max(2, 1000 // ell))):
                 x0, y0 = rng.randint(-(1 << 40), 1 << 40), rng.randint(-(1 << 40), 1 << 40)
                 lines = _struck_lines(masks, j, x0, y0, 3)
                 for u, line in enumerate(lines):
-                    for p in range(2 * ell):
-                        x, y = x0 + 16 * off.re * p, y0 + 16 * u + 16 * off.im * p
-                        divides = (x * x + y * y) % ell == 0
-                        assert (line >> p) & 1 == (not divides), (j, x0, y0, u, p, ell)
+                    divides = [(x * x + y * y) % ell == 0
+                               for p in range(ell)
+                               for x, y in [(x0 + 16 * off.re * p, y0 + 16 * u + 16 * off.im * p)]]
+                    expected = "".join("0" if d else "1" for d in divides) * 2
+                    assert format(line, "b")[::-1][:2 * ell] == expected, (j, x0, y0, u, ell)
 
-    def test_table_primes_are_split_and_tried_by_the_stage(self):
+    @pytest.mark.parametrize("width", [1, 2, 16, 31, 230, 231, 4096])
+    def test_masks_are_the_table_primes_up_to_twice_the_width(self, width):
+        # 461, the longest table prime, strikes from width 231 up
+        masks = _period_masks(_SIEVE_TABLE, width)
+        assert [ell for ell, _, _ in masks] == [
+            ell for ell, _ in _SIEVE_TABLE if ell <= 2 * width]
+        for ell, mask, _ in masks:
+            assert mask.bit_length() >= width + ell
+            assert all((mask >> p) & 1 == (p % ell != 0) for p in range(width + ell))
+
+    @pytest.mark.parametrize("args, primes", [
+        # 12 beta per class, 17 and 16 k per class: lines of 28 and 27
+        (shard_args(FAR_BOX, (1 << 18, (1 << 18) + 256)), [5, 13, 17, 29, 37, 41, 53]),
+        # one beta, 16 k: lines of 16
+        ((1048519, 1048519, 1048626, 1048626, 1 << 18, (1 << 18) + 255), [5, 13, 17, 29]),
+        (shard_args(FAR_BOX, FAR_K), None),
+        # lo = 5: 5, 37 and 101, the table primes = 5 mod 32 up to 142, are left out
+        ((479, 479, -470, -470, 16, 1136),
+         [13, 17, 29, 41, 53, 61, 73, 89, 97, 109, 113, 137]),
+    ])
+    def test_masks_of_a_block_are_the_table_primes_it_may_strike(self, monkeypatch, args, primes):
+        # per block: the table primes up to twice its width n_a + n_k - 1,
+        # without those = 5 mod 32 from the window's least norm up
+        classes, lo = sieve_input(args)
+        blocks = []
+        sieve_tile = qirank.search._sieve_tile
+
+        def recording(masks, tile_a, tile_b, block):
+            blocks.append(([ell for ell, _, _ in masks], len(tile_a) + len(block) - 1))
+            return sieve_tile(masks, tile_a, tile_b, block)
+
+        monkeypatch.setattr(qirank.search, "_sieve_tile", recording)
+        assert Counter(_sieve_k(classes, lo)) == Counter(scan_pairs(classes))
+        assert len(blocks) == len(classes)  # one tile and one block per class
+        for ells, width in blocks:
+            assert ells == [ell for ell, _ in _SIEVE_TABLE
+                            if ell <= 2 * width and (ell < lo or ell % 32 != 5)]
+            if primes is None:
+                assert ells == [entry[0] for entry in _SIEVE_TABLE]
+        if primes is not None:
+            assert blocks[0][0] == primes
+
+    def test_table_primes_are_split_and_tried_by_the_stage(self, monkeypatch):
         # a struck norm above its prime then has a factor that the stage's
-        # trial division finds; 101, the least prime = 5 mod 32 above 37, is
-        # a norm of the target sublattice and is not in the table
+        # trial division finds, before any strong test
         primes = [entry[0] for entry in _SIEVE_TABLE]
         assert primes == sorted(p for p in qirank.primes._SMALL_PRIMES if p % 4 == 1)
-        assert primes == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+        assert primes == [p for p in range(5, 500, 4) if isprime(p)]
+        assert (len(primes), primes[-1]) == (44, 461)
 
-    def test_only_minus_one_minus_six_i_has_a_table_prime_norm(self):
-        # a value with norm up to 97 has both parts in -9..9; every value of
-        # the target sublattice has norm 5 mod 32
+        def no_strong_test(*args):
+            raise AssertionError("strong test reached")
+
+        monkeypatch.setattr(qirank.primes, "is_strong_probable_prime", no_strong_test)
+        for ell in primes:
+            assert not is_base2_probable_prime(ell * 1000033), ell
+
+    def test_sublattice_values_with_a_table_prime_norm_are_listed(self):
+        # a value with norm up to 461 has both parts in -21..21; every value
+        # of the target sublattice has norm 5 mod 32, so only the table
+        # primes = 5 mod 32 can be such norms, and _sieve_k leaves those out
+        # from the window's least norm up
         primes = [entry[0] for entry in _SIEVE_TABLE]
         values = [GaussInt(x, y) for x in range(-47, 48) for y in range(-47, 48)
                   if congruent_mod16(GaussInt(x, y))]
         assert {v.norm() % 32 for v in values} == {5}
-        assert [v for v in values if v.norm() in primes] == [TARGET_CLASS]
+        listed = [v for v in values if v.norm() in primes]
+        assert listed == [GaussInt(-17, 10), TARGET_CLASS, GaussInt(-1, 10)]
+        assert [v.norm() for v in listed] == [389, 37, 101]
         assert TARGET_CLASS.norm() == 37
+        assert [p for p in primes if p % 32 == 5] == [5, 37, 101, 197, 229, 293, 389, 421]
 
     def test_keeps_the_hit_with_a_value_of_norm_37(self, monkeypatch):
         # near the origin and short in beta, so the join is over its entries
@@ -627,6 +685,32 @@ class TestSieveKernel:
         hits, candidates, passes = _scan_shard(args)
         assert len(least_norms) == 1 and least_norms[0] <= 37
         assert (hits[0].beta, hits[0].k) == (FROZEN_BETA, FROZEN_K)
+        assert in_order(hits) == brute_force_region(Box(*args[:4]), args[4:])
+        assert (candidates, passes) == brute_force_counts(args)
+
+    @pytest.mark.parametrize("args, beta, k, value", [
+        # 71 k: 101 <= 2 * 71, so 101 would strike -1+10i
+        ((479, 479, -470, -470, 16, 1136), GaussInt(479, -470), 480, GaussInt(-1, 10)),
+        # 201 k: 389 <= 2 * 201, so 389 would strike -17+10i
+        ((-537, -537, -510, -510, 8, 3208), GaussInt(-537, -510), 520, GaussInt(-17, 10)),
+    ])
+    def test_keeps_the_hit_with_a_value_of_a_longer_table_prime_norm(
+            self, monkeypatch, args, beta, k, value):
+        # as for 37 above: one beta and a long k range near the origin, so
+        # the sieve runs with lines long enough for the value's norm to
+        # strike, and the window's least norm is at most that norm, so it
+        # strikes nothing here
+        least_norms = []
+        sieve_k = qirank.search._sieve_k
+        monkeypatch.setattr(qirank.search, "rational_prime_sieve", refuse_sieve)
+        monkeypatch.setattr(qirank.search, "_sieve_k",
+                            lambda classes, lo: least_norms.append(lo) or sieve_k(classes, lo))
+        hits, candidates, passes = _scan_shard(args)
+        assert len(least_norms) == 1 and least_norms[0] <= value.norm()
+        assert value.norm() <= 2 * passes
+        assert [(h.beta, h.k) for h in hits] == [(beta, k)]
+        assert value in hits[0].primes
+        assert in_order(hits) == assert_sieve_agrees(args)
         assert in_order(hits) == brute_force_region(Box(*args[:4]), args[4:])
         assert (candidates, passes) == brute_force_counts(args)
 
