@@ -128,22 +128,17 @@ def constellation_at(beta: GaussInt, k: int) -> Union[ConstellationHit, Rejectio
 
 
 # The join sieves the norms = 5 mod 32 of its window, so it is chosen only
-# when that sieve is small: at most _JOIN_MAX_ENTRIES entries (16 MiB of
-# flags, which covers a window about the origin with norms up to about
-# 2^29), and at most _JOIN_ENTRIES_PER_PAIR per residue-passing pair.  Both
-# caps were set when the sieve held every norm of the window: over 24 square
-# boxes of radius 64-512 with |k| up to 16-256, centred up to 2000 from the
-# origin (cold caches, one core of a 2-vCPU VM), the join then ran 1.2-3.8x
-# faster than a loop testing each pair with the stage at 8-62 entries per
-# pair, and 0.1-0.9x as fast from 83 up.  Counted in entries of one per 32
-# norms, the same caps admit windows 32 times as wide.  Against the sieve
-# along k by lines, striking the split primes up to 499, called directly on
-# square boxes of radius 64 and 128 centred at (c, c) for c = 500-12000
-# with |k| <= 64, 128 or 256 (best of 7, the same VM), the two cross at
-# 10-22 entries per pair, lower for longer k ranges: the join took
-# 0.41-1.03x the sieve's time at 3-15 entries per pair, and the sieve ran
-# 2.3-3.2x faster at 57-69, under the cap.  The cap stays 64 until a
-# benchmark workload lies on each side of a lower one.
+# when that sieve is small.  _JOIN_MAX_ENTRIES bounds its memory: 16 MiB of
+# flags, one per 32 norms, which covers a window about the origin with norms
+# up to about 2^29.  _JOIN_ENTRIES_PER_PAIR bounds its work per
+# residue-passing pair against the sieve along k by lines, striking the
+# split primes up to 499.  Called directly on square boxes of radius 64 and
+# 128 centred at (c, c) for c = 500-12000 with |k| <= 64, 128 or 256 (best
+# of 7, one core of a 2-vCPU VM), the two cross at 10-22 entries per pair,
+# lower for longer k ranges: the join took 0.41-1.03x the sieve's time at
+# 3-15 entries per pair, and the sieve ran 2.3-3.2x faster at 57-69, under
+# the cap.  The cap stays 64 until a benchmark workload lies on each side
+# of a lower one.
 _JOIN_MAX_ENTRIES = 1 << 24
 _JOIN_ENTRIES_PER_PAIR = 64
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")

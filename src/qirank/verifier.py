@@ -20,20 +20,28 @@ The paper's 2-isogeny descent makes the rank-2 claim a finite check:
   refused;
 * gamma = beta^4 + 4k^4 = p_1 p_2 p_3 p_4 (an identity in a, b, k, so it
   is not checked), and y^2 = x^3 - gamma^2 x is not a base change from Q.
-  It would be iff gamma lay in (Q* u iQ*) Q(i)*^2, whose elements have
-  their odd-exponent primes closed under conjugation.  Those of gamma are
+  It would be iff gamma lay in (Q* u iQ*) Q(i)*^2, since the curve's twists
+  are classified by Q(i)*/Q(i)*^4, and those elements have their
+  odd-exponent primes closed under conjugation.  Those of gamma are
   the p_j, and each conj(p_j) is primary and congruent to 15+6i mod 16, so
-  it is associate to no p_i.  The recorded witness Im(gamma^2) != 0 says
-  only that gamma^2 is not rational, which is necessary, not sufficient:
-  gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) = -216 and is a base change;
+  it is associate to no p_i (primary associates are equal).  The recorded
+  witness Im(gamma^2) != 0 says only that gamma^2 is not rational, which is
+  necessary, not sufficient: gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) =
+  -216 and is a base change.  The same argument makes it nonzero, so it is
+  not checked: Im(gamma^2) = 0 puts gamma in Z u iZ, and then conj(p_1)
+  divides gamma and is associate to some p_i;
 * the pairwise residue symbols give the matrix L, which must be one of the
   two ``CONSTELLATION_ROWS``.  The class -1-6i mod 16 fixes every n_bar to 1,
   and for both matrices the Selmer candidates are then the Klein four-group
   ``SELMER_CANDIDATES``: F2 dimension 2, rank at most 2;
 * gamma is a product of four distinct primes, so it is square-free and not a
   unit, and the torsion is Z/2 x Z/2 with y = 0 away from O.  The family
-  point lies on the curve with y != 0, so it is non-torsion.  Its CM image
-  (-x, iy) needs no check of its own: (iy)^2 = -y^2 = -(x^3 + alpha x) =
+  point (x, y) = (4k^2 beta^2, 2ik beta(beta^4 - 4k^4)) satisfies
+  y^2 = x^3 - gamma^2 x identically in (beta, k) (Silverman, The Arithmetic
+  of Elliptic Curves, X.4), and y != 0: k != 0, beta != 0 as 2 beta =
+  p_1 + p_3 = -2-12i mod 16, and beta^4 = 4k^4 would put sqrt(2) in Q(i).
+  So it is non-torsion, and neither fact is checked.  Its CM image (-x, iy)
+  needs no check either: (iy)^2 = -y^2 = -(x^3 + alpha x) =
   (-x)^3 + alpha(-x), and iy != 0.  The rank is 2.
 
 The module also owns the certificate format.  ``certificate_fields`` lays
@@ -152,18 +160,15 @@ def expected_certificate(a: int, b: int, k: int) -> Optional[dict]:
     beta4 = _mul(_mul(beta, beta), _mul(beta, beta))
     gamma = (beta4[0] + 4 * k ** 4, beta4[1])
     gamma2 = _mul(gamma, gamma)
-    if gamma2[1] == 0:
-        return None
     rows = _symbol_rows(primes)
     if rows not in CONSTELLATION_ROWS:
         return None
 
     alpha = (-gamma2[0], -gamma2[1])
-    # (4 b^2 k^2, 2i b k (b^4 - 4k^4)); its CM image (-x, iy) needs no check
+    # (4 b^2 k^2, 2i b k (b^4 - 4k^4)) lies on the curve with y != 0, and so
+    # does its CM image (-x, iy): see the module docstring
     x = _mul((4 * k * k, 0), _mul(beta, beta))
     y = _mul(_mul((0, 2 * k), beta), (beta4[0] - 4 * k ** 4, beta4[1]))
-    if y == (0, 0) or _mul(y, y) != _add(_mul(_mul(x, x), x), _mul(alpha, x)):
-        return None
     x_cm, y_cm = (-x[0], -x[1]), (-y[1], y[0])
 
     one = (1, 0)
@@ -291,10 +296,6 @@ def is_strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
 
 def _mul(x: GaussPair, y: GaussPair) -> GaussPair:
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _add(x: GaussPair, y: GaussPair) -> GaussPair:
-    return (x[0] + y[0], x[1] + y[1])
 
 
 def _gauss_json(z: GaussPair) -> dict:

@@ -317,7 +317,7 @@ def genuine_witness(beta: GaussInt, k: int) -> int:
 
     A second route to the witness that ``certify`` reads off the gamma^2 it
     has already computed.  Nonzero is necessary, not sufficient: the class
-    argument is in the ``qirank.certify`` docstring, and ``is_base_change``
+    argument is in the ``qirank.verifier`` docstring, and ``is_base_change``
     decides the question.
     """
     gamma = beta ** 4 + GaussInt(4 * k ** 4, 0)

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from sympy import isprime
 
 import qirank
@@ -74,15 +75,22 @@ class TestIsGenuine:
 
     def test_certificate_witness_matches_the_oracle(self):
         # certify reads the witness off the gamma^2 it builds alpha from;
-        # the oracle derives it again from (beta, k)
+        # the oracle derives it again from (beta, k).  Nothing checks that it
+        # is nonzero, which the class proves: here on box = k = 64 and on
+        # norms near 2^41, the far workload's seed-0 window
         assert not hasattr(sys.modules["qirank.certify"], "genuine_witness")
-        hits = search_region(Box.centered(64), (-64, 64))
-        assert hits
-        for hit in hits:
-            obj = json.loads(certify(hit.beta, hit.k).to_json_bytes())
-            witness = genuine_witness(hit.beta, hit.k)
-            assert obj["genuine"] == {"im_gamma_squared": str(witness), "value": True}
-            assert witness != 0
+        far = 1 << 20
+        for region in [(Box.centered(64), (-64, 64)),
+                       (Box(far - 96, far + 96, far - 96, far + 96),
+                        (1 << 18, (1 << 18) + 8192))]:
+            hits = search_region(*region)
+            assert hits
+            for hit in hits:
+                obj = json.loads(certify(hit.beta, hit.k).to_json_bytes())
+                witness = genuine_witness(hit.beta, hit.k)
+                assert obj["genuine"] == {"im_gamma_squared": str(witness),
+                                          "value": True}, hit
+                assert witness != 0, hit
 
     def test_witness_is_only_necessary(self):
         # gamma = -9+12i = 3(1+2i)^2 has Im(gamma^2) != 0, yet -gamma^2 =
@@ -124,6 +132,21 @@ class TestFamilyPoint:
                 continue
             assert on_curve(alpha, family_point(b, k))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(1 << 60), 1 << 60), st.integers(-(1 << 60), 1 << 60),
+           st.integers(-(1 << 60), 1 << 60).filter(bool))
+    @example(1, 1, 1)  # (1+i)^4 = -4: beta^4 + 4k^4 = 0 and y = 2ik beta(-8)
+    def test_on_curve_with_y_nonzero(self, re, im, k):
+        # the verifier checks neither: the equation is an identity in (beta, k),
+        # and beta^4 = 4k^4 would put sqrt(2) in Q(i)
+        b = GaussInt(re, im)
+        if not b:
+            return
+        point = family_point(b, k)
+        assert point.y, (re, im, k)
+        gamma = b ** 4 + gi(4 * k ** 4)
+        assert on_curve(-(gamma * gamma), point)
+
     def test_certify_builds_the_oracle_point(self):
         # certify builds the point from the b^2, b^4 and 4k^4 of gamma
         hits = search_region(Box.centered(64), (-64, 64))
@@ -137,7 +160,8 @@ class TestFamilyPoint:
 
 class TestExpectedCandidates:
     def test_klein_four_group_of_dimension_two(self):
-        # certify checks only candidates == SELMER_CANDIDATES; the group
+        # certify does not check the candidates: the class fixes them to
+        # SELMER_CANDIDATES (test_verifier.py::TestConstants); the group
         # property, the dimension and the rank bound follow from this constant:
         # a subgroup of four distinct elements has dimension 2
         masks = [class_mask(c, 4) for c in verifier.SELMER_CANDIDATES]

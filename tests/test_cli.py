@@ -207,6 +207,20 @@ class TestSearch:
         assert code == 2
         assert "error" in lines[0]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--expand",), "--expand needs --box as the initial radius"),
+        (("--re-min", "-5", "--re-max", "5", "--im-min", "-5", "--im-max", "5"),
+         "search needs --kmax when --box is not given"),
+    ], ids=["expand-without-box", "four-bounds-without-kmax"])
+    def test_missing_radius_is_usage_error(self, capsys, monkeypatch, argv, message):
+        def no_search(*args, **kwargs):
+            raise AssertionError("no search may run")
+
+        monkeypatch.setattr("qirank.cli.search_region", no_search)
+        monkeypatch.setattr("qirank.cli.find_first_hit", no_search)
+        code, lines = run_json(capsys, "search", *argv)
+        assert (code, lines) == (2, [{"error": message}])
+
 
 class TestShards:
     @pytest.mark.parametrize("value", ["0", "-3"])

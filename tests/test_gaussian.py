@@ -102,6 +102,14 @@ class TestGcd:
         with pytest.raises(ValueError):
             gcd(gi(0), gi(0))
 
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError, match="zero divides only zero"):
+            divides(ZERO, gi(3, 1))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative exponents"):
+            gi(1, 1) ** -1
+
     def test_divides_both(self):
         rng = random.Random(4)
         for _ in range(100):
@@ -484,6 +492,13 @@ class TestGaussRat:
         half = GaussRat.of(ONE, gi(2))
         assert half ** 2 == GaussRat.of(ONE, gi(4))
         assert half ** -1 == GaussRat.of(gi(2))
+
+    def test_division_by_zero(self):
+        zero = GaussRat.of(ZERO)
+        with pytest.raises(ZeroDivisionError, match="division by zero in Q\\(i\\)"):
+            GaussRat.of(ONE) / zero
+        with pytest.raises(ZeroDivisionError, match="zero to a negative power"):
+            zero ** -1
 
     def test_integrality(self):
         # an integral value reduces to denominator 1

@@ -156,6 +156,10 @@ class TestSearchRegion:
         assert search_region(Box(5, 4, 0, 0), (-64, 64)) == []
         assert search_region(Box.centered(20), (1, 7)) == []
 
+    def test_zero_shards_rejected(self):
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            search_region(Box.centered(20), (-16, 16), shards=0)
+
     def test_shard_determinism(self):
         box = Box.centered(40)
         h1 = search_region(box, (-40, 40), shards=1)
@@ -877,6 +881,32 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match=r"shard \(-40, -1\) failed"):
             search_region(Box.centered(40), (-40, 40), shards=2)
         assert len(forks) == 1
+        assert_all_reaped(forks)
+
+    def test_failed_fork_closes_its_pipe_and_reaps(self, monkeypatch, forks):
+        # the second fork fails after the first worker has started
+        counting_fork, pipes = os.fork, []
+        real_pipe = os.pipe
+
+        def fork():
+            if forks:
+                raise OSError("no more processes")
+            return counting_fork()
+
+        def pipe():
+            fds = real_pipe()
+            pipes.append(fds)
+            return fds
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(qirank.search.os, "cpu_count", lambda: 3)
+        with pytest.raises(OSError, match="no more processes"):
+            search_region(Box.centered(40), (-40, 40), shards=3)
+        assert len(forks) == 1 and len(pipes) == 2
+        for fd in (fd for fds in pipes for fd in fds):
+            with pytest.raises(OSError):
+                os.fstat(fd)
         assert_all_reaped(forks)
 
     def test_undecodable_worker_data_raises(self, monkeypatch, forks):

@@ -252,6 +252,11 @@ class TestBoundsAndInputs:
         assert verify_certificate(json.dumps(forged)) is False
         assert verify_by_recertify(json.dumps(forged)) is False
 
+    def test_non_decimal_k_is_malformed(self, certificates):
+        obj = dict(certificates[0], k="1x")
+        with pytest.raises(ValueError, match="^malformed certificate: invalid literal"):
+            verify_certificate(json.dumps(obj))
+
     def test_digit_cap(self):
         obj = {"beta": {"re": "1" * 40, "im": "0"}, "k": "16", "version": "1"}
         assert verify_certificate(json.dumps(obj)) is False
